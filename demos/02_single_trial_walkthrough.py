@@ -8,13 +8,12 @@ to the same dataset.
 import numpy as np
 
 from stratsurv import (
-    ALL_STRATA,
     AnalysisSpec,
     Method,
     RngStream,
     ScenarioSpec,
     TrialDesign,
-    control_median,
+    control_rate_table,
     cox_fit,
     generate_trial,
     logrank,
@@ -24,7 +23,7 @@ scenario = ScenarioSpec.multiplicative_covariates()
 design = TrialDesign.from_event_target(true_hr=0.6, target_events=120)
 
 print("Control-arm medians by stratum (months):")
-print(" ", [round(control_median(scenario, s), 1) for s in ALL_STRATA])
+print(" ", np.round(np.log(2.0) / control_rate_table(scenario), 1).tolist())
 
 data = generate_trial(design, scenario, RngStream(seed=20260810, replicate_index=0))
 print(f"\nGenerated {data.n_subjects} subjects, cutoff at calendar month "

@@ -6,6 +6,11 @@ prognostic-effect scenarios across 12 strata, analyze them with stratified
 and unstratified log-rank tests and Cox regressions, and aggregate Monte
 Carlo replicates into bias / SE / MSE / power summaries.
 
+Data stay columnar throughout: a ``TrialDataset`` holds one array per subject
+field, ``control_rate_table`` gives the 12 control-arm rates by stratum index,
+and ``run_replicates`` returns a ``Replicates`` record of per-replicate
+columns that ``aggregate`` reduces.
+
 Quick start::
 
     from stratsurv import (ScenarioSpec, TrialDesign, RngStream,
@@ -21,11 +26,8 @@ Quick start::
 from .config import StudyConfig, load_study_config, parse_study_config
 from .datagen import (
     RngStream,
-    Subject,
     TrialDataset,
     apply_cutoff,
-    assign_stratum,
-    draw_event_time,
     generate_trial,
 )
 from .design import DesignInputs, sample_size, schoenfeld_events
@@ -44,29 +46,24 @@ from .inference import (
     cox_fit,
     logrank,
     partial_likelihood_terms,
-    wald_reject,
 )
 from .io import read_subject_records, write_results_csv, write_subject_records
 from .simulate import (
     AggregateMetrics,
     MethodMetrics,
-    ReplicateResult,
+    Replicates,
     SimConfig,
     StudyRow,
     aggregate,
-    run_replicate,
     run_replicates,
     run_study,
 )
 from .trial import (
-    ALL_STRATA,
     STRATUM_COUNT,
     ScenarioKind,
     ScenarioSpec,
-    StratumProfile,
     TrialDesign,
-    control_median,
-    control_rate,
+    control_rate_table,
     median_to_rate,
 )
 

@@ -46,7 +46,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
     parser.add_argument("--seed", type=int, **({"default": None} if top_level else kw),
                         help="override the configured master seed")
     parser.add_argument("--workers", type=int, **({"default": None} if top_level else kw),
-                        help="worker processes for simulation (default: CPU count)")
+                        help="worker processes for simulation (default and cap: usable "
+                             "CPUs; never more than the replicates)")
     parser.add_argument("--json", action="store_true",
                         **({"default": False} if top_level else kw),
                         help="emit machine-readable JSON on stdout")

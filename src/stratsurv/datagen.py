@@ -4,7 +4,8 @@ One dataset is produced per replicate from a seeded stream: subjects are
 assigned a stratum from the allocation weights, randomized by independent
 Bernoulli draws, enrolled uniformly over the accrual window, given an
 exponential latent event time, and then administratively censored at the
-calendar time of the D-th event.
+calendar time of the D-th event. Every step draws for all subjects at once,
+and the dataset holds one read-only array per subject field.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .trial import (
-    ALL_STRATA,
-    ScenarioSpec,
-    StratumProfile,
-    TrialDesign,
-    control_rate_table,
-)
+from .trial import ScenarioSpec, TrialDesign, control_rate_table
 
 CONTROL = 0
 TREATMENT = 1
@@ -47,19 +42,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.replicate_index,))
         return np.random.default_rng(seq)
-
-
-@dataclass(frozen=True)
-class Subject:
-    """Row view of one subject in a trial dataset."""
-
-    id: int
-    stratum: StratumProfile
-    arm: int
-    enroll_time: float
-    latent_event_time: float | None
-    observed_time: float
-    event: bool
 
 
 class TrialDataset:
@@ -110,39 +92,6 @@ class TrialDataset:
     def events_observed(self) -> int:
         return int(self.event.sum())
 
-    @property
-    def subjects(self) -> tuple[Subject, ...]:
-        latent = self.latent_event_time
-        return tuple(
-            Subject(
-                id=int(self.subject_id[i]),
-                stratum=StratumProfile.from_index(int(self.stratum_index[i])),
-                arm=int(self.arm[i]),
-                enroll_time=float(self.enroll_time[i]),
-                latent_event_time=None if latent is None else float(latent[i]),
-                observed_time=float(self.observed_time[i]),
-                event=bool(self.event[i]),
-            )
-            for i in range(self.n_subjects)
-        )
-
-    @classmethod
-    def from_subjects(cls, subjects, cutoff_calendar_time: float = math.inf) -> "TrialDataset":
-        subjects = list(subjects)
-        latent = [s.latent_event_time for s in subjects]
-        ds = cls(
-            subject_id=[s.id for s in subjects],
-            stratum_index=[s.stratum.index for s in subjects],
-            arm=[s.arm for s in subjects],
-            enroll_time=[s.enroll_time for s in subjects],
-            observed_time=[s.observed_time for s in subjects],
-            event=[s.event for s in subjects],
-            cutoff_calendar_time=cutoff_calendar_time,
-            latent_event_time=None if any(v is None for v in latent) else latent,
-        )
-        ds.validate()
-        return ds
-
     def validate(self) -> None:
         """Check internal consistency; raises InvalidParameterError on violation."""
         if np.any(self.observed_time < 0):
@@ -170,35 +119,6 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
-def assign_stratum(weights, rng: np.random.Generator) -> StratumProfile:
-    """Draw one stratum with probability proportional to its weight."""
-    cdf = _weight_cdf(weights)
-    u = rng.random() * cdf[-1]
-    return ALL_STRATA[int(np.searchsorted(cdf, u, side="right"))]
-
-
-def _weight_cdf(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (len(ALL_STRATA),):
-        raise InvalidParameterError("weights must hold exactly 12 values")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise InvalidParameterError("weights must be nonnegative and finite")
-    cdf = np.cumsum(w)
-    if cdf[-1] <= 0:
-        raise InvalidParameterError("weights must not all be zero")
-    return cdf
-
-
-def draw_event_time(rate: float, rng) -> float:
-    """Exponential event time in months via inversion: -log(U)/rate."""
-    if not (isinstance(rate, (int, float)) and math.isfinite(rate) and rate > 0):
-        raise InvalidParameterError(f"rate must be positive and finite, got {rate!r}")
-    u = rng.random()
-    if u <= 0.0:
-        u = np.finfo(float).tiny
-    return -math.log(u) / rate
-
-
 def generate_trial(
     design: TrialDesign, scenario: ScenarioSpec, rng: "RngStream | np.random.Generator"
 ) -> TrialDataset:
@@ -210,7 +130,7 @@ def generate_trial(
     gen = rng.generator() if isinstance(rng, RngStream) else rng
     n = design.sample_size
 
-    cdf = _weight_cdf(design.allocation_weights)
+    cdf = np.cumsum(design.allocation_weights)
     strata = np.searchsorted(cdf, gen.random(n) * cdf[-1], side="right").astype(np.int64)
     arm = (gen.random(n) < design.randomization_prob).astype(np.int8)
     enroll = gen.uniform(0.0, design.accrual_months, size=n)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import norm
 
 from .datagen import TrialDataset
 from .errors import DegenerateTestError, InvalidModelError, InvalidParameterError
@@ -427,9 +426,3 @@ def cox_fit(dataset: TrialDataset, spec: AnalysisSpec) -> CoxFit:
         diagnostic=diagnostic,
     )
 
-
-def wald_reject(fit: CoxFit, alpha_one_sided: float) -> bool:
-    """One-sided Wald rejection in the benefit direction (log-HR < 0)."""
-    if not fit.converged:
-        raise InvalidParameterError("wald_reject requires a converged fit")
-    return bool(fit.wald_z < norm.ppf(alpha_one_sided))

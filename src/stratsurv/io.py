@@ -149,7 +149,11 @@ def _float_cell(text: str, name: str, rownum: int) -> float:
 
 
 def _fmt3(value: float | None) -> str:
-    return "nan" if value is None else f"{value:.3f}"
+    if value is None:
+        return "nan"
+    text = f"{value:.3f}"
+    # A small negative value rounds to "-0.000"; print zero without a sign.
+    return "0.000" if text == "-0.000" else text
 
 
 def _fmt_pct(value: float) -> str:

@@ -2,8 +2,10 @@
 
 Each replicate draws its own random stream from (master_seed, replicate index),
 so results are a pure function of the configuration and independent of how
-replicates are scheduled across workers. Aggregation is an ordered reduction
-by replicate index.
+replicates are scheduled across workers. The outcomes of a study cell are one
+columnar record, ``Replicates``: a row per replicate in index order, holding
+the three Cox estimates in COX_KEYS order and the five test outcomes in
+TEST_KEYS order. Aggregation reduces those columns in replicate order.
 """
 
 from __future__ import annotations
@@ -12,23 +14,25 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .datagen import RngStream, generate_trial
 from .errors import DegenerateTestError, InvalidModelError, InvalidParameterError
-from .inference import AnalysisSpec, Method, TIE_METHODS, cox_fit, logrank
+from .inference import COX_METHODS, TIE_METHODS, AnalysisSpec, cox_fit, logrank
 from .trial import ScenarioSpec, TrialDesign
 
-#: Cox estimation methods, in reporting order.
+#: Cox estimation methods, in reporting order (the order of COX_METHODS).
 COX_KEYS = ("unstrat_cox", "mult_cox", "strat_cox")
-_COX_METHODS = (Method.COX_UNSTRATIFIED, Method.COX_MULTIVARIATE, Method.COX_STRATIFIED)
 
 #: Hypothesis tests, in reporting order: the two log-rank tests and the
 #: one-sided Wald tests of the three Cox fits.
 TEST_KEYS = ("lr", "strat_lr", "mult_cox", "strat_cox", "unstrat_cox")
+
+#: TEST_KEYS column of each Cox method's Wald test, in COX_KEYS order.
+_WALD_COLUMNS = tuple(TEST_KEYS.index(key) for key in COX_KEYS)
 
 SE_SCALES = ("log", "hr")
 
@@ -56,20 +60,20 @@ class SimConfig:
             raise InvalidParameterError("master_seed must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    """Per-replicate estimates and test outcomes.
+class Replicates(NamedTuple):
+    """Columnar outcomes of R replicates, one row per replicate in index order.
 
-    ``hr`` and ``log_hr_se`` follow COX_KEYS order (NaN when not converged);
-    ``reject`` and ``degenerate`` follow TEST_KEYS order. A degenerate test is
-    never counted as a rejection.
+    ``hr`` and ``log_hr_se`` are (R, 3) float arrays in COX_KEYS order, NaN
+    where the fit is unusable: it raised, did not converge, or has no finite
+    SE. ``reject`` and ``degenerate`` are (R, 5) bool arrays in TEST_KEYS
+    order; a degenerate test, which includes the Wald test of an unusable
+    fit, is never counted as a rejection.
     """
 
-    hr: tuple[float, ...]
-    log_hr_se: tuple[float, ...]
-    converged: tuple[bool, ...]
-    reject: tuple[bool, ...]
-    degenerate: tuple[bool, ...]
+    hr: np.ndarray
+    log_hr_se: np.ndarray
+    reject: np.ndarray
+    degenerate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -103,92 +107,61 @@ class StudyRow:
     error: str | None = None
 
 
-@lru_cache(maxsize=8)
-def _z_crit(alpha_one_sided: float) -> float:
-    return float(norm.ppf(alpha_one_sided))
-
-
-def run_replicate(config: SimConfig, index: int) -> ReplicateResult:
-    """Generate and analyze one replicate on stream (master_seed, index)."""
-    dataset = generate_trial(
-        config.design, config.scenario, RngStream(config.master_seed, index))
-    alpha = config.design.alpha_one_sided
-    zcrit = _z_crit(alpha)
-
-    lr_reject: dict[str, bool] = {}
-    lr_degen: dict[str, bool] = {}
-    for key, stratified in (("lr", False), ("strat_lr", True)):
-        try:
-            res = logrank(dataset, stratified=stratified)
-            lr_reject[key] = bool(res.z < zcrit)
-            lr_degen[key] = False
-        except DegenerateTestError:
-            lr_reject[key] = False
-            lr_degen[key] = True
-
-    hrs, ses, convs, wald_reject_flags, wald_degen = [], [], [], {}, {}
-    for key, method in zip(COX_KEYS, _COX_METHODS):
-        spec = AnalysisSpec(method, tie_method=config.tie_method, alpha_one_sided=alpha)
-        try:
-            fit = cox_fit(dataset, spec)
-            usable = fit.converged and math.isfinite(fit.treatment_se)
-        except InvalidModelError:
-            fit, usable = None, False
-        if usable:
-            hrs.append(fit.treatment_hr)
-            ses.append(fit.treatment_se)
-            convs.append(True)
-            wald_reject_flags[key] = bool(fit.wald_z < zcrit)
-            wald_degen[key] = False
-        else:
-            hrs.append(float("nan"))
-            ses.append(float("nan"))
-            convs.append(False)
-            wald_reject_flags[key] = False
-            wald_degen[key] = True
-
-    reject = (lr_reject["lr"], lr_reject["strat_lr"], wald_reject_flags["mult_cox"],
-              wald_reject_flags["strat_cox"], wald_reject_flags["unstrat_cox"])
-    degen = (lr_degen["lr"], lr_degen["strat_lr"], wald_degen["mult_cox"],
-             wald_degen["strat_cox"], wald_degen["unstrat_cox"])
-    return ReplicateResult(
-        hr=tuple(hrs),
-        log_hr_se=tuple(ses),
-        converged=tuple(convs),
-        reject=reject,
-        degenerate=degen,
-    )
+def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
+    """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index)."""
+    zcrit = float(ndtri(config.design.alpha_one_sided))
+    specs = [AnalysisSpec(method, tie_method=config.tie_method) for method in COX_METHODS]
+    hr = np.full((hi - lo, len(COX_KEYS)), np.nan)
+    se = np.full((hi - lo, len(COX_KEYS)), np.nan)
+    reject = np.zeros((hi - lo, len(TEST_KEYS)), dtype=bool)
+    degenerate = np.zeros((hi - lo, len(TEST_KEYS)), dtype=bool)
+    for row, index in enumerate(range(lo, hi)):
+        dataset = generate_trial(
+            config.design, config.scenario, RngStream(config.master_seed, index))
+        for col, stratified in enumerate((False, True)):
+            try:
+                reject[row, col] = logrank(dataset, stratified=stratified).z < zcrit
+            except DegenerateTestError:
+                degenerate[row, col] = True
+        for k, (spec, col) in enumerate(zip(specs, _WALD_COLUMNS)):
+            try:
+                fit = cox_fit(dataset, spec)
+            except InvalidModelError:
+                fit = None
+            if fit is None or not (fit.converged and math.isfinite(fit.treatment_se)):
+                degenerate[row, col] = True
+                continue
+            hr[row, k] = fit.treatment_hr
+            se[row, k] = fit.treatment_se
+            reject[row, col] = fit.wald_z < zcrit
+    return Replicates(hr, se, reject, degenerate)
 
 
 def aggregate(
-    results: list[ReplicateResult], true_hr: float, se_scale: str = "log"
+    results: Replicates, true_hr: float, se_scale: str = "log"
 ) -> AggregateMetrics:
-    """Reduce replicate results to bias/SE/MSE per method and power per test.
+    """Reduce replicate columns to bias/SE/MSE per method and power per test.
 
-    Non-converged fits are excluded from that method's estimation metrics and
-    counted; degenerate tests count as non-rejections. Accumulation order is
-    the replicate order of ``results``.
+    Unusable fits (NaN estimates) are excluded from that method's estimation
+    metrics and counted; degenerate tests count as non-rejections. Accumulation
+    order is the row order of ``results``.
     """
-    if not results:
+    n = len(results.hr)
+    if n == 0:
         raise InvalidParameterError("no replicate results to aggregate")
     if se_scale not in SE_SCALES:
         raise InvalidParameterError(f"se_scale must be one of {SE_SCALES}")
-    n = len(results)
-    hr = np.array([r.hr for r in results])
-    se = np.array([r.log_hr_se for r in results])
-    conv = np.array([r.converged for r in results])
-    reject = np.array([r.reject for r in results])
-    degen = np.array([r.degenerate for r in results])
+    hr, se = results.hr, results.log_hr_se
 
     methods: dict[str, MethodMetrics] = {}
     for k, key in enumerate(COX_KEYS):
-        mask = conv[:, k]
+        mask = np.isfinite(hr[:, k])
         used = int(mask.sum())
         if used == 0:
             methods[key] = MethodMetrics(None, None, None, 0, n)
             continue
         h = hr[mask, k]
-        s = se[mask, k] if se_scale == "log" else hr[mask, k] * se[mask, k]
+        s = se[mask, k] if se_scale == "log" else h * se[mask, k]
         methods[key] = MethodMetrics(
             avg_bias=float(np.mean(h) - true_hr),
             avg_se=float(np.mean(s)),
@@ -197,8 +170,9 @@ def aggregate(
             replicates_excluded=n - used,
         )
 
-    power = {key: float(np.mean(reject[:, j])) for j, key in enumerate(TEST_KEYS)}
-    degenerate_counts = {key: int(degen[:, j].sum()) for j, key in enumerate(TEST_KEYS)}
+    power = {key: float(np.mean(results.reject[:, j])) for j, key in enumerate(TEST_KEYS)}
+    degenerate_counts = {key: int(results.degenerate[:, j].sum())
+                         for j, key in enumerate(TEST_KEYS)}
     return AggregateMetrics(
         true_hr=true_hr,
         replicates=n,
@@ -208,37 +182,35 @@ def aggregate(
     )
 
 
-def _replicate_range(config: SimConfig, lo: int, hi: int) -> list[ReplicateResult]:
-    return [run_replicate(config, i) for i in range(lo, hi)]
-
-
 def _resolve_workers(config: SimConfig, workers: int | None) -> int:
+    """Processes to use: the request, else the config hint, else every usable
+    CPU; never more than the replicates or the usable CPUs."""
     if workers is None:
         workers = config.workers
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise InvalidParameterError("workers must be at least 1")
-    return workers
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers or cpus, config.replicates, cpus)
 
 
-def run_replicates(config: SimConfig, workers: int | None = None) -> list[ReplicateResult]:
-    """All replicates of one config, in replicate-index order."""
+def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
+    """All replicates of one config as one columnar record, in replicate-index order."""
     w = _resolve_workers(config, workers)
     n = config.replicates
-    if w == 1 or n == 1:
+    if w == 1:
         return _replicate_range(config, 0, n)
     chunk = max(1, math.ceil(n / (w * 4)))
     bounds = list(range(0, n, chunk)) + [n]
-    out: list[ReplicateResult] = []
     with ProcessPoolExecutor(max_workers=w) as pool:
         futures = [
             pool.submit(_replicate_range, config, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        for fut in futures:
-            out.extend(fut.result())
-    return out
+        chunks = [fut.result() for fut in futures]
+    return Replicates(*(np.concatenate(column) for column in zip(*chunks)))
 
 
 def run_study(configs: list[SimConfig], workers: int | None = None) -> list[StudyRow]:

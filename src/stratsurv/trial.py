@@ -1,6 +1,7 @@
 """Trial structure: stratification factors, prognostic scenarios, hazard rates.
 
-Twelve strata arise from three baseline factors (2 x 3 x 2 levels). A scenario
+Twelve strata arise from three baseline factors x1 (2 levels), x2 (3) and x3
+(2); a stratum is known by its index 6*x1 + 2*x2 + x3 in [0, 12). A scenario
 describes how the control-arm hazard varies across strata; everything is
 configured in median survival months and converted to exponential rates.
 """
@@ -23,45 +24,8 @@ STRATUM_COUNT = 12
 COVARIATE_NAMES = ("x1", "x2_level1", "x2_level2", "x3")
 
 
-@dataclass(frozen=True)
-class StratumProfile:
-    """One of the 12 cells defined by factors x1 (2 levels), x2 (3), x3 (2)."""
-
-    x1: int
-    x2: int
-    x3: int
-
-    def __post_init__(self):
-        if self.x1 not in (0, 1):
-            raise InvalidParameterError(f"x1 must be 0 or 1, got {self.x1}")
-        if self.x2 not in (0, 1, 2):
-            raise InvalidParameterError(f"x2 must be 0, 1 or 2, got {self.x2}")
-        if self.x3 not in (0, 1):
-            raise InvalidParameterError(f"x3 must be 0 or 1, got {self.x3}")
-
-    @property
-    def index(self) -> int:
-        """Position in the canonical ordering: x1 major, x2 middle, x3 minor."""
-        return self.x1 * 6 + self.x2 * 2 + self.x3
-
-    @classmethod
-    def from_index(cls, index: int) -> "StratumProfile":
-        if not 0 <= index < STRATUM_COUNT:
-            raise InvalidParameterError(f"stratum index must be in [0, 12), got {index}")
-        x1, rest = divmod(index, 6)
-        x2, x3 = divmod(rest, 2)
-        return cls(x1=x1, x2=x2, x3=x3)
-
-    def covariates(self) -> tuple[int, int, int, int]:
-        """Indicator coding (x1, x2==1, x2==2, x3) used by the multivariate model."""
-        return (self.x1, int(self.x2 == 1), int(self.x2 == 2), self.x3)
-
-
-ALL_STRATA = tuple(StratumProfile.from_index(i) for i in range(STRATUM_COUNT))
-
-
 def stratum_covariates(index: np.ndarray) -> np.ndarray:
-    """Vectorized indicator coding for an array of stratum indices.
+    """Covariate indicator coding of an array of stratum indices.
 
     Returns a float array of shape (n, 4) with columns x1, x2==1, x2==2, x3.
     """
@@ -168,32 +132,20 @@ def median_to_rate(median: float) -> float:
     return math.log(2.0) / median
 
 
-def control_rate(scenario: ScenarioSpec, stratum: StratumProfile) -> float:
-    """Control-arm hazard rate per month for one stratum under a scenario."""
-    if scenario.kind is ScenarioKind.NO_PROGNOSTIC:
-        return median_to_rate(scenario.base_median)
-    if scenario.kind is ScenarioKind.MULTIPLICATIVE_COVARIATES:
-        rate = median_to_rate(scenario.base_median)
-        if stratum.x1 == 1:
-            rate *= scenario.hr_x1
-        if stratum.x2 == 1:
-            rate *= scenario.hr_x2_level1
-        elif stratum.x2 == 2:
-            rate *= scenario.hr_x2_level2
-        if stratum.x3 == 1:
-            rate *= scenario.hr_x3
-        return rate
-    return median_to_rate(scenario.stratum_medians[stratum.index])
-
-
-def control_median(scenario: ScenarioSpec, stratum: StratumProfile) -> float:
-    """Control-arm median survival in months implied by the scenario."""
-    return math.log(2.0) / control_rate(scenario, stratum)
-
-
 def control_rate_table(scenario: ScenarioSpec) -> np.ndarray:
-    """Control-arm rates for all 12 strata, indexed by stratum index."""
-    return np.array([control_rate(scenario, s) for s in ALL_STRATA])
+    """Control-arm hazard rates per month for the 12 strata, by stratum index.
+
+    Multiplicative covariate hazard ratios are applied in the order x1, x2
+    level, x3; a factor at its reference level multiplies by exactly 1.
+    """
+    if scenario.kind is ScenarioKind.STRATUM_BASELINES:
+        return math.log(2.0) / np.asarray(scenario.stratum_medians, dtype=float)
+    rates = np.full(STRATUM_COUNT, median_to_rate(scenario.base_median))
+    if scenario.kind is ScenarioKind.MULTIPLICATIVE_COVARIATES:
+        hrs = (scenario.hr_x1, scenario.hr_x2_level1, scenario.hr_x2_level2, scenario.hr_x3)
+        for column, hr in zip(stratum_covariates(np.arange(STRATUM_COUNT)).T, hrs):
+            rates *= np.where(column == 1.0, hr, 1.0)
+    return rates
 
 
 BALANCED_WEIGHTS = (1.0,) * STRATUM_COUNT

@@ -27,6 +27,17 @@ def run_cli(*args, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+class TestImport:
+    def test_cli_import_loads_no_scipy_stats(self):
+        # scipy.stats dominates start-up; the normal quantile comes from
+        # scipy.special instead.
+        code = ("import sys, stratsurv.cli; "
+                "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
 class TestDesignCommand:
     def test_reference_design(self):
         proc = run_cli("design", "--hr", "0.5", "--alpha", "0.025", "--power", "0.8")

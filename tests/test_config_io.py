@@ -1,5 +1,6 @@
 """Tests for configuration parsing and dataset / result file round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -232,6 +233,19 @@ class TestResultFiles:
         power_lr = first[RESULT_COLUMNS.index("power_lr")]
         assert power_lr.endswith(".0") or "." in power_lr
         assert first[-1] == "ok"
+
+    def test_negative_zero_printed_without_sign(self, tmp_path):
+        study, rows = self._rows()
+        metrics = rows[0].metrics
+        methods = dict(metrics.methods)
+        methods["mult_cox"] = dataclasses.replace(methods["mult_cox"], avg_bias=-0.0004)
+        methods["strat_cox"] = dataclasses.replace(methods["strat_cox"], avg_bias=-0.0006)
+        row = dataclasses.replace(rows[0], metrics=dataclasses.replace(metrics, methods=methods))
+        path = tmp_path / "results.csv"
+        write_results_csv(path, [row])
+        cells = path.read_text().split("\n")[1].split(",")
+        assert cells[RESULT_COLUMNS.index("bias_mult")] == "0.000"
+        assert cells[RESULT_COLUMNS.index("bias_strat")] == "-0.001"
 
     def test_csv_uses_lf_only(self, tmp_path):
         study, rows = self._rows()

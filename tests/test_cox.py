@@ -17,7 +17,6 @@ from stratsurv.inference import (
     cox_fit,
     logrank,
     partial_likelihood_terms,
-    wald_reject,
 )
 from stratsurv.trial import ScenarioSpec, TrialDesign
 
@@ -249,20 +248,3 @@ class TestFitDiagnostics:
             assert fit.converged
             assert fit.final_gradient_norm < 1e-6
             assert fit.iterations >= 1
-
-    def test_wald_reject_directional(self):
-        ds = _trial(32)
-        fit = cox_fit(ds, UNSTRAT)
-        fake = fit.__class__(**{**fit.__dict__, "wald_z": -2.5})
-        assert wald_reject(fake, 0.025)
-        fake = fit.__class__(**{**fit.__dict__, "wald_z": -1.0})
-        assert not wald_reject(fake, 0.025)
-        fake = fit.__class__(**{**fit.__dict__, "wald_z": 2.5})
-        assert not wald_reject(fake, 0.025)
-
-    def test_wald_reject_requires_convergence(self):
-        ds = _trial(33)
-        fit = cox_fit(ds, UNSTRAT)
-        broken = fit.__class__(**{**fit.__dict__, "converged": False})
-        with pytest.raises(InvalidParameterError):
-            wald_reject(broken, 0.025)

@@ -6,26 +6,37 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from stratsurv.datagen import (
-    RngStream,
-    TrialDataset,
-    apply_cutoff,
-    assign_stratum,
-    draw_event_time,
-    generate_trial,
-)
+from stratsurv.datagen import RngStream, TrialDataset, apply_cutoff, generate_trial
 from stratsurv.errors import InvalidParameterError
-from stratsurv.trial import ALL_STRATA, ScenarioSpec, TrialDesign, control_rate
+from stratsurv.trial import ScenarioSpec, TrialDesign, control_rate_table
 
 
 class _FixedUniform:
-    """Stand-in generator returning a constant uniform draw."""
+    """Stand-in generator whose every uniform draw is ``value``."""
 
     def __init__(self, value):
         self.value = value
 
-    def random(self):
-        return self.value
+    def random(self, size):
+        return np.full(size, self.value)
+
+    def uniform(self, low, high, size):
+        return np.full(size, low + self.value * (high - low))
+
+
+def _strata(weights, n, seed):
+    """Stratum indices of ``n`` subjects drawn by generate_trial."""
+    design = TrialDesign(true_hr=0.5, target_events=1, sample_size=n,
+                         allocation_weights=weights)
+    return generate_trial(design, ScenarioSpec.no_prognostic(),
+                          RngStream(seed, 0)).stratum_index
+
+
+def _latent(true_hr, n, seed):
+    """Latent event times and arms of ``n`` subjects, one 16-month stratum."""
+    design = TrialDesign(true_hr=true_hr, target_events=1, sample_size=n)
+    ds = generate_trial(design, ScenarioSpec.no_prognostic(16.0), RngStream(seed, 0))
+    return ds.latent_event_time, ds.arm
 
 
 class TestRngStream:
@@ -45,71 +56,69 @@ class TestRngStream:
 
 
 class TestAssignStratum:
+    """Stratum assignment as generate_trial draws it."""
+
     def test_degenerate_weights(self):
-        rng = np.random.default_rng(0)
         weights = (1.0,) + (0.0,) * 11
-        assert all(assign_stratum(weights, rng).index == 0 for _ in range(25))
+        assert np.all(_strata(weights, 25, 0) == 0)
 
     def test_zero_weight_stratum_never_drawn(self):
-        rng = np.random.default_rng(1)
         weights = [1.0] * 12
         weights[4] = 0.0
-        draws = {assign_stratum(weights, rng).index for _ in range(3000)}
+        draws = set(_strata(weights, 3000, 1).tolist())
         assert 4 not in draws
         assert len(draws) == 11
 
     def test_balanced_frequencies(self):
-        rng = np.random.default_rng(2)
-        counts = np.zeros(12)
         n = 60_000
-        for _ in range(n):
-            counts[assign_stratum((1.0,) * 12, rng).index] += 1
+        counts = np.bincount(_strata((1.0,) * 12, n, 2), minlength=12)
         se = math.sqrt((1 / 12) * (11 / 12) / n)
         assert np.all(np.abs(counts / n - 1 / 12) < 4 * se)
 
     def test_unbalanced_ratio(self):
-        rng = np.random.default_rng(3)
         weights = (1.0,) * 6 + (7.0,) * 6
         n = 100_000
-        hits = sum(assign_stratum(weights, rng).index == 7 for _ in range(n))
+        hits = int(np.sum(_strata(weights, n, 3) == 7))
         p = 7.0 / 48.0
         assert abs(hits / n - p) < 3 * math.sqrt(p * (1 - p) / n)
 
-    def test_invalid_weights(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(InvalidParameterError):
-            assign_stratum((0.0,) * 12, rng)
-        with pytest.raises(InvalidParameterError):
-            assign_stratum((1.0,) * 11 + (-1.0,), rng)
-        with pytest.raises(InvalidParameterError):
-            assign_stratum((1.0,) * 5, rng)
-
 
 class TestDrawEventTime:
+    """Exponential latent event times as generate_trial draws them."""
+
     def test_fixed_uniform_hits_median(self):
-        rate = math.log(2.0) / 16.0
-        assert draw_event_time(rate, _FixedUniform(0.5)) == pytest.approx(16.0, rel=1e-12)
+        # u = 0.5 everywhere: every subject is control and -log(u)/rate is
+        # exactly the 16-month median.
+        design = TrialDesign(true_hr=0.5, target_events=1, sample_size=3)
+        ds = generate_trial(design, ScenarioSpec.no_prognostic(16.0), _FixedUniform(0.5))
+        assert not ds.arm.any()
+        assert ds.latent_event_time == pytest.approx([16.0] * 3, rel=1e-12)
 
     def test_sample_median_sixteen_months(self):
-        rng = np.random.default_rng(11)
-        rate = math.log(2.0) / 16.0
-        draws = np.array([draw_event_time(rate, rng) for _ in range(100_000)])
-        assert abs(np.median(draws) - 16.0) < 0.3
+        latent, _ = _latent(1.0, 100_000, 11)
+        assert abs(np.median(latent) - 16.0) < 0.3
 
     def test_treatment_multiplier_scales_median(self):
-        rng = np.random.default_rng(12)
-        rate = (math.log(2.0) / 16.0) * 0.5
-        draws = np.array([draw_event_time(rate, rng) for _ in range(100_000)])
-        assert abs(np.median(draws) - 32.0) < 0.6
+        latent, arm = _latent(0.5, 200_000, 12)
+        assert abs(np.median(latent[arm == 1]) - 32.0) < 0.6
+        assert abs(np.median(latent[arm == 0]) - 16.0) < 0.3
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
     def test_invalid_rate(self, bad):
+        # Every control rate comes from a median or a hazard ratio the
+        # scenario validates, so no invalid rate reaches generation.
         with pytest.raises(InvalidParameterError):
-            draw_event_time(bad, np.random.default_rng(0))
+            ScenarioSpec.no_prognostic(bad)
+        with pytest.raises(InvalidParameterError):
+            ScenarioSpec.multiplicative_covariates(hr_x2_level2=bad)
+        with pytest.raises(InvalidParameterError):
+            ScenarioSpec.stratum_baselines((16.0,) * 11 + (bad,))
 
     def test_zero_uniform_guarded(self):
-        t = draw_event_time(1.0, _FixedUniform(0.0))
-        assert math.isfinite(t) and t > 0
+        design = TrialDesign(true_hr=0.5, target_events=1, sample_size=3)
+        ds = generate_trial(design, ScenarioSpec.no_prognostic(), _FixedUniform(0.0))
+        assert np.all(np.isfinite(ds.latent_event_time))
+        assert np.all(ds.latent_event_time > 0)
 
 
 class TestApplyCutoff:
@@ -205,10 +214,9 @@ class TestGenerateTrial:
         design = TrialDesign(true_hr=0.5, target_events=10, sample_size=120_000)
         ds = generate_trial(design, scenario, RngStream(90, 0))
         worst = 1.0
-        for s in ALL_STRATA:
-            base = control_rate(scenario, s)
+        for stratum, base in enumerate(control_rate_table(scenario)):
             for arm, rate in ((0, base), (1, base * design.true_hr)):
-                cell = (ds.stratum_index == s.index) & (ds.arm == arm)
+                cell = (ds.stratum_index == stratum) & (ds.arm == arm)
                 assert cell.sum() > 3000
                 stat = kstest(ds.latent_event_time[cell], "expon",
                               args=(0.0, 1.0 / rate))
@@ -217,14 +225,6 @@ class TestGenerateTrial:
 
 
 class TestTrialDataset:
-    def test_subject_round_trip(self):
-        design = TrialDesign.from_event_target(0.5, 20)
-        ds = generate_trial(design, ScenarioSpec.no_prognostic(), RngStream(8, 0))
-        rebuilt = TrialDataset.from_subjects(ds.subjects, ds.cutoff_calendar_time)
-        assert np.array_equal(rebuilt.observed_time, ds.observed_time)
-        assert np.array_equal(rebuilt.stratum_index, ds.stratum_index)
-        assert rebuilt.events_observed == ds.events_observed
-
     def test_arrays_are_read_only(self):
         design = TrialDesign.from_event_target(0.5, 20)
         ds = generate_trial(design, ScenarioSpec.no_prognostic(), RngStream(8, 0))

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import stratsurv.simulate as sim
-from stratsurv.errors import InvalidParameterError
+from stratsurv.datagen import RngStream, generate_trial
+from stratsurv.errors import DegenerateTestError, InvalidModelError, InvalidParameterError
+from stratsurv.inference import COX_METHODS, AnalysisSpec, cox_fit, logrank
 from stratsurv.simulate import (
     COX_KEYS,
     TEST_KEYS,
     AggregateMetrics,
-    ReplicateResult,
+    Replicates,
     SimConfig,
     aggregate,
-    run_replicate,
     run_replicates,
     run_study,
 )
@@ -27,30 +29,131 @@ def _config(hr=0.6, d=30, replicates=40, seed=555, **kw):
                      replicates=replicates, master_seed=seed, **kw)
 
 
-def _result(hr=(0.5, 0.5, 0.5), se=(0.1, 0.1, 0.1), converged=(True,) * 3,
+def _result(hr=(0.5, 0.5, 0.5), se=(0.1, 0.1, 0.1),
             reject=(False,) * 5, degenerate=(False,) * 5):
-    return ReplicateResult(hr=hr, log_hr_se=se, converged=converged,
-                           reject=reject, degenerate=degenerate)
+    """A one-replicate record."""
+    return Replicates(hr=np.array([hr], dtype=float), log_hr_se=np.array([se], dtype=float),
+                      reject=np.array([reject]), degenerate=np.array([degenerate]))
+
+
+def _stack(*results):
+    return Replicates(*(np.concatenate(column) for column in zip(*results)))
+
+
+def _assert_same(a: Replicates, b: Replicates):
+    for field in Replicates._fields:
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), field
+
+
+def _reference_replicates(cfg: SimConfig) -> Replicates:
+    """The documented rules applied replicate by replicate.
+
+    A test outcome is None when the test is degenerate: a log-rank test that
+    raises, or the Wald test of a Cox fit that raised, did not converge or has
+    no finite SE. Only usable fits contribute estimates; None never rejects.
+    """
+    zcrit = norm.ppf(cfg.design.alpha_one_sided)
+    hr = np.full((cfg.replicates, 3), np.nan)
+    se = np.full((cfg.replicates, 3), np.nan)
+    outcomes = []
+    for i in range(cfg.replicates):
+        data = generate_trial(cfg.design, cfg.scenario, RngStream(cfg.master_seed, i))
+        outcome = {}
+        for key, stratified in (("lr", False), ("strat_lr", True)):
+            try:
+                outcome[key] = logrank(data, stratified=stratified).z < zcrit
+            except DegenerateTestError:
+                outcome[key] = None
+        for k, (key, method) in enumerate(zip(COX_KEYS, COX_METHODS)):
+            try:
+                fit = cox_fit(data, AnalysisSpec(method, tie_method=cfg.tie_method))
+            except InvalidModelError:
+                fit = None
+            if fit is not None and fit.converged and math.isfinite(fit.treatment_se):
+                hr[i, k], se[i, k] = fit.treatment_hr, fit.treatment_se
+                outcome[key] = fit.wald_z < zcrit
+            else:
+                outcome[key] = None
+        outcomes.append([outcome[key] for key in TEST_KEYS])
+    reject = np.array([[o is not None and bool(o) for o in row] for row in outcomes])
+    degenerate = np.array([[o is None for o in row] for row in outcomes])
+    return Replicates(hr, se, reject, degenerate)
 
 
 class TestRunReplicate:
     def test_deterministic_per_index(self):
         cfg = _config()
-        assert run_replicate(cfg, 5) == run_replicate(cfg, 5)
-        assert run_replicate(cfg, 5) != run_replicate(cfg, 6)
+        _assert_same(sim._replicate_range(cfg, 5, 6), sim._replicate_range(cfg, 5, 6))
+        chunk = sim._replicate_range(cfg, 3, 7)
+        _assert_same(sim._replicate_range(cfg, 5, 6),
+                     Replicates(*(column[2:3] for column in chunk)))
+        assert not np.array_equal(sim._replicate_range(cfg, 5, 6).hr,
+                                  sim._replicate_range(cfg, 6, 7).hr)
 
     def test_estimates_reasonable(self):
         cfg = _config(hr=0.75, d=380, replicates=1)
-        res = run_replicate(cfg, 0)
-        assert all(c for c in res.converged)
+        res = run_replicates(cfg, workers=1)
+        assert res.hr.shape == res.log_hr_se.shape == (1, 3)
+        assert res.reject.shape == res.degenerate.shape == (1, 5)
+        assert np.all(np.isfinite(res.hr)) and not res.degenerate.any()
         target = math.sqrt(4.0 / 380.0)
-        for se in res.log_hr_se:
+        for se in res.log_hr_se[0]:
             assert abs(se - target) < 0.35 * target
 
     def test_mean_se_near_asymptotic(self):
         cfg = _config(hr=0.75, d=380, replicates=60)
-        ses = [run_replicate(cfg, i).log_hr_se[0] for i in range(60)]
+        ses = run_replicates(cfg, workers=1).log_hr_se[:, 0]
         assert np.mean(ses) == pytest.approx(math.sqrt(4.0 / 380.0), rel=0.05)
+
+
+class TestReferenceColumns:
+    """run_replicates against the per-replicate rules, with unusable fits."""
+
+    @pytest.fixture(scope="class")
+    def small_n(self):
+        # D = 10 of N = 15 over 12 strata: some stratified log-rank tests are
+        # degenerate, and some stratified fits raise or, like some
+        # multivariate fits, never converge.
+        design = TrialDesign(true_hr=0.5, target_events=10, sample_size=15)
+        cfg = SimConfig(scenario=ScenarioSpec.multiplicative_covariates(), design=design,
+                        replicates=37, master_seed=11)
+        return cfg, _reference_replicates(cfg)
+
+    def test_reference_has_unusable_replicates(self, small_n):
+        _, ref = small_n
+        assert ref.degenerate[:, TEST_KEYS.index("strat_lr")].any()
+        assert np.isnan(ref.hr[:, COX_KEYS.index("mult_cox")]).any()
+        assert np.isnan(ref.hr[:, COX_KEYS.index("strat_cox")]).any()
+        assert np.isfinite(ref.hr).any() and ref.reject.any()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_columns_match_reference(self, small_n, workers):
+        cfg, ref = small_n
+        _assert_same(run_replicates(cfg, workers=workers), ref)
+
+
+class TestResolveWorkers:
+    """The worker count is resolved without starting any process."""
+
+    def test_huge_request_clamped(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        assert sim._resolve_workers(_config(replicates=40), 100_000) == 3
+        assert sim._resolve_workers(_config(replicates=2), 100_000) == 2
+        assert sim._resolve_workers(_config(replicates=40, workers=100_000), None) == 3
+        assert sim._resolve_workers(_config(replicates=40), None) == 3
+        assert sim._resolve_workers(_config(replicates=40), 2) == 2
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 5)
+        assert sim._resolve_workers(_config(replicates=40), 100_000) == 5
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            sim._resolve_workers(_config(), 0)
 
 
 class TestWorkerDeterminism:
@@ -58,7 +161,7 @@ class TestWorkerDeterminism:
         cfg = _config(replicates=30)
         serial = run_replicates(cfg, workers=1)
         parallel = run_replicates(cfg, workers=2)
-        assert serial == parallel
+        _assert_same(serial, parallel)
 
     def test_aggregate_identical_across_workers(self):
         cfg = _config(replicates=30)
@@ -69,14 +172,14 @@ class TestWorkerDeterminism:
 
 class TestAggregate:
     def test_exact_estimates_zero_bias_mse(self):
-        results = [_result(hr=(0.5,) * 3) for _ in range(4)]
+        results = _stack(*[_result(hr=(0.5,) * 3) for _ in range(4)])
         agg = aggregate(results, true_hr=0.5)
         for key in COX_KEYS:
             assert agg.methods[key].avg_bias == 0.0
             assert agg.methods[key].mse == 0.0
 
     def test_hand_arithmetic(self):
-        results = [_result(hr=(0.4,) * 3), _result(hr=(0.6,) * 3)]
+        results = _stack(_result(hr=(0.4,) * 3), _result(hr=(0.6,) * 3))
         agg = aggregate(results, true_hr=0.5)
         m = agg.methods["unstrat_cox"]
         assert m.avg_bias == pytest.approx(0.0, abs=1e-15)
@@ -85,9 +188,8 @@ class TestAggregate:
     def test_non_converged_excluded_and_counted(self):
         good = _result(hr=(0.5,) * 3)
         bad = _result(hr=(float("nan"),) * 3, se=(float("nan"),) * 3,
-                      converged=(False,) * 3,
                       degenerate=(False, False, True, True, True))
-        agg = aggregate([good, bad, good], true_hr=0.5)
+        agg = aggregate(_stack(good, bad, good), true_hr=0.5)
         m = agg.methods["mult_cox"]
         assert m.replicates_used == 2
         assert m.replicates_excluded == 1
@@ -97,23 +199,24 @@ class TestAggregate:
     def test_degenerate_tests_are_non_rejections(self):
         rejecting = _result(reject=(True,) * 5)
         degenerate = _result(reject=(False,) * 5, degenerate=(True,) * 5)
-        agg = aggregate([rejecting, degenerate], true_hr=0.5)
+        agg = aggregate(_stack(rejecting, degenerate), true_hr=0.5)
         for key in TEST_KEYS:
             assert agg.power[key] == 0.5
 
     def test_zero_usable_replicates_reported_absent(self):
-        bad = _result(converged=(False,) * 3)
-        agg = aggregate([bad], true_hr=0.5)
+        bad = _result(hr=(float("nan"),) * 3, se=(float("nan"),) * 3)
+        agg = aggregate(bad, true_hr=0.5)
         for key in COX_KEYS:
             assert agg.methods[key].avg_bias is None
             assert agg.methods[key].replicates_excluded == 1
 
     def test_empty_results_rejected(self):
         with pytest.raises(InvalidParameterError):
-            aggregate([], true_hr=0.5)
+            aggregate(Replicates(np.empty((0, 3)), np.empty((0, 3)),
+                                 np.empty((0, 5), bool), np.empty((0, 5), bool)), true_hr=0.5)
 
     def test_se_scale_hr_multiplies(self):
-        results = [_result(hr=(0.5,) * 3, se=(0.2,) * 3)]
+        results = _result(hr=(0.5,) * 3, se=(0.2,) * 3)
         log_scale = aggregate(results, 0.5, se_scale="log")
         hr_scale = aggregate(results, 0.5, se_scale="hr")
         assert log_scale.methods["strat_cox"].avg_se == pytest.approx(0.2)
@@ -123,7 +226,7 @@ class TestAggregate:
         cfg = _config(replicates=200, d=40)
         results = run_replicates(cfg, workers=1)
         agg = aggregate(results, cfg.design.true_hr)
-        hrs = np.array([r.hr[0] for r in results])
+        hrs = results.hr[:, 0]
         m = agg.methods["unstrat_cox"]
         variance = float(np.mean((hrs - hrs.mean()) ** 2))
         assert m.mse == pytest.approx(m.avg_bias ** 2 + variance, abs=1e-10)
@@ -144,14 +247,14 @@ class TestRunStudy:
 
     def test_failing_row_does_not_abort_others(self, monkeypatch):
         configs = [_config(seed=1, replicates=5), _config(seed=2, replicates=5)]
-        real = sim.run_replicate
+        real = sim.generate_trial
 
-        def flaky(config, index):
-            if config.master_seed == 1:
+        def flaky(design, scenario, rng):
+            if rng.seed == 1:
                 raise RuntimeError("boom")
-            return real(config, index)
+            return real(design, scenario, rng)
 
-        monkeypatch.setattr(sim, "run_replicate", flaky)
+        monkeypatch.setattr(sim, "generate_trial", flaky)
         rows = run_study(configs, workers=1)
         assert rows[0].metrics is None and "boom" in rows[0].error
         assert rows[1].metrics is not None and rows[1].error is None

@@ -5,19 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from stratsurv.errors import InvalidParameterError
+from stratsurv.errors import DataFormatError, InvalidParameterError
+from stratsurv.io import read_subject_records
 from stratsurv.trial import (
-    ALL_STRATA,
     STRATUM_COUNT,
     ScenarioSpec,
-    StratumProfile,
     TrialDesign,
-    control_median,
-    control_rate,
     control_rate_table,
     median_to_rate,
     stratum_covariates,
 )
+
+LN2 = math.log(2.0)
 
 #: Strata medians implied by the reference multiplicative scenario, in
 #: canonical stratum order (x1 major, x2 middle, x3 minor).
@@ -25,36 +24,31 @@ REFERENCE_MEDIANS = (16.0, 21.3, 21.3, 28.4, 12.8, 17.1, 32.0, 42.7, 42.7, 56.9,
 
 
 class TestStratumProfile:
+    """A stratum's covariate profile: stratum_covariates of its index."""
+
     def test_twelve_distinct_profiles(self):
-        assert len(ALL_STRATA) == STRATUM_COUNT == 12
-        assert len({s.index for s in ALL_STRATA}) == 12
+        rows = stratum_covariates(np.arange(STRATUM_COUNT))
+        assert STRATUM_COUNT == 12
+        assert len({tuple(r) for r in rows}) == 12
 
     def test_index_formula(self):
-        for s in ALL_STRATA:
-            assert s.index == s.x1 * 6 + s.x2 * 2 + s.x3
-
-    def test_from_index_round_trip(self):
-        for i in range(12):
-            assert StratumProfile.from_index(i).index == i
+        for i, (x1, lvl1, lvl2, x3) in enumerate(stratum_covariates(np.arange(12))):
+            assert lvl1 * lvl2 == 0
+            assert x1 * 6 + (lvl1 + 2 * lvl2) * 2 + x3 == i
 
     @pytest.mark.parametrize("x1,x2,x3", [(2, 0, 0), (0, 3, 0), (0, 0, -1)])
-    def test_invalid_levels(self, x1, x2, x3):
-        with pytest.raises(InvalidParameterError):
-            StratumProfile(x1=x1, x2=x2, x3=x3)
-
-    def test_from_index_out_of_range(self):
-        with pytest.raises(InvalidParameterError):
-            StratumProfile.from_index(12)
+    def test_invalid_levels(self, tmp_path, x1, x2, x3):
+        # Factor levels enter the program only through the dataset import.
+        path = tmp_path / "triple.csv"
+        path.write_text(f"id,x1,x2,x3,arm,time,event\n1,{x1},{x2},{x3},1,2.0,1\n")
+        with pytest.raises(DataFormatError, match="factor levels out of range") as err:
+            read_subject_records(path)
+        assert err.value.row == 2
 
     def test_covariate_coding(self):
-        assert StratumProfile(1, 2, 0).covariates() == (1, 0, 1, 0)
-        assert StratumProfile(0, 1, 1).covariates() == (0, 1, 0, 1)
-
-    def test_vectorized_coding_matches_scalar(self):
-        idx = np.arange(12)
-        mat = stratum_covariates(idx)
-        for i, s in enumerate(ALL_STRATA):
-            assert tuple(mat[i].astype(int)) == s.covariates()
+        rows = stratum_covariates(np.array([2, 5, 11]))
+        assert rows.dtype == float and rows.shape == (3, 4)
+        assert [tuple(r) for r in rows] == [(0, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 1)]
 
 
 class TestMedianToRate:
@@ -80,36 +74,39 @@ class TestMedianToRate:
 
 class TestControlRate:
     def test_no_prognostic_uniform_across_strata(self):
-        sc = ScenarioSpec.no_prognostic(16.0)
-        rates = {control_rate(sc, s) for s in ALL_STRATA}
-        assert rates == {math.log(2.0) / 16.0}
+        table = control_rate_table(ScenarioSpec.no_prognostic(16.0))
+        assert table.shape == (12,)
+        assert set(table.tolist()) == {LN2 / 16.0}
 
     def test_multiplicative_x1_doubles_median(self):
-        sc = ScenarioSpec.multiplicative_covariates()
-        assert control_median(sc, StratumProfile(1, 0, 0)) == pytest.approx(32.0)
+        table = control_rate_table(ScenarioSpec.multiplicative_covariates())
+        assert LN2 / table[6] == pytest.approx(32.0)
 
     def test_multiplicative_all_factors(self):
-        sc = ScenarioSpec.multiplicative_covariates()
-        median = control_median(sc, StratumProfile(1, 1, 1))
+        # Hand-ordered products: the factors apply in the order x1, x2, x3.
+        table = control_rate_table(ScenarioSpec.multiplicative_covariates())
+        assert table[0] == LN2 / 16
+        assert table[7] == LN2 / 16 * 0.5 * 0.75
+        assert table[11] == LN2 / 16 * 0.5 * 1.25 * 0.75
+        median = LN2 / table[9]
         assert median == pytest.approx(16.0 * 2.0 / 0.75 / 0.75, rel=1e-12)
         assert round(median, 1) == 56.9
 
     def test_reference_median_list(self):
-        sc = ScenarioSpec.multiplicative_covariates()
-        medians = [round(control_median(sc, s), 1) for s in ALL_STRATA]
+        table = control_rate_table(ScenarioSpec.multiplicative_covariates())
+        medians = [round(LN2 / rate, 1) for rate in table]
         assert medians == [pytest.approx(m, abs=0.051) for m in REFERENCE_MEDIANS]
 
     def test_stratum_baselines(self):
-        sc = ScenarioSpec.stratum_baselines()
-        assert control_rate(sc, ALL_STRATA[0]) == pytest.approx(math.log(2) / 16)
-        assert control_rate(sc, ALL_STRATA[6]) == pytest.approx(math.log(2) / 50)
+        table = control_rate_table(ScenarioSpec.stratum_baselines())
+        assert table[0] == pytest.approx(math.log(2) / 16)
+        assert table[6] == pytest.approx(math.log(2) / 50)
 
     def test_unit_hrs_reduce_to_no_prognostic(self):
         flat = ScenarioSpec.multiplicative_covariates(hr_x1=1, hr_x2_level1=1,
                                                       hr_x2_level2=1, hr_x3=1)
         base = ScenarioSpec.no_prognostic()
-        for s in ALL_STRATA:
-            assert control_rate(flat, s) == pytest.approx(control_rate(base, s), rel=1e-15)
+        assert np.array_equal(control_rate_table(flat), control_rate_table(base))
 
     def test_rates_strictly_positive(self):
         rng = np.random.default_rng(5)
