@@ -55,6 +55,8 @@ class StudyConfig:
         if len(self.events) != len(self.true_hrs):
             raise InvalidParameterError(
                 "events list must have one entry per true_hr value")
+        if self.workers is not None and self.workers < 1:
+            raise InvalidParameterError("workers must be at least 1")
 
     def sim_configs(self) -> list[SimConfig]:
         """One SimConfig per (true_hr, events) row; row i uses seed + i."""

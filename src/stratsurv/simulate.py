@@ -2,10 +2,13 @@
 
 Each replicate draws its own random stream from (master_seed, replicate index),
 so results are a pure function of the configuration and independent of how
-replicates are scheduled across workers. The outcomes of a study cell are one
-columnar record, ``Replicates``: a row per replicate in index order, holding
-the three Cox estimates in COX_KEYS order and the five test outcomes in
-TEST_KEYS order. Aggregation reduces those columns in replicate order.
+replicates are scheduled across workers. Each replicate's dataset is generated
+on its own stream; the datasets are then analyzed together in batches by the
+inference engine, whose per-replicate results do not depend on the batch. The
+outcomes of a study cell are one columnar record, ``Replicates``: a row per
+replicate in index order, holding the three Cox estimates in COX_KEYS order
+and the five test outcomes in TEST_KEYS order. Aggregation reduces those
+columns in replicate order.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import numpy as np
 from scipy.special import ndtri
 
 from .datagen import RngStream, generate_trial
-from .errors import DegenerateTestError, InvalidModelError, InvalidParameterError
-from .inference import COX_METHODS, TIE_METHODS, AnalysisSpec, cox_fit, logrank
+from .errors import InvalidParameterError
+from .inference import TIE_METHODS, TrialAnalyses, analyze_trials
 from .trial import ScenarioSpec, TrialDesign
 
 #: Cox estimation methods, in reporting order (the order of COX_METHODS).
@@ -35,6 +38,11 @@ TEST_KEYS = ("lr", "strat_lr", "mult_cox", "strat_cox", "unstrat_cox")
 _WALD_COLUMNS = tuple(TEST_KEYS.index(key) for key in COX_KEYS)
 
 SE_SCALES = ("log", "hr")
+
+#: Subject rows analyzed together: a batch holds max(1, BATCH_SUBJECT_ROWS // N)
+#: replicates of N subjects. This bounds the engine's working set to a few MB;
+#: larger batches run no faster.
+BATCH_SUBJECT_ROWS = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -108,33 +116,45 @@ class StudyRow:
 
 
 def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
-    """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index)."""
+    """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index).
+
+    Datasets are analyzed in batches of at most BATCH_SUBJECT_ROWS subject
+    rows; the engine's results do not depend on how replicates are batched.
+    """
     zcrit = float(ndtri(config.design.alpha_one_sided))
-    specs = [AnalysisSpec(method, tie_method=config.tie_method) for method in COX_METHODS]
-    hr = np.full((hi - lo, len(COX_KEYS)), np.nan)
-    se = np.full((hi - lo, len(COX_KEYS)), np.nan)
-    reject = np.zeros((hi - lo, len(TEST_KEYS)), dtype=bool)
-    degenerate = np.zeros((hi - lo, len(TEST_KEYS)), dtype=bool)
-    for row, index in enumerate(range(lo, hi)):
-        dataset = generate_trial(
-            config.design, config.scenario, RngStream(config.master_seed, index))
-        for col, stratified in enumerate((False, True)):
-            try:
-                reject[row, col] = logrank(dataset, stratified=stratified).z < zcrit
-            except DegenerateTestError:
-                degenerate[row, col] = True
-        for k, (spec, col) in enumerate(zip(specs, _WALD_COLUMNS)):
-            try:
-                fit = cox_fit(dataset, spec)
-            except InvalidModelError:
-                fit = None
-            if fit is None or not (fit.converged and math.isfinite(fit.treatment_se)):
-                degenerate[row, col] = True
-                continue
-            hr[row, k] = fit.treatment_hr
-            se[row, k] = fit.treatment_se
-            reject[row, col] = fit.wald_z < zcrit
+    size = max(1, BATCH_SUBJECT_ROWS // config.design.sample_size)
+    batches = []
+    for start in range(lo, hi, size):
+        datasets = (generate_trial(config.design, config.scenario,
+                                   RngStream(config.master_seed, index))
+                    for index in range(start, min(start + size, hi)))
+        batches.append(_replicate_columns(
+            analyze_trials(datasets, config.tie_method), zcrit))
+    return _concatenate(batches)
+
+
+def _replicate_columns(analyses: TrialAnalyses, zcrit: float) -> Replicates:
+    """One batch's analyses as replicate columns under the documented rules."""
+    rows = len(analyses.logrank_z)
+    hr = np.full((rows, len(COX_KEYS)), np.nan)
+    se = np.full((rows, len(COX_KEYS)), np.nan)
+    reject = np.zeros((rows, len(TEST_KEYS)), dtype=bool)
+    degenerate = np.zeros((rows, len(TEST_KEYS)), dtype=bool)
+    for col, z in enumerate((analyses.logrank_z, analyses.stratified_logrank_z)):
+        degenerate[:, col] = np.isnan(z)
+        reject[:, col] = z < zcrit
+    for k, (fit, col) in enumerate(zip(analyses.fits, _WALD_COLUMNS)):
+        usable = fit.converged & np.isfinite(fit.treatment_se)
+        log_hr = fit.beta[usable, 0]
+        hr[usable, k] = np.exp(log_hr)
+        se[usable, k] = fit.treatment_se[usable]
+        reject[usable, col] = log_hr / fit.treatment_se[usable] < zcrit
+        degenerate[~usable, col] = True
     return Replicates(hr, se, reject, degenerate)
+
+
+def _concatenate(parts: list[Replicates]) -> Replicates:
+    return Replicates(*(np.concatenate(column) for column in zip(*parts)))
 
 
 def aggregate(
@@ -209,8 +229,7 @@ def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
             pool.submit(_replicate_range, config, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
-        chunks = [fut.result() for fut in futures]
-    return Replicates(*(np.concatenate(column) for column in zip(*chunks)))
+        return _concatenate([fut.result() for fut in futures])
 
 
 def run_study(configs: list[SimConfig], workers: int | None = None) -> list[StudyRow]:

@@ -151,6 +151,16 @@ events = 20
         assert proc.returncode == 2
         assert "hr_x1" in proc.stderr
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_nonpositive_workers_is_validation_error(self, tmp_path, workers):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        out = tmp_path / "results.csv"
+        proc = run_cli("simulate", str(cfg), "-o", str(out), "--workers", workers)
+        assert proc.returncode == 2
+        assert "workers must be at least 1" in proc.stderr
+        assert not out.exists() and not (tmp_path / "results.csv.json").exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT)

@@ -12,8 +12,12 @@ import pytest
 from stratsurv.datagen import RngStream, TrialDataset, generate_trial
 from stratsurv.errors import InvalidModelError, InvalidParameterError
 from stratsurv.inference import (
+    COX_METHODS,
     AnalysisSpec,
     Method,
+    _CoxLikelihood,
+    _RiskSets,
+    analyze_trials,
     cox_fit,
     logrank,
     partial_likelihood_terms,
@@ -39,6 +43,21 @@ def _trial(seed, d=40, scenario=None):
     design = TrialDesign.from_event_target(0.6, d)
     scenario = scenario or ScenarioSpec.multiplicative_covariates()
     return generate_trial(design, scenario, RngStream(seed, 0))
+
+
+def _likelihood(times, events, X, strata, ties):
+    """The batched engine's likelihood of one dataset with free covariates X."""
+    risk, order = _RiskSets.sort(np.asarray(times, float)[None], np.asarray(events)[None],
+                                 np.asarray(strata)[None])
+    X = np.take_along_axis(np.asarray(X, float).T[None], order[:, None, :], 2)
+    return _CoxLikelihood.build(risk, X, ties)
+
+
+def _engine_terms(times, events, X, strata, ties, beta):
+    """(loglik, gradient, Hessian) of one dataset at beta through the engine."""
+    ll, grad, hess = _likelihood(times, events, X, strata, ties).evaluate(
+        np.asarray(beta, float)[None])
+    return ll[0], grad[0], hess[0]
 
 
 UNSTRAT = AnalysisSpec(Method.COX_UNSTRATIFIED)
@@ -191,20 +210,8 @@ class TestGridOracle:
             times, events, X, strata = random_survival_data(rng, covariates=2,
                                                             n_strata=2)
             beta = rng.normal(0, 0.8, size=2)
-            n = len(times)
-            ds = TrialDataset(
-                subject_id=np.arange(n), stratum_index=strata,
-                arm=np.zeros(n, int), enroll_time=np.zeros(n),
-                observed_time=times, event=events,
-            )
             for ties in ("efron", "breslow"):
-                from stratsurv.inference import _Layout, _PartialLikelihood
-                lay = _Layout(times.astype(float), strata)
-                try:
-                    pl = _PartialLikelihood(lay, events, X, tie_method=ties)
-                except InvalidModelError:
-                    continue
-                got = pl.loglik(beta)
+                got = _engine_terms(times, events, X, strata, ties, beta)[0]
                 want = naive_partial_loglik(times, events, X, beta, strata, ties)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
@@ -232,6 +239,88 @@ class TestFiniteDifferences:
                 fd_hess_col = (lp[1] - lm[1]) / (2 * e_k[k])
                 assert np.all(np.abs(fd_hess_col - hess[:, k])
                               <= 1e-5 * np.maximum(1.0, np.abs(hess[:, k])))
+
+
+class TestHeavyTies:
+    """The vectorized Efron rule on ~300 rows over 3 strata with whole-unit times."""
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        rng = np.random.default_rng(5150)
+        n = 300
+        strata = rng.integers(0, 3, size=n)
+        arm = rng.integers(0, 2, size=n)
+        scale = 3.0 * (1 + strata) * np.where(arm == 1, 1.5, 1.0)
+        times = np.ceil(rng.exponential(scale))
+        events = rng.random(n) < 0.75
+        X = np.column_stack([arm, np.round(rng.normal(0.0, 1.0, n), 2)])
+        return times, events, X, strata
+
+    def test_data_has_heavy_ties(self, tied):
+        times, events, _, strata = tied
+        keys = strata * 1000 + times
+        deaths = {k: int(np.sum(events & (keys == k))) for k in np.unique(keys[events])}
+        assert max(deaths.values()) >= 5
+        assert any(not e and deaths.get(k, 0) > 0 for k, e in zip(keys, events))
+
+    def test_loglik_matches_naive(self, tied):
+        times, events, X, strata = tied
+        rng = np.random.default_rng(7)
+        for ties in ("efron", "breslow"):
+            for beta in (np.zeros(2), rng.normal(0, 0.5, 2), rng.normal(0, 0.5, 2)):
+                got = _engine_terms(times, events, X, strata, ties, beta)[0]
+                want = naive_partial_loglik(times, events, X, beta, strata, ties)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+    def test_derivatives_match_finite_differences(self, tied):
+        times, events, X, strata = tied
+        beta = np.array([0.3, -0.2])
+        for ties in ("efron", "breslow"):
+            _, grad, hess = _engine_terms(times, events, X, strata, ties, beta)
+            for k in range(2):
+                e_k = np.zeros(2)
+                e_k[k] = 1e-5
+                lp = _engine_terms(times, events, X, strata, ties, beta + e_k)
+                lm = _engine_terms(times, events, X, strata, ties, beta - e_k)
+                fd_grad = (lp[0] - lm[0]) / (2 * e_k[k])
+                assert abs(fd_grad - grad[k]) <= 1e-5 * max(1.0, abs(grad[k]))
+                fd_hess_col = (lp[1] - lm[1]) / (2 * e_k[k])
+                assert np.all(np.abs(fd_hess_col - hess[:, k])
+                              <= 1e-5 * np.maximum(1.0, np.abs(hess[:, k])))
+
+    def test_breslow_is_efron_with_zero_weights(self, tied):
+        times, events, X, strata = tied
+        efron = _likelihood(times, events, X, strata, "efron")
+        breslow = _likelihood(times, events, X, strata, "breslow")
+        assert breslow.j is None and efron.j.max() > 0
+        zeroed = _CoxLikelihood(efron.risk, efron.X, np.zeros_like(efron.j))
+        beta = np.array([[0.4, 0.1]])
+        for got, want in zip(zeroed.evaluate(beta), breslow.evaluate(beta)):
+            assert np.array_equal(got, want)
+        assert not np.array_equal(efron.evaluate(beta)[0], breslow.evaluate(beta)[0])
+
+    def test_batch_rows_equal_single_dataset_calls(self, tied):
+        # three 100-subject datasets analyzed as one batch and one at a time
+        times, events, X, strata = tied
+        datasets = [TrialDataset(subject_id=np.arange(100), stratum_index=strata[rows],
+                                 arm=X[rows, 0].astype(int), enroll_time=np.zeros(100),
+                                 observed_time=times[rows], event=events[rows])
+                    for rows in np.split(np.arange(300), 3)]
+        batch = analyze_trials(datasets, "efron")
+        for i, ds in enumerate(datasets):
+            assert batch.logrank_z[i] == logrank(ds).z
+            assert batch.stratified_logrank_z[i] == logrank(ds, stratified=True).z
+            for method, fits in zip(COX_METHODS, batch.fits):
+                try:
+                    one = cox_fit(ds, AnalysisSpec(method))
+                except InvalidModelError:
+                    # three strata leave the multivariate design rank deficient
+                    with pytest.raises(InvalidModelError):
+                        fits.fit(i, ())
+                    continue
+                assert np.array_equal(fits.beta[i], one.beta)
+                assert fits.treatment_se[i] == one.treatment_se
+                assert fits.iterations[i] == one.iterations
 
 
 class TestFitDiagnostics:

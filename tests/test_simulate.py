@@ -133,6 +133,19 @@ class TestReferenceColumns:
         cfg, ref = small_n
         _assert_same(run_replicates(cfg, workers=workers), ref)
 
+    def test_batching_does_not_change_results(self, small_n, monkeypatch):
+        # A replicate's outcome must not depend on the batch it is analyzed
+        # in, whatever the host's CPU count makes of the worker chunking.
+        cfg, _ = small_n
+        whole = sim._replicate_range(cfg, 0, 37)
+        _assert_same(_stack(sim._replicate_range(cfg, 0, 7),
+                            sim._replicate_range(cfg, 7, 37)), whole)
+        _assert_same(_stack(*(sim._replicate_range(cfg, i, i + 1) for i in range(37))), whole)
+        # batches of 5 replicates: 3..20 crosses the boundaries at 8, 13 and 18
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * cfg.design.sample_size)
+        _assert_same(sim._replicate_range(cfg, 3, 20), Replicates(*(c[3:20] for c in whole)))
+        _assert_same(sim._replicate_range(cfg, 0, 37), whole)
+
 
 class TestResolveWorkers:
     """The worker count is resolved without starting any process."""
