@@ -6,10 +6,12 @@ prognostic-effect scenarios across 12 strata, analyze them with stratified
 and unstratified log-rank tests and Cox regressions, and aggregate Monte
 Carlo replicates into bias / SE / MSE / power summaries.
 
-Data stay columnar throughout: a ``TrialDataset`` holds one array per subject
-field, ``control_rate_table`` gives the 12 control-arm rates by stratum index,
-and ``run_replicates`` returns a ``Replicates`` record of per-replicate
-columns that ``aggregate`` reduces.
+Data stay columnar throughout: replicates are generated in batches of (B, N)
+subject arrays, each row from one (4, N) uniform block on its own stream, and
+analyzed as such; ``generate_trial`` is the one-trial case, a ``TrialDataset``
+of one array per subject field. ``control_rate_table`` gives the 12
+control-arm rates by stratum index, and ``run_replicates`` returns a
+``Replicates`` record of per-replicate columns that ``aggregate`` reduces.
 
 Quick start::
 
@@ -24,12 +26,7 @@ Quick start::
 """
 
 from .config import StudyConfig, load_study_config, parse_study_config
-from .datagen import (
-    RngStream,
-    TrialDataset,
-    apply_cutoff,
-    generate_trial,
-)
+from .datagen import RngStream, TrialDataset, generate_trial
 from .design import DesignInputs, sample_size, schoenfeld_events
 from .errors import (
     ConfigError,

@@ -80,8 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="analysis method")
     p_fit.add_argument("--ties", default="efron", choices=("efron", "breslow"),
                        help="tie handling for Cox methods (default: efron)")
-    p_fit.add_argument("--alpha", type=float, default=0.025,
-                       help="one-sided test level (default: 0.025)")
     _add_global_flags(p_fit, top_level=False)
     p_fit.set_defaults(func=cmd_fit)
 
@@ -155,8 +153,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
                   f"strata used: {result.strata_used}")
         return EXIT_OK
 
-    spec = AnalysisSpec(method, tie_method=args.ties, alpha_one_sided=args.alpha)
-    fit = cox_fit(dataset, spec)
+    fit = cox_fit(dataset, AnalysisSpec(method, tie_method=args.ties))
     if not fit.converged:
         print(f"error: fit did not converge: {fit.diagnostic}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -1,24 +1,26 @@
 """Trial dataset generation: strata, randomization, enrollment, event times.
 
-One dataset is produced per replicate from a seeded stream: subjects are
-assigned a stratum from the allocation weights, randomized by independent
-Bernoulli draws, enrolled uniformly over the accrual window, given an
-exponential latent event time, and then administratively censored at the
-calendar time of the D-th event. Every step draws for all subjects at once,
-and the dataset holds one read-only array per subject field.
+Generation is batched: ``generate_trials`` turns B seeded streams, one per
+replicate, into (B, N) subject arrays in one pass. Each stream draws a single
+(4, N) block of uniforms in a fixed order: subjects are assigned a stratum
+from the allocation weights, randomized by independent Bernoulli draws,
+enrolled uniformly over the accrual window and given an exponential latent
+event time; each row is then administratively censored at the calendar time
+of its own D-th event. ``generate_trial`` is the one-trial case, wrapped in a
+``TrialDataset`` that holds one read-only array per subject field.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import InvalidParameterError
 from .trial import ScenarioSpec, TrialDesign, control_rate_table
 
-CONTROL = 0
 TREATMENT = 1
 
 
@@ -119,76 +121,73 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+class TrialBatch(NamedTuple):
+    """B generated trials of N subjects as (B, N) arrays named like the
+    ``TrialDataset`` fields, whose subject ids are the positions 0..N-1, and
+    the B analysis cutoffs."""
+
+    stratum_index: np.ndarray
+    arm: np.ndarray
+    enroll_time: np.ndarray
+    latent_event_time: np.ndarray
+    observed_time: np.ndarray
+    event: np.ndarray
+    cutoff_calendar_time: np.ndarray
+
+
+def generate_trials(
+    design: TrialDesign, scenario: ScenarioSpec, generators: Iterable[np.random.Generator]
+) -> TrialBatch:
+    """Generate one trial per generator, each on its own stream, as (B, N) arrays.
+
+    Each generator draws one (4, N) block of uniforms whose rows, in this
+    fixed order (part of the determinism contract), set the trial's strata,
+    arms, enrollment times and event times. Every later step acts row by row,
+    so no trial depends on the others in its batch.
+    """
+    n = design.sample_size
+    u_stratum, u_arm, u_enroll, u_event = np.stack(
+        [gen.random((4, n)) for gen in generators], axis=1)
+
+    cdf = np.cumsum(design.allocation_weights)
+    strata = np.searchsorted(cdf, u_stratum * cdf[-1], side="right").astype(np.int64)
+    arm = (u_arm < design.randomization_prob).astype(np.int8)
+    enroll = design.accrual_months * u_enroll
+    rates = control_rate_table(scenario)[strata]
+    rates = np.where(arm == TREATMENT, rates * design.true_hr, rates)
+    latent = -np.log(np.maximum(u_event, np.finfo(float).tiny)) / rates
+
+    observed, event, cutoff = _censor_at_event(enroll, latent, design.target_events)
+    return TrialBatch(strata, arm, enroll, latent, observed, event, cutoff)
+
+
+def _censor_at_event(enroll: np.ndarray, latent: np.ndarray, target_events: int):
+    """Censor each row's follow-up at the calendar time of its D-th event.
+
+    A row's cutoff is its D-th smallest enroll + latent time, ties broken by
+    subject position so that exactly D events result. Later events become
+    censored at cutoff - enroll; subjects enrolled after the cutoff keep zero
+    follow-up. Returns the (B, N) observed times and event flags and the (B,)
+    cutoffs.
+    """
+    calendar = enroll + latent
+    first = np.argsort(calendar, axis=1, kind="stable")[:, :target_events]
+    cutoff = np.take_along_axis(calendar, first[:, -1:], axis=1)
+    event = np.zeros(calendar.shape, dtype=bool)
+    np.put_along_axis(event, first, True, axis=1)
+    observed = np.where(event, latent, np.maximum(cutoff - enroll, 0.0))
+    return observed, event, cutoff[:, 0]
+
+
 def generate_trial(
     design: TrialDesign, scenario: ScenarioSpec, rng: "RngStream | np.random.Generator"
 ) -> TrialDataset:
     """Generate one complete trial dataset under the design and scenario.
 
-    Draw order (fixed, part of the determinism contract): strata for all
-    subjects, then arms, then enrollment times, then event-time uniforms.
+    The one-trial case of ``generate_trials``: on the stream
+    ``RngStream(master_seed, i)`` it is replicate i of a Monte Carlo run.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    n = design.sample_size
-
-    cdf = np.cumsum(design.allocation_weights)
-    strata = np.searchsorted(cdf, gen.random(n) * cdf[-1], side="right").astype(np.int64)
-    arm = (gen.random(n) < design.randomization_prob).astype(np.int8)
-    enroll = gen.uniform(0.0, design.accrual_months, size=n)
-    u = np.maximum(gen.random(n), np.finfo(float).tiny)
-
-    rates = control_rate_table(scenario)[strata]
-    rates = np.where(arm == TREATMENT, rates * design.true_hr, rates)
-    latent = -np.log(u) / rates
-
-    return apply_cutoff(
-        subject_id=np.arange(n, dtype=np.int64),
-        stratum_index=strata,
-        arm=arm,
-        enroll_time=enroll,
-        latent_event_time=latent,
-        target_events=design.target_events,
-    )
-
-
-def apply_cutoff(
-    *,
-    subject_id,
-    stratum_index,
-    arm,
-    enroll_time,
-    latent_event_time,
-    target_events: int,
-) -> TrialDataset:
-    """Censor all follow-up at the calendar time of the D-th event.
-
-    The cutoff is the D-th smallest enroll_time + latent_event_time (ties
-    broken by subject id so exactly D events result). Later events become
-    censored at cutoff - enroll_time; subjects enrolled after the cutoff keep
-    zero follow-up.
-    """
-    subject_id = np.asarray(subject_id, dtype=np.int64)
-    enroll = np.asarray(enroll_time, dtype=float)
-    latent = np.asarray(latent_event_time, dtype=float)
-    n = len(subject_id)
-    if not 1 <= target_events <= n:
-        raise InvalidParameterError(
-            f"target_events must be in [1, {n}], got {target_events}")
-
-    calendar = enroll + latent
-    order = np.lexsort((subject_id, calendar))
-    cutoff = float(calendar[order[target_events - 1]])
-
-    event = np.zeros(n, dtype=bool)
-    event[order[:target_events]] = True
-    observed = np.where(event, latent, np.maximum(cutoff - enroll, 0.0))
-
-    return TrialDataset(
-        subject_id=subject_id,
-        stratum_index=stratum_index,
-        arm=arm,
-        enroll_time=enroll,
-        observed_time=observed,
-        event=event,
-        cutoff_calendar_time=cutoff,
-        latent_event_time=latent,
-    )
+    batch = generate_trials(design, scenario, [gen])
+    return TrialDataset(np.arange(design.sample_size),
+                        **{field: values[0] for field, values in batch._asdict().items()})

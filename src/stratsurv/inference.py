@@ -1,8 +1,9 @@
 """Log-rank tests and Cox proportional-hazards regression, batched over datasets.
 
-One engine analyzes a stack of B datasets of the same size N in one pass;
-``logrank``, ``cox_fit`` and ``partial_likelihood_terms`` are its B = 1 case,
-so a replay of a Monte Carlo run through them reproduces it exactly.
+One engine analyzes B datasets of the same size N in one pass, from (B, N)
+subject arrays; ``logrank``, ``cox_fit`` and ``partial_likelihood_terms`` are
+its B = 1 case, on a 1-row view of their dataset, so a replay of a Monte Carlo
+run through them reproduces it exactly.
 
 Layout. Each row (one dataset) is sorted by (stratum, time) with
 ``lexsort(..., axis=-1)``; the unstratified layout pools each row into one
@@ -49,11 +50,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import TrialDataset
+from .datagen import TrialBatch, TrialDataset
 from .errors import DegenerateTestError, InvalidModelError, InvalidParameterError
 from .trial import COVARIATE_NAMES, stratum_covariates
 
@@ -310,7 +311,7 @@ def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
     """
     if dataset.n_subjects == 0:
         raise DegenerateTestError("empty dataset", 0.0)
-    stats = _Trials([dataset]).logrank(stratified)
+    stats = _Trials(dataset).logrank(stratified)
     observed_minus_expected = float(stats.observed_minus_expected[0])
     variance = float(stats.variance[0])
     if variance <= 0.0:
@@ -561,13 +562,14 @@ def _cox_design(method: Method, arm: np.ndarray, strata: np.ndarray):
 
 
 class _Trials:
-    """Subject arrays of same-size datasets stacked to (B, N), with the
-    unstratified and stratified layouts built once and shared by the analyses."""
+    """Analyzed subject arrays of B same-size datasets as (B, N), from the rows
+    of a ``TrialBatch`` or a 1-row view of a ``TrialDataset``, with the two
+    layouts built once and shared by the analyses."""
 
-    def __init__(self, datasets: Iterable[TrialDataset]):
-        # one pass that keeps only the four analyzed fields of each dataset
-        fields = [(d.observed_time, d.event, d.arm, d.stratum_index) for d in datasets]
-        self.time, self.event, arm, self.strata = (np.stack(f) for f in zip(*fields))
+    def __init__(self, trials: TrialBatch | TrialDataset):
+        self.time, self.event, arm, self.strata = (
+            np.atleast_2d(a) for a in
+            (trials.observed_time, trials.event, trials.arm, trials.stratum_index))
         self.arm = arm.astype(float)
         self._layouts: dict[bool, tuple[_RiskSets, np.ndarray]] = {}
 
@@ -602,10 +604,9 @@ class TrialAnalyses(NamedTuple):
     fits: tuple[_CoxFits, ...]
 
 
-def analyze_trials(datasets: Iterable[TrialDataset], tie_method: str = "efron") -> TrialAnalyses:
-    """Run the five analyses on datasets that all hold the same number of
-    subjects; an iterator of datasets is consumed once."""
-    trials = _Trials(datasets)
+def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyses:
+    """Run the five analyses on every row of a batch of same-size trials."""
+    trials = _Trials(batch)
     return TrialAnalyses(
         logrank_z=trials.logrank(False).z(),
         stratified_logrank_z=trials.logrank(True).z(),
@@ -615,7 +616,7 @@ def analyze_trials(datasets: Iterable[TrialDataset], tie_method: str = "efron") 
 
 
 def _one_dataset_likelihood(dataset: TrialDataset, spec: AnalysisSpec):
-    likelihood = _Trials([dataset]).likelihood(spec)
+    likelihood = _Trials(dataset).likelihood(spec)
     if not dataset.event.any():
         raise InvalidModelError(_DIAGNOSTICS[_NO_EVENTS])
     return likelihood

@@ -2,13 +2,13 @@
 
 Each replicate draws its own random stream from (master_seed, replicate index),
 so results are a pure function of the configuration and independent of how
-replicates are scheduled across workers. Each replicate's dataset is generated
-on its own stream; the datasets are then analyzed together in batches by the
-inference engine, whose per-replicate results do not depend on the batch. The
-outcomes of a study cell are one columnar record, ``Replicates``: a row per
-replicate in index order, holding the three Cox estimates in COX_KEYS order
-and the five test outcomes in TEST_KEYS order. Aggregation reduces those
-columns in replicate order.
+replicates are scheduled across workers. Replicates are generated in batches,
+each row from one (4, N) uniform block on its own stream, and analyzed as
+(B, N) arrays with no per-replicate dataset object; no row depends on its
+batch. A study cell's outcomes are one columnar record, ``Replicates``: a row
+per replicate in index order, holding the three Cox estimates in COX_KEYS
+order and the five test outcomes in TEST_KEYS order. Aggregation reduces
+those columns in replicate order.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .datagen import RngStream, generate_trial
+from .datagen import RngStream, generate_trials
 from .errors import InvalidParameterError
 from .inference import TIE_METHODS, TrialAnalyses, analyze_trials
 from .trial import ScenarioSpec, TrialDesign
@@ -118,18 +118,18 @@ class StudyRow:
 def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
     """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index).
 
-    Datasets are analyzed in batches of at most BATCH_SUBJECT_ROWS subject
-    rows; the engine's results do not depend on how replicates are batched.
+    Replicates are generated and analyzed in batches of at most
+    BATCH_SUBJECT_ROWS subject rows; the results do not depend on the batching.
     """
     zcrit = float(ndtri(config.design.alpha_one_sided))
     size = max(1, BATCH_SUBJECT_ROWS // config.design.sample_size)
     batches = []
     for start in range(lo, hi, size):
-        datasets = (generate_trial(config.design, config.scenario,
-                                   RngStream(config.master_seed, index))
-                    for index in range(start, min(start + size, hi)))
+        trials = generate_trials(config.design, config.scenario,
+                                 [RngStream(config.master_seed, index).generator()
+                                  for index in range(start, min(start + size, hi))])
         batches.append(_replicate_columns(
-            analyze_trials(datasets, config.tie_method), zcrit))
+            analyze_trials(trials, config.tie_method), zcrit))
     return _concatenate(batches)
 
 
@@ -224,12 +224,16 @@ def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
         return _replicate_range(config, 0, n)
     chunk = max(1, math.ceil(n / (w * 4)))
     bounds = list(range(0, n, chunk)) + [n]
-    with ProcessPoolExecutor(max_workers=w) as pool:
+    pool = ProcessPoolExecutor(max_workers=w)
+    try:
         futures = [
             pool.submit(_replicate_range, config, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         return _concatenate([fut.result() for fut in futures])
+    finally:
+        # after a failed chunk or an interrupt, the pending chunks are dropped
+        pool.shutdown(cancel_futures=True)
 
 
 def run_study(configs: list[SimConfig], workers: int | None = None) -> list[StudyRow]:

@@ -1,7 +1,8 @@
 """Independent reference implementations used to check the production code.
 
-Everything here is deliberately naive: explicit Python loops over risk sets,
-straight from the textbook definitions, sharing no code with the package.
+Everything here is deliberately naive: explicit Python loops over risk sets
+and strata, straight from the textbook definitions, sharing no code with the
+package.
 """
 
 from __future__ import annotations
@@ -109,3 +110,57 @@ def random_survival_data(rng, max_n=8, covariates=1, allow_ties=True,
     X = np.column_stack(cols)
     strata = rng.integers(0, n_strata, size=n) if n_strata > 1 else np.zeros(n, int)
     return times, events, X, strata
+
+
+def _naive_control_rates(scenario):
+    """The 12 control-arm rates by stratum index 6*x1 + 2*x2 + x3, factor by factor."""
+    log2 = math.log(2.0)
+    if scenario.kind.value == "stratum_baselines":
+        return [log2 / m for m in scenario.stratum_medians]
+    rates = []
+    for s in range(12):
+        x1, x2, x3 = s // 6, (s % 6) // 2, s % 2
+        rate = log2 / scenario.base_median
+        if scenario.kind.value == "multiplicative_covariates":
+            if x1:
+                rate *= scenario.hr_x1
+            if x2 == 1:
+                rate *= scenario.hr_x2_level1
+            if x2 == 2:
+                rate *= scenario.hr_x2_level2
+            if x3:
+                rate *= scenario.hr_x3
+        rates.append(rate)
+    return rates
+
+
+def naive_trial(design, scenario, gen):
+    """One generated trial, drawn the way a single trial is specified.
+
+    Four separate draws from ``gen``, in this order: stratum uniforms, arm
+    uniforms, enrollment times uniform on [0, accrual), event-time uniforms.
+    The cutoff is the D-th calendar event time with ties broken by subject
+    id. Returns the subject fields and the cutoff, keyed like TrialDataset.
+    """
+    n, d = design.sample_size, design.target_events
+    cdf = np.cumsum(np.asarray(design.allocation_weights, dtype=float))
+    strata = np.searchsorted(cdf, gen.random(n) * cdf[-1], side="right")
+    arm = (gen.random(n) < design.randomization_prob).astype(int)
+    enroll = gen.uniform(0.0, design.accrual_months, size=n)
+    u = np.maximum(gen.random(n), np.finfo(float).tiny)
+
+    control = _naive_control_rates(scenario)
+    rates = np.array([control[s] * design.true_hr if a == 1 else control[s]
+                      for s, a in zip(strata, arm)])
+    latent = -np.log(u) / rates
+
+    subject_id = np.arange(n)
+    calendar = enroll + latent
+    order = np.lexsort((subject_id, calendar))
+    cutoff = calendar[order[d - 1]]
+    event = np.zeros(n, dtype=bool)
+    event[order[:d]] = True
+    observed = np.where(event, latent, np.maximum(cutoff - enroll, 0.0))
+    return {"subject_id": subject_id, "stratum_index": strata, "arm": arm,
+            "enroll_time": enroll, "latent_event_time": latent,
+            "observed_time": observed, "event": event, "cutoff_calendar_time": cutoff}

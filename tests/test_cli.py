@@ -99,6 +99,15 @@ class TestFitCommand:
         assert proc.returncode == 3
         assert "converge" in proc.stderr
 
+    def test_alpha_flag_rejected(self, tmp_path):
+        # a fit reports a p-value, not a decision, so it takes no test level
+        data = tmp_path / "three.csv"
+        data.write_text("id,stratum,arm,time,event\n"
+                        "1,0,1,1.0,1\n2,0,0,2.0,1\n3,0,1,3.0,0\n")
+        proc = run_cli("fit", str(data), "--method", "cox-stratified", "--alpha", "0.05")
+        assert proc.returncode == 2
+        assert "--alpha" in proc.stderr
+
     def test_breslow_flag(self, tmp_path):
         # both deaths in the t=1 tie fall in the treatment arm, so the tie
         # methods produce genuinely different estimates

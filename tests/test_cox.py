@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from stratsurv.datagen import RngStream, TrialDataset, generate_trial
+from stratsurv.datagen import RngStream, TrialBatch, TrialDataset, generate_trial
 from stratsurv.errors import InvalidModelError, InvalidParameterError
 from stratsurv.inference import (
     COX_METHODS,
@@ -302,12 +302,17 @@ class TestHeavyTies:
     def test_batch_rows_equal_single_dataset_calls(self, tied):
         # three 100-subject datasets analyzed as one batch and one at a time
         times, events, X, strata = tied
-        datasets = [TrialDataset(subject_id=np.arange(100), stratum_index=strata[rows],
-                                 arm=X[rows, 0].astype(int), enroll_time=np.zeros(100),
-                                 observed_time=times[rows], event=events[rows])
-                    for rows in np.split(np.arange(300), 3)]
-        batch = analyze_trials(datasets, "efron")
-        for i, ds in enumerate(datasets):
+        trials = TrialBatch(stratum_index=strata.reshape(3, 100),
+                            arm=X[:, 0].astype(np.int8).reshape(3, 100),
+                            enroll_time=np.zeros((3, 100)),
+                            latent_event_time=times.reshape(3, 100),
+                            observed_time=times.reshape(3, 100),
+                            event=events.reshape(3, 100),
+                            cutoff_calendar_time=np.full(3, np.inf))
+        batch = analyze_trials(trials, "efron")
+        for i in range(3):
+            ds = TrialDataset(np.arange(100),
+                              **{field: values[i] for field, values in trials._asdict().items()})
             assert batch.logrank_z[i] == logrank(ds).z
             assert batch.stratified_logrank_z[i] == logrank(ds, stratified=True).z
             for method, fits in zip(COX_METHODS, batch.fits):

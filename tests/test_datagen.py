@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from stratsurv.datagen import RngStream, TrialDataset, apply_cutoff, generate_trial
+import stratsurv.simulate as sim
+from _oracles import naive_trial
+from stratsurv.datagen import (
+    RngStream,
+    TrialDataset,
+    _censor_at_event,
+    generate_trial,
+    generate_trials,
+)
 from stratsurv.errors import InvalidParameterError
 from stratsurv.trial import ScenarioSpec, TrialDesign, control_rate_table
 
@@ -19,9 +27,6 @@ class _FixedUniform:
 
     def random(self, size):
         return np.full(size, self.value)
-
-    def uniform(self, low, high, size):
-        return np.full(size, low + self.value * (high - low))
 
 
 def _strata(weights, n, seed):
@@ -122,48 +127,127 @@ class TestDrawEventTime:
 
 
 class TestApplyCutoff:
+    """The D-th-event cutoff, applied to each row of a batch on its own."""
+
+    # Two trials with different cutoffs, censored as one batch: row 0 has
+    # calendar event times 2, 5, 9 and row 1 enrolls a subject after its cutoff.
+    PAIR_ENROLL = [[0.5, 2.0, 3.0], [0.0, 0.0, 10.0]]
+    PAIR_LATENT = [[1.5, 3.0, 6.0], [1.0, 2.0, 1.0]]
+
     def _cut(self, enrolls, latents, d):
-        n = len(enrolls)
-        return apply_cutoff(
-            subject_id=np.arange(n),
-            stratum_index=np.zeros(n, dtype=int),
-            arm=np.zeros(n, dtype=int),
-            enroll_time=np.asarray(enrolls, dtype=float),
-            latent_event_time=np.asarray(latents, dtype=float),
-            target_events=d,
-        )
+        """(observed_time, event, cutoff) of each row of the batch."""
+        return _censor_at_event(np.asarray(enrolls, dtype=float),
+                                np.asarray(latents, dtype=float), d)
+
+    def _pair_row(self, row):
+        """Row ``row`` of the pair, which must equal that row censored alone."""
+        batch = self._cut(self.PAIR_ENROLL, self.PAIR_LATENT, d=2)
+        alone = self._cut(self.PAIR_ENROLL[row:row + 1], self.PAIR_LATENT[row:row + 1], d=2)
+        for got, want in zip(batch, alone):
+            assert np.array_equal(got[row], want[0])
+        return tuple(values[row] for values in batch)
 
     def test_three_subject_order_statistic(self):
-        # calendar event times 2, 5, 9; the second smallest sets the cutoff
-        ds = self._cut([0.5, 2.0, 3.0], [1.5, 3.0, 6.0], d=2)
-        assert ds.cutoff_calendar_time == 5.0
-        assert list(ds.event) == [True, True, False]
-        assert ds.observed_time[2] == pytest.approx(5.0 - 3.0)
-        assert ds.events_observed == 2
+        # the second smallest calendar event time sets the cutoff
+        observed, event, cutoff = self._pair_row(0)
+        assert cutoff == 5.0
+        assert list(event) == [True, True, False]
+        assert observed[2] == pytest.approx(5.0 - 3.0)
+        assert event.sum() == 2
 
     def test_all_events_when_d_equals_n(self):
-        ds = self._cut([0.0, 1.0, 2.0], [5.0, 1.0, 4.0], d=3)
-        assert ds.events_observed == 3
-        assert np.array_equal(ds.observed_time, [5.0, 1.0, 4.0])
+        observed, event, _ = self._cut([[0.0, 1.0, 2.0]], [[5.0, 1.0, 4.0]], d=3)
+        assert event.sum() == 3
+        assert np.array_equal(observed[0], [5.0, 1.0, 4.0])
 
     def test_post_cutoff_enrollee_clamped_to_zero(self):
-        ds = self._cut([0.0, 0.0, 10.0], [1.0, 2.0, 1.0], d=2)
-        assert ds.cutoff_calendar_time == 2.0
-        assert ds.observed_time[2] == 0.0
-        assert not ds.event[2]
+        observed, event, cutoff = self._pair_row(1)
+        assert cutoff == 2.0
+        assert observed[2] == 0.0
+        assert not event[2]
 
     def test_tied_calendar_times_keep_exactly_d(self):
-        ds = self._cut([0.0, 0.0, 0.0, 0.0], [3.0, 3.0, 3.0, 1.0], d=2)
-        assert ds.events_observed == 2
-        # tie at calendar time 3 broken by subject id: id 0 events, id 1/2 do not
-        assert bool(ds.event[3]) and bool(ds.event[0])
-        assert not ds.event[1] and not ds.event[2]
+        _, event, _ = self._cut([[0.0, 0.0, 0.0, 0.0]], [[3.0, 3.0, 3.0, 1.0]], d=2)
+        event = event[0]
+        assert event.sum() == 2
+        # tie at calendar time 3 broken by subject position: 0 events, 1 and 2 do not
+        assert bool(event[3]) and bool(event[0])
+        assert not event[1] and not event[2]
+        # a row long enough that numpy's unstable sorts reorder ties: D = 15
+        # takes the ten times 1 and the first five of the ten tied times 2
+        latent = np.tile([2.0, 1.0, 3.0], 10)
+        _, event, _ = self._cut([np.zeros(30)], [latent], d=15)
+        assert np.array_equal(np.flatnonzero(event[0] & (latent == 2.0)), [0, 3, 6, 9, 12])
 
     def test_d_out_of_range(self):
+        # the design validates D against N, so no out-of-range D reaches the cutoff
         with pytest.raises(InvalidParameterError):
-            self._cut([0.0, 0.0], [1.0, 2.0], d=3)
+            TrialDesign(true_hr=0.5, target_events=3, sample_size=2)
         with pytest.raises(InvalidParameterError):
-            self._cut([0.0, 0.0], [1.0, 2.0], d=0)
+            TrialDesign(true_hr=0.5, target_events=0, sample_size=2)
+
+
+_UNEQUAL = (1.0,) * 6 + (7.0,) * 6
+_DESIGNS = {
+    "balanced": TrialDesign(true_hr=0.6, target_events=30, sample_size=43),
+    "unequal_7_to_1": TrialDesign(true_hr=0.6, target_events=30, sample_size=43,
+                                  allocation_weights=_UNEQUAL),
+    "all_events": TrialDesign(true_hr=0.6, target_events=25, sample_size=25),
+}
+_SCENARIOS = {
+    "no_prognostic": ScenarioSpec.no_prognostic(),
+    "multiplicative": ScenarioSpec.multiplicative_covariates(),
+    "stratum_baselines": ScenarioSpec.stratum_baselines(),
+}
+
+
+def _assert_matches_oracle(fields, row, design, scenario, stream):
+    """Row ``row`` of ``fields`` (a batch or, with row None, a dataset) equals
+    the oracle's trial on ``stream``, bit for bit."""
+    want = naive_trial(design, scenario, stream.generator())
+    for field, value in want.items():
+        if field == "subject_id" and row is not None:
+            continue  # a batch row's subject ids are its positions
+        got = getattr(fields, field)
+        got = got if row is None else got[row]
+        assert np.array_equal(got, value), field
+
+
+class TestGenerationOracle:
+    """Batched generation against the four-draw single-trial oracle."""
+
+    @pytest.mark.parametrize("scenario", _SCENARIOS, ids=str)
+    @pytest.mark.parametrize("design", _DESIGNS, ids=str)
+    def test_trials_match_oracle(self, design, scenario):
+        # generate_trial and every row of one batch, on the same 20 streams
+        design, scenario = _DESIGNS[design], _SCENARIOS[scenario]
+        streams = [RngStream(31, index) for index in range(20)]
+        batch = generate_trials(design, scenario, [s.generator() for s in streams])
+        assert batch.event.shape == (20, design.sample_size)
+        for row, stream in enumerate(streams):
+            _assert_matches_oracle(batch, row, design, scenario, stream)
+            _assert_matches_oracle(generate_trial(design, scenario, stream), None,
+                                   design, scenario, stream)
+
+    def test_replicate_batches_match_oracle(self, monkeypatch):
+        # the batches the Monte Carlo runner generates, row by row
+        design, scenario = _DESIGNS["unequal_7_to_1"], _SCENARIOS["multiplicative"]
+        config = sim.SimConfig(scenario=scenario, design=design, replicates=20,
+                               master_seed=33)
+        batches = []
+
+        def recording(*args):
+            batches.append(generate_trials(*args))
+            return batches[-1]
+
+        monkeypatch.setattr(sim, "generate_trials", recording)
+        # batches of 5 replicates: 3..20 crosses the boundaries at 8, 13 and 18
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * design.sample_size)
+        sim._replicate_range(config, 3, 20)
+        assert [len(batch.event) for batch in batches] == [5, 5, 5, 2]
+        rows = [(batch, row) for batch in batches for row in range(len(batch.event))]
+        for index, (batch, row) in zip(range(3, 20), rows):
+            _assert_matches_oracle(batch, row, design, scenario, RngStream(33, index))
 
 
 class TestGenerateTrial:

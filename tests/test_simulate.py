@@ -1,13 +1,14 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, metrics."""
 
 import math
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 import stratsurv.simulate as sim
-from stratsurv.datagen import RngStream, generate_trial
+from stratsurv.datagen import RngStream, TrialDataset, generate_trial
 from stratsurv.errors import DegenerateTestError, InvalidModelError, InvalidParameterError
 from stratsurv.inference import COX_METHODS, AnalysisSpec, cox_fit, logrank
 from stratsurv.simulate import (
@@ -169,6 +170,62 @@ class TestResolveWorkers:
             sim._resolve_workers(_config(), 0)
 
 
+class _LazyPool:
+    """Executor stand-in that starts no process. Chunk 0 fails at once; every
+    other chunk runs only if shutdown waits for it, as in a busy pool."""
+
+    def __init__(self, error):
+        self.error = error
+        self.pending = []
+        self.ran = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.shutdown()
+
+    def submit(self, fn, config, lo, hi):
+        future = Future()
+        if lo == 0:
+            future.set_exception(self.error)
+        else:
+            self.pending.append((future, lo))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        for future, lo in self.pending:
+            if cancel_futures:
+                future.cancel()
+            elif not future.done():
+                self.ran.append(lo)
+                future.set_result(None)
+
+
+class TestFailedChunk:
+    @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()],
+                             ids=["error", "interrupt"])
+    def test_remaining_chunks_cancelled(self, monkeypatch, error):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        pool = _LazyPool(error)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda max_workers: pool)
+        with pytest.raises(type(error)):
+            run_replicates(_config(replicates=40), workers=2)
+        assert len(pool.pending) == 7
+        assert pool.ran == []
+
+
+class TestNoDatasetObjects:
+    def test_replicates_build_no_trial_dataset(self, monkeypatch):
+        # generation hands (B, N) arrays straight to the analyses
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a TrialDataset was built")
+
+        monkeypatch.setattr(TrialDataset, "__init__", refuse)
+        assert run_replicates(_config(replicates=12), workers=1).hr.shape == (12, 3)
+
+
 class TestWorkerDeterminism:
     def test_worker_count_does_not_change_results(self):
         cfg = _config(replicates=30)
@@ -260,14 +317,14 @@ class TestRunStudy:
 
     def test_failing_row_does_not_abort_others(self, monkeypatch):
         configs = [_config(seed=1, replicates=5), _config(seed=2, replicates=5)]
-        real = sim.generate_trial
+        real = sim.generate_trials
 
-        def flaky(design, scenario, rng):
-            if rng.seed == 1:
+        def flaky(design, scenario, generators):
+            if generators[0].bit_generator.seed_seq.entropy == 1:  # row 0's seed
                 raise RuntimeError("boom")
-            return real(design, scenario, rng)
+            return real(design, scenario, generators)
 
-        monkeypatch.setattr(sim, "generate_trial", flaky)
+        monkeypatch.setattr(sim, "generate_trials", flaky)
         rows = run_study(configs, workers=1)
         assert rows[0].metrics is None and "boom" in rows[0].error
         assert rows[1].metrics is not None and rows[1].error is None
