@@ -22,7 +22,7 @@ from .errors import (
     InvalidModelError,
     InvalidParameterError,
 )
-from .inference import AnalysisSpec, Method, _normal_cdf, cox_fit, logrank
+from .inference import TIE_METHODS, AnalysisSpec, Method, _normal_cdf, cox_fit, logrank
 from .io import (
     read_subject_records,
     results_to_records,
@@ -78,20 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("dataset", help="dataset CSV path")
     p_fit.add_argument("--method", required=True, choices=sorted(_METHOD_FLAGS),
                        help="analysis method")
-    p_fit.add_argument("--ties", default="efron", choices=("efron", "breslow"),
-                       help="tie handling for Cox methods (default: efron)")
+    p_fit.add_argument("--ties", default=AnalysisSpec.tie_method, choices=TIE_METHODS,
+                       help="tie handling for Cox methods (default: %(default)s)")
     _add_global_flags(p_fit, top_level=False)
     p_fit.set_defaults(func=cmd_fit)
 
     p_des = sub.add_parser("design", help="required events and sample size")
     p_des.add_argument("--hr", type=float, required=True, help="alternative hazard ratio")
-    p_des.add_argument("--alpha", type=float, default=0.025,
-                       help="one-sided type-I error (default: 0.025)")
-    p_des.add_argument("--power", type=float, default=0.80, help="target power (default: 0.80)")
-    p_des.add_argument("--allocation", type=float, default=0.5,
-                       help="treatment allocation fraction (default: 0.5)")
-    p_des.add_argument("--event-fraction", type=float, default=0.70,
-                       help="expected event fraction at analysis (default: 0.70)")
+    p_des.add_argument("--alpha", type=float, default=DesignInputs.alpha_one_sided,
+                       help="one-sided type-I error (default: %(default)s)")
+    p_des.add_argument("--power", type=float, default=DesignInputs.power,
+                       help="target power (default: %(default)s)")
+    p_des.add_argument("--allocation", type=float, default=DesignInputs.allocation,
+                       help="treatment allocation fraction (default: %(default)s)")
+    p_des.add_argument("--event-fraction", type=float, default=DesignInputs.event_fraction,
+                       help="expected event fraction at analysis (default: %(default)s)")
     _add_global_flags(p_des, top_level=False)
     p_des.set_defaults(func=cmd_design)
     return parser
@@ -106,7 +107,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     write_results_csv(args.output, rows)
     sidecar = args.sidecar if args.sidecar is not None else args.output + ".json"
-    write_sidecar_json(sidecar, study.to_mapping(), rows, args.workers or study.workers)
+    write_sidecar_json(sidecar, study.to_mapping(), rows, study.workers)
 
     if args.dump_datasets is not None:
         os.makedirs(args.dump_datasets, exist_ok=True)

@@ -1,16 +1,21 @@
-"""Study configuration files: a sectioned key = value format with validation.
+"""Study configuration: one schema for config files and their JSON echo.
 
 Three sections describe a study: ``[scenario]`` (the data-generating
 mechanism), ``[design]`` (hazard-ratio grid, event targets, accrual,
 allocation), and ``[run]`` (replicates, seed, tie handling, SE scale,
-workers). Unknown sections or keys are rejected, and every parse or
-validation error reports the offending file line.
+workers). The table ``_SCHEMA`` gives each section's keys in echo order,
+with the field each key sets and the parser of its value, which reads the
+text of a file or the JSON value of a ``to_mapping`` echo (a sidecar).
+Files and echoes share one builder: unknown sections or keys, missing
+required keys and out-of-range values are rejected, a file's errors naming
+the offending line. Defaults live only on the ``StudyConfig`` fields.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from .design import DesignInputs, schoenfeld_events
 from .errors import ConfigError, InvalidParameterError
@@ -18,16 +23,7 @@ from .inference import TIE_METHODS
 from .simulate import SE_SCALES, SimConfig
 from .trial import STRATUM_COUNT, ScenarioKind, ScenarioSpec, TrialDesign
 
-_SCENARIO_KEYS = (
-    "kind", "base_median", "hr_x1", "hr_x2_level1", "hr_x2_level2", "hr_x3",
-    "stratum_medians",
-)
-_DESIGN_KEYS = (
-    "true_hr", "events", "accrual_months", "allocation", "randomization_prob",
-    "alpha_one_sided", "power", "event_fraction",
-)
-_RUN_KEYS = ("replicates", "seed", "tie_method", "se_scale", "workers")
-_SECTIONS = {"scenario": _SCENARIO_KEYS, "design": _DESIGN_KEYS, "run": _RUN_KEYS}
+_BALANCED = (1.0,) * STRATUM_COUNT  # equal weights: ``allocation = balanced``
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,7 @@ class StudyConfig:
     true_hrs: tuple[float, ...]
     events: tuple[int, ...]
     accrual_months: float = 14.0
-    allocation_weights: tuple[float, ...] = (1.0,) * STRATUM_COUNT
+    allocation_weights: tuple[float, ...] = _BALANCED
     randomization_prob: float = 0.5
     alpha_one_sided: float = 0.025
     power: float = 0.80
@@ -55,6 +51,8 @@ class StudyConfig:
         if len(self.events) != len(self.true_hrs):
             raise InvalidParameterError(
                 "events list must have one entry per true_hr value")
+        if self.seed < 0:
+            raise InvalidParameterError("seed must be nonnegative")
         if self.workers is not None and self.workers < 1:
             raise InvalidParameterError("workers must be at least 1")
 
@@ -85,81 +83,33 @@ class StudyConfig:
 
     def with_overrides(self, seed: int | None = None, workers: int | None = None,
                        replicates: int | None = None) -> "StudyConfig":
-        out = self
-        if seed is not None:
-            out = replace(out, seed=seed)
-        if workers is not None:
-            out = replace(out, workers=workers)
-        if replicates is not None:
-            out = replace(out, replicates=replicates)
-        return out
+        """A copy with every override that is not ``None`` applied."""
+        overrides = {"seed": seed, "workers": workers, "replicates": replicates}
+        return replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
     def to_mapping(self) -> dict[str, Any]:
-        """JSON-ready echo of the full resolved configuration."""
-        scen: dict[str, Any] = {"kind": self.scenario.kind.value}
-        if self.scenario.base_median is not None:
-            scen["base_median"] = self.scenario.base_median
-        for key in ("hr_x1", "hr_x2_level1", "hr_x2_level2", "hr_x3"):
-            value = getattr(self.scenario, key)
-            if value is not None:
-                scen[key] = value
-        if self.scenario.stratum_medians is not None:
-            scen["stratum_medians"] = list(self.scenario.stratum_medians)
-        return {
-            "scenario": scen,
-            "design": {
-                "true_hr": list(self.true_hrs),
-                "events": list(self.events),
-                "accrual_months": self.accrual_months,
-                "allocation": list(self.allocation_weights),
-                "randomization_prob": self.randomization_prob,
-                "alpha_one_sided": self.alpha_one_sided,
-                "power": self.power,
-                "event_fraction": self.event_fraction,
-            },
-            "run": {
-                "replicates": self.replicates,
-                "seed": self.seed,
-                "tie_method": self.tie_method,
-                "se_scale": self.se_scale,
-                "workers": self.workers,
-            },
-        }
+        """JSON-ready echo of the full resolved configuration. The scenario
+        echo leaves out fields its kind does not use; unset ``workers`` is null."""
+        echo: dict[str, Any] = {}
+        for section, keys in _SCHEMA.items():
+            owner = self.scenario if section == "scenario" else self
+            values = ((key.name, _json_value(getattr(owner, key.field))) for key in keys)
+            echo[section] = {name: value for name, value in values
+                             if value is not None or owner is self}
+        return echo
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, Any]) -> "StudyConfig":
-        """Rebuild a StudyConfig from a ``to_mapping`` echo (e.g. a sidecar)."""
-        scen = dict(mapping["scenario"])
-        kind = ScenarioKind(scen.pop("kind"))
-        if "stratum_medians" in scen:
-            scen["stratum_medians"] = tuple(scen["stratum_medians"])
-        scenario = ScenarioSpec(kind=kind, **scen)
-        design = mapping["design"]
-        run = mapping.get("run", {})
-        return cls(
-            scenario=scenario,
-            true_hrs=tuple(design["true_hr"]),
-            events=tuple(int(d) for d in design["events"]),
-            accrual_months=float(design.get("accrual_months", 14.0)),
-            allocation_weights=tuple(design.get("allocation", (1.0,) * STRATUM_COUNT)),
-            randomization_prob=float(design.get("randomization_prob", 0.5)),
-            alpha_one_sided=float(design.get("alpha_one_sided", 0.025)),
-            power=float(design.get("power", 0.80)),
-            event_fraction=float(design.get("event_fraction", 0.70)),
-            replicates=int(run.get("replicates", 10000)),
-            seed=int(run.get("seed", 0)),
-            tie_method=run.get("tie_method", "efron"),
-            se_scale=run.get("se_scale", "log"),
-            workers=run.get("workers"),
-        )
+        """Rebuild a StudyConfig from a ``to_mapping`` echo (e.g. a sidecar),
+        checked like a config file; its errors carry no line."""
+        return _build({section: {key: (value, None) for key, value in keys.items()}
+                       for section, keys in mapping.items()}, None)
 
 
 def load_study_config(path: str) -> StudyConfig:
     """Parse and validate a study configuration file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    entries = _parse_entries(text, path)
-    return _build(entries, path)
+    with open(path, encoding="utf-8") as fh:
+        return parse_study_config(fh.read(), path)
 
 
 def parse_study_config(text: str, path: str = "<config>") -> StudyConfig:
@@ -167,16 +117,9 @@ def parse_study_config(text: str, path: str = "<config>") -> StudyConfig:
     return _build(_parse_entries(text, path), path)
 
 
-class _Entry:
-    __slots__ = ("value", "line")
-
-    def __init__(self, value: str, line: int):
-        self.value = value
-        self.line = line
-
-
-def _parse_entries(text: str, path: str) -> dict[str, dict[str, _Entry]]:
-    entries: dict[str, dict[str, _Entry]] = {}
+def _parse_entries(text: str, path: str) -> dict[str, dict[str, tuple[str, int]]]:
+    """Split a config file into ``{section: {key: (value text, line)}}``."""
+    entries: dict[str, dict[str, tuple[str, int]]] = {}
     section: str | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -184,7 +127,7 @@ def _parse_entries(text: str, path: str) -> dict[str, dict[str, _Entry]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
+            if section not in _SCHEMA:
                 raise ConfigError(f"unknown section [{section}]", path, lineno)
             entries.setdefault(section, {})
             continue
@@ -193,189 +136,195 @@ def _parse_entries(text: str, path: str) -> dict[str, dict[str, _Entry]]:
         if section is None:
             raise ConfigError("key outside of any [section]", path, lineno)
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _SECTIONS[section]:
-            raise ConfigError(f"unknown key {key!r} in [{section}]", path, lineno)
         if key in entries[section]:
             raise ConfigError(f"duplicate key {key!r} in [{section}]", path, lineno)
-        entries[section][key] = _Entry(value, lineno)
-    if "scenario" not in entries:
-        raise ConfigError("missing [scenario] section", path)
-    if "design" not in entries:
-        raise ConfigError("missing [design] section", path)
+        entries[section][key] = (value, lineno)
     return entries
 
 
-def _build(entries: dict[str, dict[str, _Entry]], path: str) -> StudyConfig:
-    scenario = _build_scenario(entries["scenario"], path)
-    design = entries["design"]
-    run = entries.get("run", {})
-
-    true_hrs = _take(design, "true_hr", path, _float_list, required=True)
-    accrual = _take(design, "accrual_months", path, _positive_float, default=14.0)
-    allocation = _take(design, "allocation", path, _allocation, default=(1.0,) * STRATUM_COUNT)
-    randomization = _take(design, "randomization_prob", path, _probability, default=0.5)
-    alpha = _take(design, "alpha_one_sided", path, _probability, default=0.025)
-    power = _take(design, "power", path, _probability, default=0.80)
-    event_fraction = _take(design, "event_fraction", path, _event_fraction, default=0.70)
-
-    events_entry = design.get("events")
-    if events_entry is None or events_entry.value.strip().lower() == "auto":
-        line = events_entry.line if events_entry is not None else None
-        events = []
-        for hr in true_hrs:
-            try:
-                inputs = DesignInputs(hr=hr, alpha_one_sided=alpha, power=power,
-                                      allocation=randomization,
-                                      event_fraction=event_fraction)
-                events.append(schoenfeld_events(inputs))
-            except InvalidParameterError as exc:
-                raise ConfigError(f"cannot derive events for true_hr={hr}: {exc}",
-                                  path, line)
-        events = tuple(events)
-    else:
-        events = tuple(_int_list(events_entry.value, "events", path, events_entry.line))
-        if len(events) != len(true_hrs):
-            raise ConfigError("events list must have one entry per true_hr value",
-                              path, events_entry.line)
-
-    replicates = _take(run, "replicates", path, _positive_int, default=10000)
-    seed = _take(run, "seed", path, _nonneg_int, default=0)
-    tie_method = _take(run, "tie_method", path, _choice(TIE_METHODS), default="efron")
-    se_scale = _take(run, "se_scale", path, _choice(SE_SCALES), default="log")
-    workers = _take(run, "workers", path, _positive_int, default=None)
+def _build(entries: dict[str, dict[str, tuple[Any, int | None]]],
+           path: str | None) -> StudyConfig:
+    """Check entries against ``_SCHEMA``, parse their values, build the study."""
+    for section in sorted(entries.keys() - _SCHEMA.keys()):
+        raise ConfigError(f"unknown section [{section}]", path)
+    fields: dict[str, dict[str, Any]] = {section: {} for section in _SCHEMA}
+    lines: dict[str, int | None] = {}
+    for section, keys in _SCHEMA.items():
+        known = {key.name: key for key in keys}
+        for name, (value, line) in entries.get(section, {}).items():
+            key = known.get(name)
+            if key is None:
+                raise ConfigError(f"unknown key {name!r} in [{section}]", path, line)
+            fields[section][key.field] = key.parse(value, name, path, line)
+            lines[key.field] = line
+        for key in keys:
+            if key.required and key.field not in fields[section]:
+                what = (f"key {key.name!r} in [{section}]" if section in entries
+                        else f"[{section}] section")
+                raise ConfigError(f"missing {what}", path)
 
     try:
-        return StudyConfig(
-            scenario=scenario,
-            true_hrs=tuple(true_hrs),
-            events=events,
-            accrual_months=accrual,
-            allocation_weights=allocation,
-            randomization_prob=randomization,
-            alpha_one_sided=alpha,
-            power=power,
-            event_fraction=event_fraction,
-            replicates=replicates,
-            seed=seed,
-            tie_method=tie_method,
-            se_scale=se_scale,
-            workers=workers,
-        )
+        scenario = ScenarioSpec(**fields.pop("scenario"))
     except InvalidParameterError as exc:
-        raise ConfigError(str(exc), path)
-
-
-def _build_scenario(section: dict[str, _Entry], path: str) -> ScenarioSpec:
-    kind_entry = section.get("kind")
-    if kind_entry is None:
-        raise ConfigError("missing key 'kind' in [scenario]", path)
+        raise ConfigError(str(exc), path, lines["kind"])
+    study = {field: value for section in fields.values() for field, value in section.items()}
+    if study.get("events") is None:
+        study["events"] = _derive_events(study, path, lines.get("events"))
     try:
-        kind = ScenarioKind(kind_entry.value.strip().lower())
-    except ValueError:
-        valid = ", ".join(k.value for k in ScenarioKind)
-        raise ConfigError(f"kind must be one of: {valid}", path, kind_entry.line)
-
-    kwargs: dict[str, Any] = {}
-    for key in ("base_median", "hr_x1", "hr_x2_level1", "hr_x2_level2", "hr_x3"):
-        if key in section:
-            kwargs[key] = _positive_float(section[key].value, key, path, section[key].line)
-    if "stratum_medians" in section:
-        entry = section["stratum_medians"]
-        kwargs["stratum_medians"] = tuple(
-            _float_list(entry.value, "stratum_medians", path, entry.line))
-    try:
-        return ScenarioSpec(kind=kind, **kwargs)
+        return StudyConfig(scenario=scenario, **study)
     except InvalidParameterError as exc:
-        raise ConfigError(str(exc), path, kind_entry.line)
+        # The parsers have checked each value on its own, so what is left is
+        # an events list that does not match the true_hr list.
+        raise ConfigError(str(exc), path, lines.get("events"))
 
 
-def _take(section, key, path, parse, default=None, required=False):
-    entry = section.get(key)
-    if entry is None:
-        if required:
-            raise ConfigError(f"missing required key {key!r}", path)
-        return default
-    return parse(entry.value, key, path, entry.line)
+def _derive_events(study: dict[str, Any], path: str | None,
+                   line: int | None) -> tuple[int, ...]:
+    """Schoenfeld targets for ``events = auto``; unset inputs take StudyConfig's defaults."""
+    def setting(field: str) -> Any:
+        return study.get(field, getattr(StudyConfig, field))  # the field's default
 
+    events = []
+    for hr in study["true_hrs"]:
+        try:
+            inputs = DesignInputs(hr=hr, alpha_one_sided=setting("alpha_one_sided"),
+                                  power=setting("power"), allocation=setting("randomization_prob"),
+                                  event_fraction=setting("event_fraction"))
+            events.append(schoenfeld_events(inputs))
+        except InvalidParameterError as exc:
+            raise ConfigError(f"cannot derive events for true_hr={hr}: {exc}", path, line)
+    return tuple(events)
+
+
+def _json_value(value: Any) -> Any:
+    if isinstance(value, ScenarioKind):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
+# Value parsers: each takes (value, key, path, line); line is None for an echo.
 
 def _float_scalar(value, key, path, line):
     try:
         return float(value)
-    except ValueError:
+    except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}", path, line)
 
 
-def _positive_float(value, key, path, line):
-    out = _float_scalar(value, key, path, line)
-    if not out > 0:
-        raise ConfigError(f"{key} must be positive, got {value}", path, line)
-    return out
-
-
-def _probability(value, key, path, line):
-    out = _float_scalar(value, key, path, line)
-    if not 0.0 < out < 1.0:
-        raise ConfigError(f"{key} must be in (0, 1), got {value}", path, line)
-    return out
-
-
-def _event_fraction(value, key, path, line):
-    out = _float_scalar(value, key, path, line)
-    if not 0.0 < out <= 1.0:
-        raise ConfigError(f"{key} must be in (0, 1], got {value}", path, line)
-    return out
-
-
-def _positive_int(value, key, path, line):
+def _int_scalar(value, key, path, line):
+    # operator.index rejects a JSON float such as 66.5 instead of truncating it.
     try:
-        out = int(value)
-    except ValueError:
+        return int(value) if isinstance(value, str) else operator.index(value)
+    except (TypeError, ValueError):
         raise ConfigError(f"{key} must be an integer, got {value!r}", path, line)
-    if out < 1:
-        raise ConfigError(f"{key} must be at least 1, got {value}", path, line)
-    return out
 
 
-def _nonneg_int(value, key, path, line):
-    try:
-        out = int(value)
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {value!r}", path, line)
-    if out < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {value}", path, line)
-    return out
+def _bounded(scalar, accept, bounds):
+    """A parser of one number that ``accept`` allows; ``bounds`` words the range."""
+    def parse(value, key, path, line):
+        out = scalar(value, key, path, line)
+        if not accept(out):
+            raise ConfigError(f"{key} must be {bounds}, got {value}", path, line)
+        return out
+    return parse
 
 
-def _float_list(value, key, path, line):
-    items = [s.strip() for s in value.split(",") if s.strip()]
+_positive_float = _bounded(_float_scalar, lambda x: x > 0, "positive")
+_probability = _bounded(_float_scalar, lambda x: 0.0 < x < 1.0, "in (0, 1)")
+_event_fraction = _bounded(_float_scalar, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_positive_int = _bounded(_int_scalar, lambda n: n >= 1, "at least 1")
+_nonneg_int = _bounded(_int_scalar, lambda n: n >= 0, "nonnegative")
+
+
+def _workers(value, key, path, line):
+    return None if value is None else _positive_int(value, key, path, line)
+
+
+def _items(value, sep, key, path, line):
+    """The items of a list-valued key: ``sep``-separated text or a JSON list."""
+    if isinstance(value, str):
+        return [item.strip() for item in value.split(sep)]
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    raise ConfigError(f"{key} must be a list, got {value!r}", path, line)
+
+
+def _number_list(value, key, path, line, parse_item=_float_scalar):
+    items = [item for item in _items(value, ",", key, path, line) if item != ""]
     if not items:
         raise ConfigError(f"{key} must hold at least one number", path, line)
-    return [_float_scalar(item, key, path, line) for item in items]
+    return tuple(parse_item(item, key, path, line) for item in items)
 
 
-def _int_list(value, key, path, line):
-    return [_positive_int(item.strip(), key, path, line)
-            for item in value.split(",") if item.strip()]
+def _events(value, key, path, line):
+    if isinstance(value, str) and value.strip().lower() == "auto":
+        return None  # _build derives the targets from the design inputs
+    return _number_list(value, key, path, line, _positive_int)
 
 
 def _allocation(value, key, path, line):
-    text = value.strip().lower()
-    if text == "balanced":
-        return (1.0,) * STRATUM_COUNT
-    parts = [p.strip() for p in value.split(":")]
+    if isinstance(value, str) and value.strip().lower() == "balanced":
+        return _BALANCED
+    parts = _items(value, ":", key, path, line)
     if len(parts) != STRATUM_COUNT:
-        raise ConfigError(
-            f"{key} must be 'balanced' or 12 colon-separated weights", path, line)
+        raise ConfigError(f"{key} must be 'balanced' or 12 colon-separated weights", path, line)
     weights = tuple(_float_scalar(p, key, path, line) for p in parts)
     if any(w < 0 for w in weights) or sum(weights) <= 0:
         raise ConfigError(f"{key} weights must be nonnegative, not all zero", path, line)
     return weights
 
 
-def _choice(options):
+def _choice(options, make=str):
+    """A parser of one of ``options`` (case-insensitive), turned into ``make``."""
     def parse(value, key, path, line):
-        out = value.strip().lower()
+        out = str(value).strip().lower()
         if out not in options:
             raise ConfigError(f"{key} must be one of {options}, got {value!r}", path, line)
-        return out
+        return make(out)
     return parse
+
+
+class _Key(NamedTuple):
+    """One config key: its name, the parser of its value, the field it sets."""
+
+    name: str
+    parse: Callable[[Any, str, str | None, int | None], Any]
+    field_name: str = ""  # empty when the field has the key's name
+    required: bool = False
+
+    @property
+    def field(self) -> str:
+        return self.field_name or self.name
+
+
+#: Every section and key in echo order. ``[scenario]`` keys set ScenarioSpec
+#: fields, the others set StudyConfig fields; a section holding a required
+#: key is itself required.
+_SCHEMA: dict[str, tuple[_Key, ...]] = {
+    "scenario": (
+        _Key("kind", _choice(tuple(k.value for k in ScenarioKind), ScenarioKind), required=True),
+        _Key("base_median", _positive_float),
+        _Key("hr_x1", _positive_float),
+        _Key("hr_x2_level1", _positive_float),
+        _Key("hr_x2_level2", _positive_float),
+        _Key("hr_x3", _positive_float),
+        _Key("stratum_medians", _number_list),
+    ),
+    "design": (
+        _Key("true_hr", _number_list, "true_hrs", required=True),
+        _Key("events", _events),
+        _Key("accrual_months", _positive_float),
+        _Key("allocation", _allocation, "allocation_weights"),
+        _Key("randomization_prob", _probability),
+        _Key("alpha_one_sided", _probability),
+        _Key("power", _probability),
+        _Key("event_fraction", _event_fraction),
+    ),
+    "run": (
+        _Key("replicates", _positive_int),
+        _Key("seed", _nonneg_int),
+        _Key("tie_method", _choice(TIE_METHODS)),
+        _Key("se_scale", _choice(SE_SCALES)),
+        _Key("workers", _workers),
+    ),
+}

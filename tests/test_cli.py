@@ -170,6 +170,16 @@ events = 20
         assert "workers must be at least 1" in proc.stderr
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
+    def test_negative_seed_names_the_flag(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        out = tmp_path / "results.csv"
+        proc = run_cli("simulate", str(cfg), "-o", str(out), "--seed", "-1")
+        assert proc.returncode == 2
+        assert "seed must be nonnegative" in proc.stderr
+        assert "master_seed" not in proc.stderr
+        assert not out.exists()
+
     def test_seed_override_changes_results(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT)

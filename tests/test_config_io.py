@@ -146,6 +146,21 @@ class TestStudyConfigMapping:
         for path in paths:
             study = load_study_config(path)
             assert study.replicates == 10000
+            echo = json.loads(json.dumps(study.to_mapping()))
+            assert StudyConfig.from_mapping(echo) == study
+
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("design", "accural_months", 99, "unknown key 'accural_months' in [design]"),
+        ("scenario", "hr_x4", 0.5, "unknown key 'hr_x4' in [scenario]"),
+        ("design", "randomization_prob", 1.5, "randomization_prob must be in (0, 1)"),
+    ])
+    def test_replay_rejects_what_a_config_file_rejects(self, section, key, value, message):
+        echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))
+        echo[section][key] = value
+        with pytest.raises(ConfigError) as err:
+            StudyConfig.from_mapping(echo)
+        assert message in str(err.value)
+        assert err.value.line is None
 
 
 class TestDatasetRoundTrip:
