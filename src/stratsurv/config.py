@@ -68,7 +68,6 @@ class StudyConfig:
                 allocation_weights=self.allocation_weights,
                 randomization_prob=self.randomization_prob,
                 alpha_one_sided=self.alpha_one_sided,
-                nominal_power=self.power,
             )
             configs.append(SimConfig(
                 scenario=self.scenario,
@@ -102,8 +101,12 @@ class StudyConfig:
     def from_mapping(cls, mapping: dict[str, Any]) -> "StudyConfig":
         """Rebuild a StudyConfig from a ``to_mapping`` echo (e.g. a sidecar),
         checked like a config file; its errors carry no line."""
-        return _build({section: {key: (value, None) for key, value in keys.items()}
-                       for section, keys in mapping.items()}, None)
+        entries = {}
+        for section, keys in mapping.items():
+            if not isinstance(keys, dict):
+                raise ConfigError(f"[{section}] must be a JSON object, got {keys!r}")
+            entries[section] = {key: (value, None) for key, value in keys.items()}
+        return _build(entries, None)
 
 
 def load_study_config(path: str) -> StudyConfig:

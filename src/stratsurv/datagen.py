@@ -94,26 +94,6 @@ class TrialDataset:
     def events_observed(self) -> int:
         return int(self.event.sum())
 
-    def validate(self) -> None:
-        """Check internal consistency; raises InvalidParameterError on violation."""
-        if np.any(self.observed_time < 0):
-            raise InvalidParameterError("observed_time must be nonnegative")
-        if self.latent_event_time is not None:
-            lat = self.latent_event_time
-            if np.any(lat <= 0):
-                raise InvalidParameterError("latent_event_time must be positive")
-            ev = self.event
-            if not np.allclose(self.observed_time[ev], lat[ev], rtol=0, atol=0):
-                raise InvalidParameterError("event subjects must have observed == latent time")
-            if np.any(self.observed_time[~ev] > lat[~ev]):
-                raise InvalidParameterError("censored subjects must have observed <= latent time")
-        if math.isfinite(self.cutoff_calendar_time):
-            # Subjects enrolled after the cutoff carry zero follow-up, so the
-            # bound is on follow-up, not on enroll_time itself.
-            cap = np.maximum(self.cutoff_calendar_time - self.enroll_time, 0.0)
-            if np.any(self.observed_time > cap + 1e-9):
-                raise InvalidParameterError("follow-up extends past the analysis cutoff")
-
 
 def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)

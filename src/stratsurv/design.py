@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from scipy.special import ndtri
+from statistics import NormalDist
 
 from .errors import InvalidParameterError
 
@@ -41,8 +40,8 @@ def schoenfeld_events(inputs: DesignInputs) -> int:
     D = (z_{1-alpha} + z_{power})^2 / (a (1-a) (log hr)^2), rounded up,
     where ``a`` is the treatment allocation fraction.
     """
-    z_alpha = ndtri(1.0 - inputs.alpha_one_sided)
-    z_power = ndtri(inputs.power)
+    z_alpha = NormalDist().inv_cdf(1.0 - inputs.alpha_one_sided)
+    z_power = NormalDist().inv_cdf(inputs.power)
     a = inputs.allocation
     raw = (z_alpha + z_power) ** 2 / (a * (1.0 - a) * math.log(inputs.hr) ** 2)
     return int(math.ceil(raw))

@@ -16,11 +16,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .datagen import RngStream, generate_trials
 from .errors import InvalidParameterError
@@ -121,7 +122,7 @@ def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
     Replicates are generated and analyzed in batches of at most
     BATCH_SUBJECT_ROWS subject rows; the results do not depend on the batching.
     """
-    zcrit = float(ndtri(config.design.alpha_one_sided))
+    zcrit = NormalDist().inv_cdf(config.design.alpha_one_sided)
     size = max(1, BATCH_SUBJECT_ROWS // config.design.sample_size)
     batches = []
     for start in range(lo, hi, size):
@@ -231,6 +232,10 @@ def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
             for lo, hi in zip(bounds[:-1], bounds[1:])
         ]
         return _concatenate([fut.result() for fut in futures])
+    except BrokenProcessPool as exc:
+        raise BrokenProcessPool(
+            "a worker process was killed before its chunk finished, "
+            "often for lack of memory") from exc
     finally:
         # after a failed chunk or an interrupt, the pending chunks are dropped
         pool.shutdown(cancel_futures=True)

@@ -150,6 +150,10 @@ def control_rate_table(scenario: ScenarioSpec) -> np.ndarray:
 
 BALANCED_WEIGHTS = (1.0,) * STRATUM_COUNT
 
+#: Largest sample size a design may have. One replicate's working set grows
+#: by about 280 bytes per subject, so this bounds it to about 280 MB.
+MAX_SAMPLE_SIZE = 1_000_000
+
 
 @dataclass(frozen=True)
 class TrialDesign:
@@ -162,7 +166,6 @@ class TrialDesign:
     allocation_weights: tuple[float, ...] = BALANCED_WEIGHTS
     randomization_prob: float = 0.5
     alpha_one_sided: float = 0.025
-    nominal_power: float = 0.80
 
     def __post_init__(self):
         if not 0.0 < self.true_hr <= 1.0:
@@ -172,6 +175,9 @@ class TrialDesign:
         if self.sample_size < self.target_events:
             raise InvalidParameterError(
                 f"sample_size {self.sample_size} is below target_events {self.target_events}")
+        if self.sample_size > MAX_SAMPLE_SIZE:
+            raise InvalidParameterError(
+                f"sample_size {self.sample_size} exceeds the maximum of {MAX_SAMPLE_SIZE}")
         _require_positive("accrual_months", self.accrual_months)
         weights = tuple(float(w) for w in self.allocation_weights)
         if len(weights) != STRATUM_COUNT:
@@ -180,15 +186,10 @@ class TrialDesign:
             raise InvalidParameterError(
                 "allocation_weights must be nonnegative and not all zero")
         object.__setattr__(self, "allocation_weights", weights)
-        for name in ("randomization_prob", "alpha_one_sided", "nominal_power"):
+        for name in ("randomization_prob", "alpha_one_sided"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise InvalidParameterError(f"{name} must be in (0, 1), got {v}")
-
-    @property
-    def normalized_weights(self) -> np.ndarray:
-        w = np.asarray(self.allocation_weights, dtype=float)
-        return w / w.sum()
 
     @classmethod
     def from_event_target(

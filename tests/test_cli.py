@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,14 +29,31 @@ def run_cli(*args, cwd=None):
 
 
 class TestImport:
-    def test_cli_import_loads_no_scipy_stats(self):
-        # scipy.stats dominates start-up; the normal quantile comes from
-        # scipy.special instead.
-        code = ("import sys, stratsurv.cli; "
-                "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])")
+    def test_cli_import_loads_no_scipy_stats(self, tmp_path):
+        # The runtime needs numpy alone: with scipy blocked, every subcommand
+        # runs, at one and two workers, and no scipy module is ever loaded.
+        config = Path(__file__).resolve().parents[1] / "configs" / "table1_scenario1.cfg"
+        code = f"""
+import json, sys
+sys.modules["scipy"] = None
+from stratsurv.cli import main
+out = {str(tmp_path)!r}
+codes = [main(["design", "--hr", "0.5"])]
+for w in ("1", "2"):
+    codes.append(main(["simulate", {str(config)!r}, "--replicates", "20", "--workers", w,
+                       "-o", f"{{out}}/w{{w}}.csv", "--dump-datasets", f"{{out}}/dump{{w}}"]))
+for method in ("logrank", "logrank-stratified", "cox-unstratified",
+               "cox-multivariate", "cox-stratified"):
+    codes.append(main(["fit", f"{{out}}/dump2/row00_replicate0.csv", "--method", method]))
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+print(json.dumps([codes, loaded]))
+"""
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * 8
+        assert loaded == []
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
 
 class TestDesignCommand:
@@ -168,6 +186,26 @@ events = 20
         proc = run_cli("simulate", str(cfg), "-o", str(out), "--workers", workers)
         assert proc.returncode == 2
         assert "workers must be at least 1" in proc.stderr
+        assert not out.exists() and not (tmp_path / "results.csv.json").exists()
+
+    def test_design_too_large_starts_no_replicate(self, tmp_path, monkeypatch, capsys):
+        # true_hr = 0.999 derives D = 31,364,127 and N = 44,805,896 subjects,
+        # which could never fit in memory; the study must not start at all.
+        import stratsurv.simulate as sim
+        from stratsurv.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate was started")
+
+        monkeypatch.setattr(sim, "_replicate_range", refuse)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
+                                           "true_hr = 0.999\nevents = auto"))
+        out = tmp_path / "results.csv"
+        assert main(["simulate", str(cfg), "-o", str(out), "--workers", "2"]) == 2
+        assert ("sample_size 44805896 exceeds the maximum of 1000000"
+                in capsys.readouterr().err)
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
     def test_negative_seed_names_the_flag(self, tmp_path):

@@ -162,6 +162,13 @@ class TestStudyConfigMapping:
         assert message in str(err.value)
         assert err.value.line is None
 
+    @pytest.mark.parametrize("section,value", [("scenario", 5), ("design", [1])])
+    def test_replay_rejects_a_section_that_is_not_an_object(self, section, value):
+        echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))
+        echo[section] = value
+        with pytest.raises(ConfigError, match=rf"\[{section}\] must be a JSON object"):
+            StudyConfig.from_mapping(echo)
+
 
 class TestDatasetRoundTrip:
     def _trial(self):

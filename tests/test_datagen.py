@@ -271,9 +271,11 @@ class TestGenerateTrial:
         assert a.cutoff_calendar_time == b.cutoff_calendar_time
 
     def test_generated_dataset_validates(self):
+        # bit for bit the oracle's trial on the same stream, inside the cutoff
         design = TrialDesign.from_event_target(0.5, 66)
-        ds = generate_trial(design, ScenarioSpec.stratum_baselines(), RngStream(3, 1))
-        ds.validate()
+        scenario = ScenarioSpec.stratum_baselines()
+        ds = generate_trial(design, scenario, RngStream(3, 1))
+        _assert_matches_oracle(ds, None, design, scenario, RngStream(3, 1))
         inside = ds.enroll_time + ds.observed_time <= ds.cutoff_calendar_time + 1e-9
         late = ds.observed_time == 0.0
         assert np.all(inside | late)

@@ -20,10 +20,17 @@ class TestSchoenfeldEvents:
         # itself gives 121 and 247, so study configs carry events verbatim.
         assert schoenfeld_events(DesignInputs(hr=hr)) == expected
 
-    def test_balanced_allocation_closed_form(self):
-        z = norm.ppf(0.975) + norm.ppf(0.80)
-        raw = 4.0 * z * z / math.log(0.5) ** 2
-        assert schoenfeld_events(DesignInputs(hr=0.5)) == math.ceil(raw)
+    @pytest.mark.parametrize("allocation", [0.5, 1 / 3])
+    @pytest.mark.parametrize("power", [0.8, 0.9])
+    @pytest.mark.parametrize("alpha", [0.01, 0.025, 0.05])
+    @pytest.mark.parametrize("hr", [round(0.3 + 0.05 * i, 2) for i in range(14)])
+    def test_balanced_allocation_closed_form(self, hr, alpha, power, allocation):
+        # the standard library's quantiles against scipy's, through the ceiling
+        z = norm.ppf(1.0 - alpha) + norm.ppf(power)
+        raw = z * z / (allocation * (1.0 - allocation) * math.log(hr) ** 2)
+        inputs = DesignInputs(hr=hr, alpha_one_sided=alpha, power=power,
+                              allocation=allocation)
+        assert schoenfeld_events(inputs) == math.ceil(raw)
 
     def test_hr_one_rejected(self):
         with pytest.raises(InvalidParameterError):

@@ -2,6 +2,7 @@
 
 import math
 from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -214,6 +215,16 @@ class TestFailedChunk:
             run_replicates(_config(replicates=40), workers=2)
         assert len(pool.pending) == 7
         assert pool.ran == []
+
+    def test_dead_worker_named_in_row_error(self, monkeypatch):
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        pool = _LazyPool(BrokenProcessPool("terminated abruptly"))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda max_workers: pool)
+        [row] = run_study([_config(replicates=40)], workers=2)
+        assert row.metrics is None
+        assert row.error == ("BrokenProcessPool: a worker process was killed before "
+                             "its chunk finished, often for lack of memory")
 
 
 class TestNoDatasetObjects:

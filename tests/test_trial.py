@@ -8,6 +8,7 @@ import pytest
 from stratsurv.errors import DataFormatError, InvalidParameterError
 from stratsurv.io import read_subject_records
 from stratsurv.trial import (
+    MAX_SAMPLE_SIZE,
     STRATUM_COUNT,
     ScenarioSpec,
     TrialDesign,
@@ -168,15 +169,16 @@ class TestTrialDesign:
             TrialDesign(true_hr=0.5, target_events=10, sample_size=20,
                         allocation_weights=(1.0,) * 11)
 
-    def test_normalized_weights(self):
-        d = TrialDesign(true_hr=0.5, target_events=10, sample_size=20,
-                        allocation_weights=(1.0,) * 6 + (7.0,) * 6)
-        w = d.normalized_weights
-        assert w.sum() == pytest.approx(1.0)
-        assert w[7] == pytest.approx(7.0 / 48.0)
+    def test_sample_size_bounded(self):
+        # only constructed: no data is ever generated at these sizes
+        d = TrialDesign(true_hr=0.5, target_events=10, sample_size=MAX_SAMPLE_SIZE)
+        assert d.sample_size == 1_000_000
+        with pytest.raises(InvalidParameterError,
+                           match="sample_size 1000001 exceeds the maximum of 1000000"):
+            TrialDesign(true_hr=0.5, target_events=10, sample_size=MAX_SAMPLE_SIZE + 1)
 
     def test_probability_fields_validated(self):
-        for field in ("randomization_prob", "alpha_one_sided", "nominal_power"):
+        for field in ("randomization_prob", "alpha_one_sided"):
             with pytest.raises(InvalidParameterError):
                 TrialDesign(true_hr=0.5, target_events=10, sample_size=20,
                             **{field: 1.5})
