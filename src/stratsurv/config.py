@@ -17,11 +17,11 @@ import operator
 from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
 
-from .design import DesignInputs, schoenfeld_events
+from .design import DesignInputs, sample_size, schoenfeld_events
 from .errors import ConfigError, InvalidParameterError
 from .inference import TIE_METHODS
 from .simulate import SE_SCALES, SimConfig
-from .trial import STRATUM_COUNT, ScenarioKind, ScenarioSpec, TrialDesign
+from .trial import MAX_SAMPLE_SIZE, STRATUM_COUNT, ScenarioKind, ScenarioSpec, TrialDesign
 
 _BALANCED = (1.0,) * STRATUM_COUNT  # equal weights: ``allocation = balanced``
 
@@ -55,6 +55,11 @@ class StudyConfig:
             raise InvalidParameterError("seed must be nonnegative")
         if self.workers is not None and self.workers < 1:
             raise InvalidParameterError("workers must be at least 1")
+        for hr, d in zip(self.true_hrs, self.events):
+            n = sample_size(d, self.event_fraction)
+            if n > MAX_SAMPLE_SIZE:
+                raise InvalidParameterError(
+                    f"true_hr={hr}: sample_size {n} exceeds the maximum of {MAX_SAMPLE_SIZE}")
 
     def sim_configs(self) -> list[SimConfig]:
         """One SimConfig per (true_hr, events) row; row i uses seed + i."""
@@ -177,7 +182,8 @@ def _build(entries: dict[str, dict[str, tuple[Any, int | None]]],
         return StudyConfig(scenario=scenario, **study)
     except InvalidParameterError as exc:
         # The parsers have checked each value on its own, so what is left is
-        # an events list that does not match the true_hr list.
+        # an events list that does not match the true_hr list, or a row whose
+        # sample size is too large.
         raise ConfigError(str(exc), path, lines.get("events"))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from typing import Any
 
 import numpy as np
@@ -18,8 +19,10 @@ import numpy as np
 from .datagen import TrialDataset
 from .errors import DataFormatError
 from .simulate import COX_KEYS, TEST_KEYS, StudyRow
+from .trial import STRATUM_COUNT
 
 _BASE_COLUMNS = ("id", "arm", "time", "event")
+_INT64 = np.iinfo(np.int64)
 
 #: Result CSV column order; power as percent with one decimal, estimation
 #: metrics with three decimals.
@@ -41,24 +44,65 @@ def read_subject_records(path: str) -> TrialDataset:
 
     Requires a header; times must be strictly positive, arm and event must be
     0/1, and the stratum is given either as an index in [0, 12) or as the
-    factor triple x1, x2, x3.
+    factor triple x1, x2, x3. The body is read with one ``np.loadtxt`` pass;
+    a file that pass cannot read, or with any row that fails a check, goes
+    to the row-by-row parser, which accepts exactly the same input as Python's
+    ``int``/``float`` and words every error with its row number.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        columns, triple = _read_header(csv.reader(fh))
+        dtype = [(name, np.float64 if name == "time" else np.int64) for name in columns]
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("dataset file is empty (header row required)")
-        columns = [c.strip().lower() for c in header]
-        if "stratum" in columns:
-            expected = set(_BASE_COLUMNS) | {"stratum"}
-            triple = False
-        else:
-            expected = set(_BASE_COLUMNS) | {"x1", "x2", "x3"}
-            triple = True
-        if set(columns) != expected:
-            raise DataFormatError(
-                f"header must contain exactly {sorted(expected)}, got {columns}", row=1)
+            # As an error, a warning (such as loadtxt's on a file with no data
+            # rows) sends the file to the row parser instead of to stderr.
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
+            table = None
+    if table is None or not _rows_valid(table, triple):
+        return _read_rows(path)
+    strata = table["x1"] * 6 + table["x2"] * 2 + table["x3"] if triple else table["stratum"]
+    return TrialDataset(
+        subject_id=table["id"],
+        stratum_index=strata,
+        arm=table["arm"],
+        enroll_time=np.zeros(table.size),
+        observed_time=table["time"],
+        event=table["event"] == 1,
+    )
+
+
+def _rows_valid(table: np.ndarray, triple: bool) -> bool:
+    """The row parser's checks as masks: rows exist, levels in range, times > 0 and finite."""
+    time = table["time"]
+    tops = {"x1": 1, "x2": 2, "x3": 1} if triple else {"stratum": STRATUM_COUNT - 1}
+    tops.update(arm=1, event=1)
+    return (table.size > 0 and bool(np.all((time > 0) & np.isfinite(time)))
+            and all(np.all((table[name] >= 0) & (table[name] <= top))
+                    for name, top in tops.items()))
+
+
+def _read_header(reader) -> tuple[list[str], bool]:
+    """The header's column names, and whether the stratum is the factor triple."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError("dataset file is empty (header row required)")
+    columns = [c.strip().lower() for c in header]
+    triple = "stratum" not in columns
+    expected = set(_BASE_COLUMNS) | ({"x1", "x2", "x3"} if triple else {"stratum"})
+    if set(columns) != expected:
+        raise DataFormatError(
+            f"header must contain exactly {sorted(expected)}, got {columns}", row=1)
+    return columns, triple
+
+
+def _read_rows(path: str) -> TrialDataset:
+    """The reference parser: one row at a time, each cell through ``int``/``float``."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        columns, triple = _read_header(reader)
         index = {name: columns.index(name) for name in columns}
 
         ids, strata, arms, times, events = [], [], [], [], []
@@ -68,7 +112,11 @@ def read_subject_records(path: str) -> TrialDataset:
             if len(row) != len(columns):
                 raise DataFormatError(
                     f"expected {len(columns)} fields, got {len(row)}", row=rownum)
-            ids.append(_int_cell(row[index["id"]], "id", rownum))
+            subject = _int_cell(row[index["id"]], "id", rownum)
+            if not _INT64.min <= subject <= _INT64.max:
+                raise DataFormatError(
+                    f"id must fit a signed 64-bit integer, got {subject}", row=rownum)
+            ids.append(subject)
             arm = _int_cell(row[index["arm"]], "arm", rownum)
             if arm not in (0, 1):
                 raise DataFormatError(f"arm must be 0 or 1, got {arm}", row=rownum)

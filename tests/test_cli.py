@@ -204,7 +204,8 @@ events = 20
                                            "true_hr = 0.999\nevents = auto"))
         out = tmp_path / "results.csv"
         assert main(["simulate", str(cfg), "-o", str(out), "--workers", "2"]) == 2
-        assert ("sample_size 44805896 exceeds the maximum of 1000000"
+        # The config error names the file, the events line and the row's true_hr.
+        assert (f"{cfg}:8: true_hr=0.999: sample_size 44805896 exceeds the maximum of 1000000"
                 in capsys.readouterr().err)
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 

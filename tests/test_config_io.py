@@ -153,6 +153,8 @@ class TestStudyConfigMapping:
         ("design", "accural_months", 99, "unknown key 'accural_months' in [design]"),
         ("scenario", "hr_x4", 0.5, "unknown key 'hr_x4' in [scenario]"),
         ("design", "randomization_prob", 1.5, "randomization_prob must be in (0, 1)"),
+        ("design", "events", [66, 31364127],
+         "true_hr=0.75: sample_size 44805896 exceeds the maximum of 1000000"),
     ])
     def test_replay_rejects_what_a_config_file_rejects(self, section, key, value, message):
         echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))
@@ -217,6 +219,7 @@ class TestDatasetRoundTrip:
         ("1,14,1,2.0,1", "stratum"),
         ("x,0,1,2.0,1", "integer"),
         ("1,0,1,abc,1", "number"),
+        ("99999999999999999999999,0,1,2.5,1", "id must fit a signed 64-bit integer"),
     ])
     def test_malformed_rows_name_row_number(self, tmp_path, row, message):
         path = tmp_path / "bad.csv"

@@ -1,0 +1,165 @@
+"""Differential tests of the two dataset import paths.
+
+``read_subject_records`` reads a file's body with one ``np.loadtxt`` pass
+and hands anything that pass cannot take, or any row that fails a check, to
+the row-by-row parser ``io._read_rows``, the reference. Files built by
+mutating valid rows must give bitwise-equal arrays through both, or the same
+``DataFormatError`` (message and row).
+"""
+
+from decimal import Decimal
+
+import numpy as np
+import pytest
+
+from stratsurv import io
+from stratsurv.errors import DataFormatError
+from stratsurv.io import read_subject_records
+
+FIELDS = ("subject_id", "stratum_index", "arm", "enroll_time", "observed_time", "event")
+STRATUM_HEADER = ("id", "stratum", "arm", "time", "event")
+TRIPLE_HEADER = ("id", "x1", "x2", "x3", "arm", "time", "event")
+
+# Cell spellings that Python's int()/float() and loadtxt may read differently.
+ODD_INT_CELLS = ("1_0", "1.0", "+1", " 1 ", "１", "-0", "007", str(2**63), str(-2**63),
+                 str(-2**63 - 1), "", " ", "0x1", "\t0\t", "- 1", "1 2", "1e0", "nan")
+ODD_TIME_CELLS = ("nan", "inf", "-inf", "1e400", "-0", "1e-400", "1_0.5", "0x1p3", "１",
+                  "+2.5", " 2.5 ", "2.5e", "", "infinity", ".5", "5.")
+# Values one past each end of the columns' ranges.
+OUT_OF_RANGE = {"stratum": ("-1", "12"), "x1": ("-1", "2"), "x2": ("-1", "3"),
+                "x3": ("-1", "2"), "arm": ("-1", "2"), "event": ("-1", "2"),
+                "time": ("0", "-0.0", "-1.5", "-inf", "4e-324")}
+
+
+def _time_text(rng: np.random.Generator) -> str:
+    """A positive time in one of several spellings, some pinning float rounding."""
+    x = float(rng.exponential(20.0)) + 1e-3
+    kind = rng.integers(6)
+    if kind == 0:
+        return repr(x)  # 17 significant digits at most, round-trips exactly
+    if kind == 1:
+        return f"{x:.40f}"  # long decimal
+    if kind == 2:
+        return f"{x:.{int(rng.integers(1, 8))}e}"
+    if kind == 3:
+        # Exactly halfway between two doubles: rounds to the even one.
+        mid = (Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2
+        return str(mid)
+    if kind == 4:
+        return str(int(rng.integers(1, 240)))  # whole months
+    return "0." + "".join(str(d) for d in rng.integers(0, 10, 30)) + "1"
+
+
+def _row(rng: np.random.Generator, columns: tuple[str, ...]) -> dict[str, str]:
+    high = (2**63 - 1) if rng.random() < 0.1 else 10**6
+    cells = {"id": str(int(rng.integers(-high, high))),
+             "stratum": str(int(rng.integers(12))),
+             "x1": str(int(rng.integers(2))), "x2": str(int(rng.integers(3))),
+             "x3": str(int(rng.integers(2))),
+             "arm": str(int(rng.integers(2))), "event": str(int(rng.integers(2))),
+             "time": _time_text(rng)}
+    return {name: cells[name] for name in columns}
+
+
+def _mutate(rng: np.random.Generator, lines: list[str], columns: tuple[str, ...]) -> None:
+    """Apply one mutation to the body lines (header excluded), in place."""
+    at = int(rng.integers(len(lines) + 1))
+    kind = rng.integers(14)
+    if kind == 0:
+        lines.insert(at, "")
+    elif kind == 1:
+        lines.insert(at, str(rng.choice([" ", "\t", "  \t "])))
+    elif kind == 2:
+        lines.insert(at, "," * (len(columns) - 1))
+    elif kind == 3:
+        lines.insert(at, "# a comment")
+    elif kind == 4 and lines:
+        cells = lines[min(at, len(lines) - 1)].split(",")
+        cells.append("1") if rng.random() < 0.5 else cells.pop()
+        lines[min(at, len(lines) - 1)] = ",".join(cells)
+    elif kind == 5 and lines:
+        lines[min(at, len(lines) - 1)] = ",".join(
+            f'"{c}"' for c in lines[min(at, len(lines) - 1)].split(","))
+    elif kind == 6:
+        lines.clear()  # header-only file
+    elif lines:
+        # Replace one cell: an odd spelling, or a value just out of range.
+        row = min(at, len(lines) - 1)
+        cells = lines[row].split(",")
+        col = int(rng.integers(len(cells)))
+        if rng.random() < 0.4 and columns[col] in OUT_OF_RANGE:
+            cells[col] = str(rng.choice(OUT_OF_RANGE[columns[col]]))
+        else:
+            cells[col] = str(rng.choice(ODD_TIME_CELLS if columns[col] == "time"
+                                        else ODD_INT_CELLS))
+        lines[row] = ",".join(cells)
+
+
+def _dataset_file(rng: np.random.Generator, mutations: int) -> str:
+    """CSV text of 1-12 valid rows under either header form, then mutated."""
+    columns = STRATUM_HEADER if rng.random() < 0.5 else TRIPLE_HEADER
+    columns = tuple(columns[i] for i in rng.permutation(len(columns)))
+    lines = [",".join(_row(rng, columns).values()) for _ in range(int(rng.integers(1, 13)))]
+    for _ in range(mutations):
+        _mutate(rng, lines, columns)
+    header = ",".join(name.upper() if rng.random() < 0.2 else name for name in columns)
+    ending = str(rng.choice(["\n", "\r\n", "\r"])) if mutations else "\n"
+    text = ending.join([header] + lines)
+    return text + ending if rng.random() < 0.8 else text
+
+
+def _outcome(read, path):
+    """The arrays read from ``path``, or the error's type, message and row."""
+    try:
+        ds = read(path)
+    except DataFormatError as exc:
+        return ("error", str(exc), exc.row)
+    return tuple((getattr(ds, f).dtype.str, getattr(ds, f).tobytes()) for f in FIELDS)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_both_paths_agree_on_mutated_files(tmp_path, monkeypatch, recwarn, seed):
+    rng = np.random.default_rng(seed)
+    reference = io._read_rows
+    fallbacks = []
+    monkeypatch.setattr(io, "_read_rows", lambda path: fallbacks.append(path) or reference(path))
+    files = 150
+    for i in range(files):
+        path = tmp_path / f"data{i}.csv"
+        path.write_bytes(_dataset_file(rng, int(rng.integers(4))).encode("utf-8"))
+        assert _outcome(read_subject_records, path) == _outcome(reference, path), \
+            path.read_bytes()
+    # Both paths ran, and no warning of the loadtxt pass escaped.
+    assert 0 < len(fallbacks) < files
+    assert not recwarn.list
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clean_files_take_one_loadtxt_pass(tmp_path, monkeypatch, seed):
+    rng = np.random.default_rng(100 + seed)
+    path = tmp_path / "clean.csv"
+    path.write_text(_dataset_file(rng, mutations=0), encoding="utf-8")
+    expected = _outcome(io._read_rows, path)
+
+    def refuse(path):
+        raise AssertionError("a clean file fell back to the row parser")
+
+    monkeypatch.setattr(io, "_read_rows", refuse)
+    assert _outcome(read_subject_records, path) == expected
+
+
+@pytest.mark.parametrize("cell,accepted", [
+    ("1_0", True), ("１", True), (" 7 ", True), ('"4"', True),
+    ("1.0", False), ("", False),
+])
+def test_cells_python_reads_and_loadtxt_does_not(tmp_path, cell, accepted):
+    # The row parser's grammar is Python int() after stripping whitespace,
+    # so these spellings are read (or rejected) exactly as before.
+    path = tmp_path / "odd.csv"
+    path.write_text(f"id,stratum,arm,time,event\n{cell},0,1,2.5,1\n", encoding="utf-8")
+    if accepted:
+        assert read_subject_records(path).subject_id[0] == int(cell.strip().strip('"'))
+    else:
+        with pytest.raises(DataFormatError) as err:
+            read_subject_records(path)
+        assert err.value.row == 2

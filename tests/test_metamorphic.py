@@ -1,0 +1,121 @@
+"""Metamorphic tests of the analysis engine: relations that need no oracle.
+
+Each relation maps a dataset to another whose analyses are known from the
+first (Therneau & Grambsch, *Modeling Survival Data*, 2000, ch. 3):
+
+- t -> 2t keeps the order and the ties of the times, and every analysis
+  reads times only through them, so nothing changes, bit for bit;
+- swapping the arms negates the treatment coefficient and both log-rank z.
+
+Each relation is checked through the one-dataset calls ``cox_fit`` and
+``logrank``, and through one ``analyze_trials`` batch that holds the original
+trials and their images side by side.
+"""
+
+import numpy as np
+import pytest
+
+from stratsurv.datagen import RngStream, TrialBatch, TrialDataset, generate_trials
+from stratsurv.inference import (
+    COX_METHODS,
+    TIE_METHODS,
+    AnalysisSpec,
+    analyze_trials,
+    cox_fit,
+    logrank,
+)
+from stratsurv.trial import ScenarioSpec, TrialDesign
+
+TRIALS = 4
+TOL = 1e-10  # for relations that hold only up to rounding and Newton's tolerance
+
+
+def _batch(tied: bool) -> TrialBatch:
+    """Four 200-subject trials; ``tied`` rounds times up to whole months."""
+    design = TrialDesign.from_event_target(0.7, 140)
+    batch = generate_trials(design, ScenarioSpec.multiplicative_covariates(),
+                            (RngStream(17, i).generator() for i in range(TRIALS)))
+    if tied:
+        batch = batch._replace(observed_time=np.ceil(batch.observed_time))
+    return batch
+
+
+def _double_times(batch: TrialBatch) -> TrialBatch:
+    return batch._replace(observed_time=2.0 * batch.observed_time)
+
+
+def _swap_arms(batch: TrialBatch) -> TrialBatch:
+    return batch._replace(arm=(1 - batch.arm).astype(batch.arm.dtype))
+
+
+def _stacked(*batches: TrialBatch) -> TrialBatch:
+    return TrialBatch(*(np.concatenate(fields) for fields in zip(*batches)))
+
+
+def _dataset(batch: TrialBatch, row: int) -> TrialDataset:
+    n = batch.arm.shape[1]
+    return TrialDataset(np.arange(n), **{name: values[row]
+                                         for name, values in batch._asdict().items()})
+
+
+@pytest.fixture(params=[False, True], ids=["continuous", "tied"])
+def batch(request):
+    return _batch(request.param)
+
+
+class TestDoublingTime:
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_one_dataset_calls_unchanged(self, batch, ties):
+        image = _double_times(batch)
+        for row in range(TRIALS):
+            ds, ds2 = _dataset(batch, row), _dataset(image, row)
+            for stratified in (False, True):
+                assert logrank(ds, stratified) == logrank(ds2, stratified)
+            for method in COX_METHODS:
+                fit = cox_fit(ds, AnalysisSpec(method, ties))
+                fit2 = cox_fit(ds2, AnalysisSpec(method, ties))
+                assert np.array_equal(fit.beta, fit2.beta)
+                assert np.array_equal(fit.covariance, fit2.covariance)
+                assert (fit.loglik, fit.iterations, fit.converged) == \
+                    (fit2.loglik, fit2.iterations, fit2.converged)
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_mixed_batch_unchanged(self, batch, ties):
+        out = analyze_trials(_stacked(batch, _double_times(batch)), ties)
+        first, second = slice(0, TRIALS), slice(TRIALS, 2 * TRIALS)
+        for z in (out.logrank_z, out.stratified_logrank_z):
+            assert np.array_equal(z[first], z[second])
+        for fits in out.fits:
+            for field in fits:
+                assert np.array_equal(field[first], field[second], equal_nan=True)
+
+
+class TestSwappingArms:
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_one_dataset_calls_negate_treatment(self, batch, ties):
+        image = _swap_arms(batch)
+        for row in range(TRIALS):
+            ds, ds2 = _dataset(batch, row), _dataset(image, row)
+            for stratified in (False, True):
+                z, z2 = logrank(ds, stratified).z, logrank(ds2, stratified).z
+                assert abs(z + z2) <= TOL
+            for method in COX_METHODS:
+                fit = cox_fit(ds, AnalysisSpec(method, ties))
+                fit2 = cox_fit(ds2, AnalysisSpec(method, ties))
+                assert fit.converged and fit2.converged
+                assert abs(fit.treatment_log_hr + fit2.treatment_log_hr) <= TOL
+                assert abs(fit.treatment_se - fit2.treatment_se) <= TOL
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_mixed_batch_negates_treatment(self, batch, ties):
+        out = analyze_trials(_stacked(batch, _swap_arms(batch)), ties)
+        first, second = slice(0, TRIALS), slice(TRIALS, 2 * TRIALS)
+        for z in (out.logrank_z, out.stratified_logrank_z):
+            assert np.all(np.abs(z[first] + z[second]) <= TOL)
+        for fits in out.fits:
+            assert np.all(fits.converged)
+            treatment = fits.beta[:, 0]
+            assert np.all(np.abs(treatment[first] + treatment[second]) <= TOL)
+            assert np.all(np.abs(fits.treatment_se[first] - fits.treatment_se[second]) <= TOL)
+            # The multivariate fit's prognostic coefficients do not move.
+            assert np.all(np.abs(fits.beta[first, 1:] - fits.beta[second, 1:]) <= TOL)
