@@ -240,7 +240,7 @@ def _bounded(scalar, accept, bounds):
 
 _positive_float = _bounded(_float_scalar, lambda x: x > 0, "positive")
 _probability = _bounded(_float_scalar, lambda x: 0.0 < x < 1.0, "in (0, 1)")
-_event_fraction = _bounded(_float_scalar, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
+_unit_interval = _bounded(_float_scalar, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _positive_int = _bounded(_int_scalar, lambda n: n >= 1, "at least 1")
 _nonneg_int = _bounded(_int_scalar, lambda n: n >= 0, "nonnegative")
 
@@ -263,6 +263,10 @@ def _number_list(value, key, path, line, parse_item=_float_scalar):
     if not items:
         raise ConfigError(f"{key} must hold at least one number", path, line)
     return tuple(parse_item(item, key, path, line) for item in items)
+
+
+def _hazard_ratios(value, key, path, line):
+    return _number_list(value, key, path, line, _unit_interval)
 
 
 def _events(value, key, path, line):
@@ -320,14 +324,14 @@ _SCHEMA: dict[str, tuple[_Key, ...]] = {
         _Key("stratum_medians", _number_list),
     ),
     "design": (
-        _Key("true_hr", _number_list, "true_hrs", required=True),
+        _Key("true_hr", _hazard_ratios, "true_hrs", required=True),
         _Key("events", _events),
         _Key("accrual_months", _positive_float),
         _Key("allocation", _allocation, "allocation_weights"),
         _Key("randomization_prob", _probability),
         _Key("alpha_one_sided", _probability),
         _Key("power", _probability),
-        _Key("event_fraction", _event_fraction),
+        _Key("event_fraction", _unit_interval),
     ),
     "run": (
         _Key("replicates", _positive_int),

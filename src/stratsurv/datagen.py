@@ -85,6 +85,8 @@ class TrialDataset:
             self.stratum_index.min() < 0 or self.stratum_index.max() >= 12
         ):
             raise InvalidParameterError("stratum_index values must lie in [0, 12)")
+        if self.arm.size and (self.arm.min() < 0 or self.arm.max() > 1):
+            raise InvalidParameterError("arm values must be 0 or 1")
 
     @property
     def n_subjects(self) -> int:

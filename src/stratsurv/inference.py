@@ -5,21 +5,40 @@ subject arrays; ``logrank``, ``cox_fit`` and ``partial_likelihood_terms`` are
 its B = 1 case, on a 1-row view of their dataset, so a replay of a Monte Carlo
 run through them reproduces it exactly.
 
-Layout. Each row (one dataset) is sorted by (stratum, time) with
-``lexsort(..., axis=-1)``; the unstratified layout pools each row into one
-stratum. Subjects run along the last axis: event indicators are (B, N) and
-covariates (B, p, N). Every position knows the first and one-past-last
-position of its tied (stratum, time) block and of its stratum, and the risk
-set of a block is the rest of its stratum from the block's start.
+Layout. Each row (one dataset) is sorted by time with one stable argsort;
+the unstratified layout pools the row into one stratum, and the stratified
+layout re-sorts that order by stratum with one stable sort on int8 strata,
+which sorts by (stratum, time) with ties in subject order. Subjects run along
+the last axis: event indicators are (B, N) and covariates (B, p, N). Every
+position knows the first and one-past-last position of its tied
+(stratum, time) block and of its stratum, and the risk set of a block is the
+rest of its stratum from the block's start. The multivariate design is one
+gather from a coding table of the 24 cells 2 * stratum + arm.
 
-Risk-set sums. Suffix sums run along each row, with a trailing zero, so the
-sum over a risk set is ``R[block_start] - R[stratum_end]``. The partial
-likelihood takes suffix sums of w = exp(eta) and of wX only. The information
-sum over deaths of S2/denom equals sum_i w_i c_i x_i x_i', where c_i is the
-within-stratum running (prefix) sum of 1/denom over the deaths whose risk
-set holds subject i. The gradient is then sum_i (delta_i - w_i c_i) x_i and
-the information one stacked (B, p, N) @ (B, N, p) product, with no N x p^2
-array.
+Arm counts. Each layout computes once, per position, n0 and n1, the control
+and treated subjects in its risk set, and d0 and d1, the control and treated
+deaths in its tied block. The log-rank test reads them, and so does the Cox
+likelihood whose one covariate is the binary arm a (the unstratified and the
+stratified fit). With a^2 = a, a death's Efron sums (see Ties) are
+S0 = (n0 - j d0) w0 + (n1 - j d1) w1 and S1 = S2 = (n1 - j d1) w1, where
+w0 = e^-m, w1 = e^(beta - m) and m = max(beta, 0). With r = S1/S0 the death
+adds beta a - m - log S0 to the log-likelihood, a - r to the score and
+r(1 - r) to the information, so each evaluation is a few elementwise (B, N)
+operations and row sums, with no cumulative sum or gather. At beta = 0 under
+Breslow r = n1/n, so the score is the log-rank O - E: the log-rank test is
+this likelihood's score test at beta = 0. Its information sums f(1 - f),
+f = n1/n, over the deaths, and the log-rank variance sums
+f(1 - f)(n - d)/(n - 1), the exact hypergeometric variance of a tied block;
+the two agree where no block holds two deaths.
+
+Risk-set sums. The multivariate likelihood sums over risk sets directly.
+Suffix sums run along each row, with a trailing zero, so the sum over a risk
+set is ``R[block_start] - R[stratum_end]``. The partial likelihood takes
+suffix sums of w = exp(eta) and of wX only. The information sum over deaths
+of S2/denom equals sum_i w_i c_i x_i x_i', where c_i is the within-stratum
+running (prefix) sum of 1/denom over the deaths whose risk set holds subject
+i. The gradient is then sum_i (delta_i - w_i c_i) x_i and the information one
+stacked (B, p, N) @ (B, N, p) product, with no N x p^2 array.
 
 Ties. Efron and Breslow are one rule. Each death carries a weight
 j = (rank of the death in its tied block) / (deaths in the block) under
@@ -56,7 +75,7 @@ import numpy as np
 
 from .datagen import TrialBatch, TrialDataset
 from .errors import DegenerateTestError, InvalidModelError, InvalidParameterError
-from .trial import COVARIATE_NAMES, stratum_covariates
+from .trial import COVARIATE_NAMES, STRATUM_COUNT, stratum_covariates
 
 TIE_METHODS = ("efron", "breslow")
 
@@ -156,28 +175,43 @@ def _at(sums: np.ndarray, index: np.ndarray) -> np.ndarray:
     return np.take_along_axis(sums, index, axis=-1)
 
 
-class _Runs(NamedTuple):
+class _Runs:
     """Runs of a (B, N) layout that begin where ``new`` is set: the flat
     ``reduceat`` starts and lengths of the runs (a run never crosses a row),
-    and each position's row-local run start and one-past-end."""
+    and, built on first use, each position's row-local run start and
+    one-past-end."""
 
-    first: np.ndarray
-    length: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
+    def __init__(self, new: np.ndarray):
+        self.shape = new.shape
+        self.first = np.flatnonzero(new)
+        self.length = np.diff(self.first, append=new.size)
 
-    @classmethod
-    def of(cls, new: np.ndarray) -> "_Runs":
-        first = np.flatnonzero(new)
-        length = np.diff(first, append=new.size)
-        start = np.repeat(first % new.shape[1], length).reshape(new.shape)
-        return cls(first, length, start, start + np.repeat(length, length).reshape(new.shape))
+    def _spread_index(self, index: np.ndarray) -> np.ndarray:
+        return np.repeat(index, self.length).reshape(self.shape)
+
+    @cached_property
+    def start(self) -> np.ndarray:
+        return self._spread_index(self.first % self.shape[1])
+
+    @cached_property
+    def end(self) -> np.ndarray:
+        return self._spread_index(self.first % self.shape[1] + self.length)
 
     def spread(self, reduce, values: np.ndarray) -> np.ndarray:
         """``reduce`` of (B[, p], N) values over each run, at every position."""
         flat = np.moveaxis(values, 0, -2).reshape(values.shape[1:-1] + (-1,))
         out = np.repeat(reduce.reduceat(flat, self.first, axis=-1), self.length, axis=-1)
         return np.moveaxis(out.reshape(flat.shape[:-1] + (values.shape[0], -1)), -2, 0)
+
+
+class _ArmCounts(NamedTuple):
+    """Per position of a layout: the control and treated subjects in its risk
+    set (n0, n1), and the control and treated deaths in its tied block (d0, d1)."""
+
+    n0: np.ndarray
+    n1: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
 
 
 class _RiskSets:
@@ -192,42 +226,39 @@ class _RiskSets:
     stratum per row.
     """
 
-    def __init__(self, event: np.ndarray, new_stratum: np.ndarray, new_block: np.ndarray):
+    def __init__(self, event: np.ndarray, arm: np.ndarray, new_stratum: np.ndarray,
+                 new_block: np.ndarray):
         self.death = event
         self.event = event.astype(float)
+        self.arm = arm
         self.new_stratum = new_stratum
         self.new_block = new_block
         self.untied = bool(new_block.all())
         self.pooled = not new_stratum[:, 1:].any()
 
     @classmethod
-    def sort(cls, time, event, strata=None):
-        """Layout of (B, N) arrays, with the sort order that built it."""
-        rows, n = time.shape
-        if strata is None:
-            order = np.argsort(time, axis=1, kind="stable")
-        else:
-            order = np.lexsort((time, strata), axis=1)
-        t = np.take_along_axis(time, order, 1)
-        new_stratum = np.zeros((rows, n), dtype=bool)
+    def of(cls, time, event, arm, strata=None):
+        """Layout of (B, N) arrays whose rows are sorted by (stratum, time);
+        without strata each row is one stratum."""
+        new_stratum = np.zeros(time.shape, dtype=bool)
         new_stratum[:, :1] = True
         if strata is not None:
-            s = np.take_along_axis(strata, order, 1)
-            new_stratum[:, 1:] = s[:, 1:] != s[:, :-1]
+            new_stratum[:, 1:] = strata[:, 1:] != strata[:, :-1]
         new_block = new_stratum.copy()
-        new_block[:, 1:] |= t[:, 1:] != t[:, :-1]
-        return cls(np.take_along_axis(event, order, 1), new_stratum, new_block), order
+        new_block[:, 1:] |= time[:, 1:] != time[:, :-1]
+        return cls(event, arm, new_stratum, new_block)
 
     def take(self, rows: np.ndarray) -> "_RiskSets":
-        return _RiskSets(self.death[rows], self.new_stratum[rows], self.new_block[rows])
+        return _RiskSets(self.death[rows], self.arm[rows], self.new_stratum[rows],
+                         self.new_block[rows])
 
     @cached_property
     def _strata(self) -> _Runs:
-        return _Runs.of(self.new_stratum)
+        return _Runs(self.new_stratum)
 
     @cached_property
     def _blocks(self) -> _Runs:
-        return _Runs.of(self.new_block)
+        return _Runs(self.new_block)
 
     def risk_sums(self, values: np.ndarray) -> np.ndarray:
         """Per row, the sum of values over each position's risk set."""
@@ -252,14 +283,26 @@ class _RiskSets:
             return values.max(axis=1, keepdims=True)
         return self._strata.spread(np.maximum, values)
 
+    @cached_property
+    def counts(self) -> _ArmCounts:
+        """The arm counts of every position, as exact integers in floats."""
+        n = self.death.shape[1]
+        # a risk set runs from its block's start to its stratum's end
+        start = np.arange(n) if self.untied else self._blocks.start
+        at_risk = (n if self.pooled else self._strata.end) - start
+        n1 = self.risk_sums(self.arm)
+        d1 = self.block_sums(self.arm * self.event)
+        return _ArmCounts(at_risk - n1, n1, self.block_sums(self.event) - d1, d1)
+
+    @cached_property
     def efron_weights(self) -> np.ndarray | None:
         """Per death, j = (rank in its tied block) / (deaths in the block);
         None when no block holds two deaths, so that every j is 0."""
         if self.untied:
             return None
         before = _prefix_sums(self.event)
-        rank = before[:, :-1] - _at(before, self._blocks.start)
-        j = np.divide(rank, self.block_sums(self.event), out=np.zeros_like(rank),
+        rank = np.subtract(before[:, :-1], _at(before, self._blocks.start), out=before[:, :-1])
+        j = np.divide(rank, self.counts.d0 + self.counts.d1, out=np.zeros_like(rank),
                       where=self.death)
         return j if j.any() else None
 
@@ -282,7 +325,7 @@ class _LogRankStats(NamedTuple):
         return self.observed_minus_expected / root
 
 
-def _logrank_stats(risk: _RiskSets, arm: np.ndarray) -> _LogRankStats:
+def _logrank_stats(risk: _RiskSets) -> _LogRankStats:
     """O - E and hypergeometric variance per row, summed over the deaths.
 
     A death in a block with d deaths among n at risk, n1 of them treated,
@@ -290,11 +333,11 @@ def _logrank_stats(risk: _RiskSets, arm: np.ndarray) -> _LogRankStats:
     variance; summed over the block's deaths these are the usual block terms.
     """
     e = risk.event
-    n = risk.risk_sums(np.ones_like(arm))
-    frac = risk.risk_sums(arm) / n
-    d = risk.block_sums(e)
-    oe = ((arm - frac) * e).sum(axis=1)
-    terms = frac * (1.0 - frac) * (n - d) / np.maximum(n - 1.0, 1.0) * e
+    n0, n1, d0, d1 = risk.counts
+    n = n0 + n1
+    frac = n1 / n
+    oe = ((risk.arm - frac) * e).sum(axis=1)
+    terms = frac * (1.0 - frac) * (n - (d0 + d1)) / np.maximum(n - 1.0, 1.0) * e
     # a stratum's running count at its last position covers the whole stratum
     last = np.ones_like(risk.new_stratum)
     last[:, :-1] = risk.new_stratum[:, 1:]
@@ -344,10 +387,12 @@ class _CoxLikelihood:
         self.risk = risk
         self.X = X
         self.j = j
+        self.death = risk.death
+        self.p = X.shape[1]
 
     @classmethod
     def build(cls, risk: _RiskSets, X: np.ndarray, tie_method: str) -> "_CoxLikelihood":
-        return cls(risk, X, risk.efron_weights() if tie_method == "efron" else None)
+        return cls(risk, X, risk.efron_weights if tie_method == "efron" else None)
 
     def take(self, rows: np.ndarray) -> "_CoxLikelihood":
         return _CoxLikelihood(self.risk.take(rows), self.X[rows],
@@ -357,10 +402,7 @@ class _CoxLikelihood:
         """Log-likelihood (B,), gradient (B, p) and Hessian (B, p, p) at beta (B, p)."""
         risk, X, j, e = self.risk, self.X, self.j, self.risk.event
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if X.shape[1] == 1:  # the product itself, without a matmul per row
-                eta = X[:, 0] * beta
-            else:
-                eta = np.matmul(beta[:, None, :], X)[:, 0]
+            eta = np.matmul(beta[:, None, :], X)[:, 0]
             eta -= risk.stratum_max(eta)
             w = np.exp(eta)
             denom = risk.risk_sums(w)
@@ -384,6 +426,57 @@ class _CoxLikelihood:
             hess = (np.matmul(r, r.transpose(0, 2, 1))
                     - np.matmul(X * v[:, None], X.transpose(0, 2, 1)))
         return ll, grad, hess
+
+
+class _TreatmentLikelihood:
+    """Partial log-likelihood of B datasets whose one covariate is the arm,
+    read from a layout's arm counts (see "Arm counts" above).
+
+    ``c0`` and ``c1`` are n - j d of each arm at a death, so that its sums
+    are S0 = c0 w0 + c1 w1 and S1 = c1 w1. Off the deaths both are 1, which
+    keeps S0 there finite and at least 1 for any beta; the row sums mask those
+    positions out.
+    """
+
+    p = 1
+
+    def __init__(self, event: np.ndarray, c0: np.ndarray, c1: np.ndarray,
+                 treated: np.ndarray):
+        self.event = event
+        self.death = event > 0.0
+        self.c0 = c0
+        self.c1 = c1
+        self.treated = treated
+        self.deaths = event.sum(axis=1)
+
+    @classmethod
+    def build(cls, risk: _RiskSets, tie_method: str) -> "_TreatmentLikelihood":
+        n0, n1, d0, d1 = risk.counts
+        c0 = np.where(risk.death, n0, 1.0)
+        c1 = np.where(risk.death, n1, 1.0)
+        j = risk.efron_weights if tie_method == "efron" else None
+        if j is not None:  # j is 0 off the deaths
+            c0 -= j * d0
+            c1 -= j * d1
+        return cls(risk.event, c0, c1, (risk.arm * risk.event).sum(axis=1))
+
+    def take(self, rows: np.ndarray) -> "_TreatmentLikelihood":
+        return _TreatmentLikelihood(self.event[rows], self.c0[rows], self.c1[rows],
+                                    self.treated[rows])
+
+    def evaluate(self, beta: np.ndarray):
+        """Log-likelihood (B,), gradient (B, 1) and Hessian (B, 1, 1) at beta (B, 1)."""
+        e = self.event
+        m = np.maximum(beta, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s1 = self.c1 * np.exp(beta - m)
+            s0 = self.c0 * np.exp(-m) + s1
+            ll = (beta[:, 0] * self.treated - m[:, 0] * self.deaths
+                  - (np.log(s0) * e).sum(axis=1))
+            r = s1 / s0 * e
+            grad = self.treated - r.sum(axis=1)
+            info = (r * (1.0 - r)).sum(axis=1)
+        return ll, grad[:, None], -info[:, None, None]
 
 
 MAX_ITERATIONS = 50
@@ -476,7 +569,7 @@ def _running(active, lik, status):
     return active[keep], lik.take(keep)
 
 
-def _newton(lik: _CoxLikelihood) -> _CoxFits:
+def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
     """Fit every row by Newton iteration from beta = 0, each on its own path.
 
     A step is halved (up to 20 times) whenever it would decrease the
@@ -484,10 +577,10 @@ def _newton(lik: _CoxLikelihood) -> _CoxFits:
     gradient component below 1e-9 or a relative log-likelihood change below
     1e-12. Any coefficient beyond +-15 flags likely separation.
     """
-    rows, p, _ = lik.X.shape
+    rows, p = len(lik.death), lik.p
     beta = np.zeros((rows, p))
     ll, grad, hess = lik.evaluate(beta)
-    status = np.where(lik.risk.death.any(axis=1), _RUNNING, _NO_EVENTS)
+    status = np.where(lik.death.any(axis=1), _RUNNING, _NO_EVENTS)
     iterations = np.zeros(rows, dtype=np.int64)
     has_events = np.flatnonzero(status == _RUNNING)
     # Full column rank on the event risk sets <=> the information at beta = 0
@@ -543,53 +636,65 @@ def _newton(lik: _CoxLikelihood) -> _CoxFits:
     return _CoxFits(beta, covariance, se, ll, np.abs(grad).max(axis=1), iterations, status)
 
 
-def _cox_design(method: Method, arm: np.ndarray, strata: np.ndarray):
-    """(stratified, X of shape (B, p, N), covariate names) of a Cox method."""
-    treatment = arm[:, None, :]
-    if method is Method.COX_UNSTRATIFIED:
-        return False, treatment, ("treatment",)
-    if method is Method.COX_MULTIVARIATE:
-        covariates = stratum_covariates(strata.ravel()).reshape(strata.shape + (4,))
-        X = np.concatenate((treatment, covariates.transpose(0, 2, 1)), axis=1)
-        return False, X, ("treatment",) + COVARIATE_NAMES
-    if method is Method.COX_STRATIFIED:
-        return True, treatment, ("treatment",)
-    raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
-
-
 # ---------------------------------------------------------------------------
 # Datasets stacked into one batch
+
+
+#: Column c is the multivariate design of cell c = 2 * stratum + arm: the
+#: arm, then the stratum's covariates in COVARIATE_NAMES order.
+_CELL_DESIGN = np.vstack((np.tile([0.0, 1.0], STRATUM_COUNT),
+                          np.repeat(stratum_covariates(np.arange(STRATUM_COUNT)).T, 2, axis=1)))
 
 
 class _Trials:
     """Analyzed subject arrays of B same-size datasets as (B, N), from the rows
     of a ``TrialBatch`` or a 1-row view of a ``TrialDataset``, with the two
-    layouts built once and shared by the analyses."""
+    layouts built once and shared by the analyses.
+
+    Both layouts start from one stable sort of each row by time. The
+    stratified order re-sorts it by stratum, stably, so ties keep subject
+    order within a (stratum, time) block.
+    """
 
     def __init__(self, trials: TrialBatch | TrialDataset):
-        self.time, self.event, arm, self.strata = (
+        self.time, self.event, self.arm, strata = (
             np.atleast_2d(a) for a in
             (trials.observed_time, trials.event, trials.arm, trials.stratum_index))
-        self.arm = arm.astype(float)
-        self._layouts: dict[bool, tuple[_RiskSets, np.ndarray]] = {}
+        self.order = np.argsort(self.time, axis=1, kind="stable")
+        # cell = 2 * stratum + arm, in time order
+        cells = 2 * strata.astype(np.int8) + self.arm.astype(np.int8)
+        self.cells = np.take_along_axis(cells, self.order, 1)
+        self._layouts: dict[bool, _RiskSets] = {}
 
-    def layout(self, stratified: bool) -> tuple[_RiskSets, np.ndarray]:
-        """The risk sets and their sort order; built on first use."""
+    def layout(self, stratified: bool) -> _RiskSets:
+        """The risk sets of a layout; built on first use."""
         key = bool(stratified)
         if key not in self._layouts:
-            self._layouts[key] = _RiskSets.sort(
-                self.time, self.event, self.strata if key else None)
+            order, strata = self.order, None
+            if key:
+                strata = self.cells >> 1
+                by_stratum = np.argsort(strata, axis=1, kind="stable")
+                order = np.take_along_axis(order, by_stratum, 1)
+                strata = np.take_along_axis(strata, by_stratum, 1)
+            time, event, arm = (np.take_along_axis(a, order, 1)
+                                for a in (self.time, self.event, self.arm))
+            self._layouts[key] = _RiskSets.of(time, event, arm.astype(float), strata)
         return self._layouts[key]
 
     def logrank(self, stratified: bool) -> _LogRankStats:
-        risk, order = self.layout(stratified)
-        return _logrank_stats(risk, np.take_along_axis(self.arm, order, 1))
+        return _logrank_stats(self.layout(stratified))
 
-    def likelihood(self, spec: AnalysisSpec) -> tuple[_CoxLikelihood, tuple[str, ...]]:
-        stratified, X, names = _cox_design(spec.method, self.arm, self.strata)
-        risk, order = self.layout(stratified)
-        X = np.take_along_axis(X, order[:, None, :], 2)
-        return _CoxLikelihood.build(risk, X, spec.tie_method), names
+    def likelihood(self, spec: AnalysisSpec
+                   ) -> tuple[_CoxLikelihood | _TreatmentLikelihood, tuple[str, ...]]:
+        method = spec.method
+        if method is Method.COX_MULTIVARIATE:
+            X = _CELL_DESIGN[:, self.cells].transpose(1, 0, 2).copy()
+            return (_CoxLikelihood.build(self.layout(False), X, spec.tie_method),
+                    ("treatment",) + COVARIATE_NAMES)
+        if method in (Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED):
+            risk = self.layout(method is Method.COX_STRATIFIED)
+            return _TreatmentLikelihood.build(risk, spec.tie_method), ("treatment",)
+        raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
 
 
 class TrialAnalyses(NamedTuple):
@@ -607,11 +712,17 @@ class TrialAnalyses(NamedTuple):
 def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyses:
     """Run the five analyses on every row of a batch of same-size trials."""
     trials = _Trials(batch)
+
+    def fit(method: Method) -> _CoxFits:
+        return _newton(trials.likelihood(AnalysisSpec(method, tie_method))[0])
+
+    # The multivariate fit has the largest working set; it runs before the
+    # layouts hold their arm counts.
+    multivariate = fit(Method.COX_MULTIVARIATE)
     return TrialAnalyses(
         logrank_z=trials.logrank(False).z(),
         stratified_logrank_z=trials.logrank(True).z(),
-        fits=tuple(_newton(trials.likelihood(AnalysisSpec(method, tie_method))[0])
-                   for method in COX_METHODS),
+        fits=(fit(Method.COX_UNSTRATIFIED), multivariate, fit(Method.COX_STRATIFIED)),
     )
 
 

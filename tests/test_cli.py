@@ -209,6 +209,16 @@ events = 20
                 in capsys.readouterr().err)
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
+    def test_true_hr_out_of_range_names_its_line(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
+                                           "true_hr = 0.5, 1.5\nevents = 20, 20"))
+        out = tmp_path / "results.csv"
+        proc = run_cli("simulate", str(cfg), "-o", str(out))
+        assert proc.returncode == 2
+        assert f"{cfg}:7: true_hr must be in (0, 1], got 1.5" in proc.stderr
+        assert not out.exists() and not (tmp_path / "results.csv.json").exists()
+
     def test_negative_seed_names_the_flag(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT)

@@ -155,6 +155,7 @@ class TestStudyConfigMapping:
         ("design", "randomization_prob", 1.5, "randomization_prob must be in (0, 1)"),
         ("design", "events", [66, 31364127],
          "true_hr=0.75: sample_size 44805896 exceeds the maximum of 1000000"),
+        ("design", "true_hr", [0.5, 1.5], "true_hr must be in (0, 1], got 1.5"),
     ])
     def test_replay_rejects_what_a_config_file_rejects(self, section, key, value, message):
         echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))

@@ -5,14 +5,16 @@ log-likelihood with grid-search maximization, and central finite differences.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from stratsurv.datagen import RngStream, TrialBatch, TrialDataset, generate_trial
-from stratsurv.errors import InvalidModelError, InvalidParameterError
+from stratsurv.errors import DegenerateTestError, InvalidModelError, InvalidParameterError
 from stratsurv.inference import (
     COX_METHODS,
+    TIE_METHODS,
     AnalysisSpec,
     Method,
     _CoxLikelihood,
@@ -22,7 +24,7 @@ from stratsurv.inference import (
     logrank,
     partial_likelihood_terms,
 )
-from stratsurv.trial import ScenarioSpec, TrialDesign
+from stratsurv.trial import ScenarioSpec, TrialDesign, stratum_covariates
 
 from _oracles import grid_search_cox, naive_partial_loglik, random_survival_data
 
@@ -47,10 +49,10 @@ def _trial(seed, d=40, scenario=None):
 
 def _likelihood(times, events, X, strata, ties):
     """The batched engine's likelihood of one dataset with free covariates X."""
-    risk, order = _RiskSets.sort(np.asarray(times, float)[None], np.asarray(events)[None],
-                                 np.asarray(strata)[None])
-    X = np.take_along_axis(np.asarray(X, float).T[None], order[:, None, :], 2)
-    return _CoxLikelihood.build(risk, X, ties)
+    order = np.lexsort((times, strata))
+    X = np.asarray(X, float)[order].T[None]
+    times, events, strata = (np.asarray(a)[order][None] for a in (times, events, strata))
+    return _CoxLikelihood.build(_RiskSets.of(times, events, X[:, 0], strata), X, ties)
 
 
 def _engine_terms(times, events, X, strata, ties, beta):
@@ -187,10 +189,10 @@ class TestGridOracle:
         while checked < 25:
             times, events, X, strata = random_survival_data(rng, covariates=1,
                                                             n_strata=2)
+            if not set(np.unique(X[:, 0])) == {0.0, 1.0}:
+                continue
             ds = _dataset(times, events, X[:, 0].astype(int), strata=strata)
             for spec, use_strata in ((UNSTRAT, None), (STRAT, strata)):
-                if not set(np.unique(X[:, 0])) == {0.0, 1.0}:
-                    continue
                 try:
                     fit = cox_fit(ds, spec)
                 except InvalidModelError:
@@ -213,6 +215,20 @@ class TestGridOracle:
             for ties in ("efron", "breslow"):
                 got = _engine_terms(times, events, X, strata, ties, beta)[0]
                 want = naive_partial_loglik(times, events, X, beta, strata, ties)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
+
+
+    def test_multivariate_design_is_arm_then_stratum_covariates(self):
+        rng = np.random.default_rng(77)
+        for seed in (26, 27):
+            ds = _trial(seed)
+            X = np.column_stack((ds.arm, stratum_covariates(ds.stratum_index)))
+            for ties in TIE_METHODS:
+                beta = rng.normal(0, 0.5, size=5)
+                got = partial_likelihood_terms(ds, AnalysisSpec(Method.COX_MULTIVARIATE, ties),
+                                               beta)[0]
+                want = naive_partial_loglik(ds.observed_time, ds.event, X, beta,
+                                            tie_method=ties)
                 assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
@@ -287,6 +303,65 @@ class TestHeavyTies:
                 fd_hess_col = (lp[1] - lm[1]) / (2 * e_k[k])
                 assert np.all(np.abs(fd_hess_col - hess[:, k])
                               <= 1e-5 * np.maximum(1.0, np.abs(hess[:, k])))
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_treatment_only_fits_match_naive_and_differences(self, tied, ties):
+        # the treatment-only likelihood, read from the arm counts
+        times, events, X, strata = tied
+        ds = _dataset(times, events, X[:, 0].astype(int), strata=strata)
+        for spec, use_strata in ((UNSTRAT, None), (STRAT, strata)):
+            spec = AnalysisSpec(spec.method, tie_method=ties)
+            for b in (0.0, 0.5, -0.5, 10.0, -10.0):
+                beta = np.array([b])
+                ll, grad, hess = partial_likelihood_terms(ds, spec, beta)
+                want = naive_partial_loglik(times, events, X[:, :1], beta, use_strata, ties)
+                assert ll == pytest.approx(want, rel=1e-10, abs=1e-10)
+                h = 1e-5 * max(1.0, abs(b))
+                lp = partial_likelihood_terms(ds, spec, beta + h)
+                lm = partial_likelihood_terms(ds, spec, beta - h)
+                fd_grad = (lp[0] - lm[0]) / (2 * h)
+                assert abs(fd_grad - grad[0]) <= 1e-5 * max(1.0, abs(grad[0]))
+                fd_hess = (lp[1][0] - lm[1][0]) / (2 * h)
+                assert abs(fd_hess - hess[0, 0]) <= 1e-5 * max(1.0, abs(hess[0, 0]))
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_edge_rows_of_a_batch_equal_single_dataset_calls(self, tied, ties):
+        # rows that stop or bend the analyses, in one batch with ordinary ones
+        times, events, X, strata = tied
+        n = 75
+        time, event, arm, stratum = (np.array(values).reshape(4, n) for values in
+                                     (times, events, X[:, 0].astype(np.int8), strata))
+        event[1] = False                  # all censored
+        arm[2][stratum[2] == 0] = 1       # stratum 0 holds treated subjects only
+        late = np.arange(n) % 5 == 0      # enrolled after the cutoff: zero follow-up
+        time[3][late], event[3][late] = 0.0, False
+        trials = TrialBatch(stratum_index=stratum, arm=arm, enroll_time=np.zeros((4, n)),
+                            latent_event_time=time, observed_time=time, event=event,
+                            cutoff_calendar_time=np.full(4, np.inf))
+        batch = analyze_trials(trials, ties)
+        for i in range(4):
+            ds = TrialDataset(np.arange(n),
+                              **{field: values[i] for field, values in trials._asdict().items()})
+            for stratified, z in ((False, batch.logrank_z), (True, batch.stratified_logrank_z)):
+                try:
+                    assert z[i] == logrank(ds, stratified).z
+                except DegenerateTestError:
+                    assert np.isnan(z[i])
+            for method, fits in zip(COX_METHODS, batch.fits):
+                try:
+                    one = cox_fit(ds, AnalysisSpec(method, ties))
+                except InvalidModelError as exc:
+                    with pytest.raises(InvalidModelError, match=re.escape(str(exc))):
+                        fits.fit(i, ())
+                    continue
+                row = fits.fit(i, one.covariate_names)
+                for field in ("beta", "covariance", "treatment_se", "loglik",
+                              "final_gradient_norm", "iterations"):
+                    assert np.array_equal(getattr(row, field), getattr(one, field),
+                                          equal_nan=True), field
+                assert row.diagnostic == one.diagnostic
+        assert np.isnan(batch.logrank_z[1])
+        assert np.all(batch.fits[2].converged[[0, 2, 3]])
 
     def test_breslow_is_efron_with_zero_weights(self, tied):
         times, events, X, strata = tied

@@ -321,3 +321,9 @@ class TestTrialDataset:
         with pytest.raises(InvalidParameterError):
             TrialDataset(subject_id=[0], stratum_index=[12], arm=[0],
                          enroll_time=[0.0], observed_time=[1.0], event=[True])
+
+    @pytest.mark.parametrize("arm", [-1, 2])
+    def test_arm_values_checked(self, arm):
+        with pytest.raises(InvalidParameterError, match="arm values must be 0 or 1"):
+            TrialDataset(subject_id=[0, 1], stratum_index=[0, 0], arm=[0, arm],
+                         enroll_time=[0.0, 0.0], observed_time=[1.0, 2.0], event=[True, True])
