@@ -13,6 +13,7 @@ the offending line. Defaults live only on the ``StudyConfig`` fields.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple
@@ -215,9 +216,12 @@ def _json_value(value: Any) -> Any:
 
 def _float_scalar(value, key, path, line):
     try:
-        return float(value)
+        out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}", path, line)
+    if not math.isfinite(out):
+        raise ConfigError(f"{key} must be a finite number, got {value}", path, line)
+    return out
 
 
 def _int_scalar(value, key, path, line):

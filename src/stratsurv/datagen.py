@@ -67,12 +67,16 @@ class TrialDataset:
         cutoff_calendar_time: float = math.inf,
         latent_event_time=None,
     ):
+        # stratum, arm and event are checked before their integer or bool
+        # conversion, which would truncate a fractional value silently
         self.subject_id = _frozen(subject_id, np.int64)
-        self.stratum_index = _frozen(stratum_index, np.int64)
-        self.arm = _frozen(arm, np.int8)
+        self.stratum_index = _checked(stratum_index, np.int64, "stratum_index",
+                                      lambda s: (s % 1 == 0) & (s >= 0) & (s < 12),
+                                      "be integers in [0, 12)")
+        self.arm = _checked(arm, np.int8, "arm", _binary, "be 0 or 1")
         self.enroll_time = _frozen(enroll_time, np.float64)
         self.observed_time = _frozen(observed_time, np.float64)
-        self.event = _frozen(event, np.bool_)
+        self.event = _checked(event, np.bool_, "event", _binary, "be 0 or 1")
         self.cutoff_calendar_time = float(cutoff_calendar_time)
         self.latent_event_time = (
             None if latent_event_time is None else _frozen(latent_event_time, np.float64)
@@ -81,12 +85,6 @@ class TrialDataset:
         for name in ("stratum_index", "arm", "enroll_time", "observed_time", "event"):
             if len(getattr(self, name)) != n:
                 raise InvalidParameterError(f"{name} must have length {n}")
-        if self.stratum_index.size and (
-            self.stratum_index.min() < 0 or self.stratum_index.max() >= 12
-        ):
-            raise InvalidParameterError("stratum_index values must lie in [0, 12)")
-        if self.arm.size and (self.arm.min() < 0 or self.arm.max() > 1):
-            raise InvalidParameterError("arm values must be 0 or 1")
 
     @property
     def n_subjects(self) -> int:
@@ -101,6 +99,18 @@ def _frozen(values, dtype) -> np.ndarray:
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
+
+
+def _binary(values: np.ndarray) -> np.ndarray:
+    return (values == 0) | (values == 1)
+
+
+def _checked(values, dtype, name, accept, rule) -> np.ndarray:
+    """``values`` frozen as ``dtype`` if ``accept`` holds for each one as given."""
+    raw = np.asarray(values)
+    if not np.all(accept(raw)):
+        raise InvalidParameterError(f"{name} values must {rule}")
+    return _frozen(raw, dtype)
 
 
 class TrialBatch(NamedTuple):

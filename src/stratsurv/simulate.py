@@ -9,13 +9,19 @@ batch. A study cell's outcomes are one columnar record, ``Replicates``: a row
 per replicate in index order, holding the three Cox estimates in COX_KEYS
 order and the five test outcomes in TEST_KEYS order. Aggregation reduces
 those columns in replicate order.
+
+A study runs on at most one process pool per call. Every row's chunks are
+queued on it up front, in row order, and each row is collected in replicate
+order, so a row's chunks start as soon as the previous row's free a worker.
+A row whose chunk raises fails alone. A killed worker breaks the pool: the
+row being collected fails, and the rows after it run on a fresh pool.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -67,6 +73,8 @@ class SimConfig:
             raise InvalidParameterError(f"se_scale must be one of {SE_SCALES}")
         if self.master_seed < 0:
             raise InvalidParameterError("master_seed must be nonnegative")
+        if self.workers is not None and self.workers < 1:
+            raise InvalidParameterError("workers must be at least 1")
 
 
 class Replicates(NamedTuple):
@@ -217,41 +225,90 @@ def _resolve_workers(config: SimConfig, workers: int | None) -> int:
     return min(workers or cpus, config.replicates, cpus)
 
 
-def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
-    """All replicates of one config as one columnar record, in replicate-index order."""
-    w = _resolve_workers(config, workers)
-    n = config.replicates
-    if w == 1:
-        return _replicate_range(config, 0, n)
-    chunk = max(1, math.ceil(n / (w * 4)))
-    bounds = list(range(0, n, chunk)) + [n]
-    pool = ProcessPoolExecutor(max_workers=w)
+def _run_rows(configs: list[SimConfig], workers: int | None) -> list[Replicates | Exception]:
+    """Each row's replicates in index order, or the exception that failed the row.
+
+    Every row resolves its worker count first; a row that resolves to one
+    worker runs in this process. The other rows share one pool: every chunk of
+    ceil(n / w) replicates is submitted up front, in row order, and the rows
+    are collected in order. A chunk that raises fails its row and cancels that
+    row's pending chunks. A broken pool fails the row being collected, and the
+    rows after it start again on a fresh pool.
+    """
+    widths = [_resolve_workers(config, workers) for config in configs]
+    outcomes: list[Replicates | Exception] = []
+    while len(outcomes) < len(configs):
+        done = len(outcomes)
+        outcomes += _run_on_one_pool(configs[done:], widths[done:])
+    return outcomes
+
+
+def _run_on_one_pool(configs: list[SimConfig], widths: list[int]) -> list[Replicates | Exception]:
+    """The leading rows' outcomes, up to and including a row that found the pool
+    broken; the pool is shut down before this returns, whatever happens."""
+    pool = ProcessPoolExecutor(max_workers=max(widths)) if max(widths) > 1 else None
     try:
-        futures = [
-            pool.submit(_replicate_range, config, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return _concatenate([fut.result() for fut in futures])
-    except BrokenProcessPool as exc:
-        raise BrokenProcessPool(
-            "a worker process was killed before its chunk finished, "
-            "often for lack of memory") from exc
+        chunks = [_submit(pool, config, w) if w > 1 else None
+                  for config, w in zip(configs, widths)]
+        outcomes: list[Replicates | Exception] = []
+        for config, futures in zip(configs, chunks):
+            try:
+                if futures is None:
+                    outcomes.append(_replicate_range(config, 0, config.replicates))
+                else:
+                    outcomes.append(_concatenate([fut.result() for fut in futures]))
+            except BrokenProcessPool as exc:
+                error = BrokenProcessPool("a worker process was killed before its "
+                                          "chunk finished, often for lack of memory")
+                error.__cause__ = exc
+                outcomes.append(error)
+                break
+            except Exception as exc:  # row isolation by contract
+                for fut in futures or ():
+                    fut.cancel()
+                outcomes.append(exc)
+        return outcomes
     finally:
-        # after a failed chunk or an interrupt, the pending chunks are dropped
-        pool.shutdown(cancel_futures=True)
+        # after an interrupt or a broken pool, every pending chunk is dropped
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _submit(pool: ProcessPoolExecutor, config: SimConfig, w: int) -> list[Future]:
+    """One row's chunks of ceil(n / w) replicates, in replicate-index order."""
+    n = config.replicates
+    chunk = math.ceil(n / w)
+    return [pool.submit(_replicate_range, config, lo, min(lo + chunk, n))
+            for lo in range(0, n, chunk)]
+
+
+def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
+    """All replicates of one config as one columnar record, in replicate-index order.
+
+    This is ``run_study``'s scheduling for one row: at more than one worker,
+    the replicates run as at most ``workers`` chunks on a pool that is shut
+    down before this returns. The error that fails the row is raised.
+    """
+    [outcome] = _run_rows([config], workers)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def run_study(configs: list[SimConfig], workers: int | None = None) -> list[StudyRow]:
-    """Run every configured study cell; a failing row never aborts the others."""
+    """Run every configured study cell; a failing row never aborts the others.
+
+    All rows share at most one process pool (see ``_run_rows``), so a later
+    row's chunks start as soon as a worker is free.
+    """
     if not configs:
         raise InvalidParameterError("config list must not be empty")
     rows: list[StudyRow] = []
-    for config in configs:
-        try:
-            results = run_replicates(config, workers)
-            metrics = aggregate(results, config.design.true_hr, config.se_scale)
-            rows.append(StudyRow(config=config, metrics=metrics))
-        except Exception as exc:  # row isolation by contract
+    for config, outcome in zip(configs, _run_rows(configs, workers)):
+        if isinstance(outcome, Exception):
             rows.append(StudyRow(config=config, metrics=None,
-                                 error=f"{type(exc).__name__}: {exc}"))
+                                 error=f"{type(outcome).__name__}: {outcome}"))
+        else:
+            metrics = aggregate(outcome, config.design.true_hr, config.se_scale)
+            rows.append(StudyRow(config=config, metrics=metrics))
     return rows

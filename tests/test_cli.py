@@ -219,6 +219,18 @@ events = 20
         assert f"{cfg}:7: true_hr must be in (0, 1], got 1.5" in proc.stderr
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
+    @pytest.mark.parametrize("entry", ["accrual_months = inf",
+                                       "allocation = " + ":".join(["1"] * 11 + ["inf"])])
+    def test_infinite_design_value_names_its_line(self, tmp_path, entry):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("events = 20", f"events = 20\n{entry}"))
+        out = tmp_path / "results.csv"
+        proc = run_cli("simulate", str(cfg), "-o", str(out))
+        assert proc.returncode == 2
+        key = entry.split(" = ")[0]
+        assert f"{cfg}:9: {key} must be a finite number, got inf" in proc.stderr
+        assert not out.exists()
+
     def test_negative_seed_names_the_flag(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT)

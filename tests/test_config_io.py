@@ -156,6 +156,10 @@ class TestStudyConfigMapping:
         ("design", "events", [66, 31364127],
          "true_hr=0.75: sample_size 44805896 exceeds the maximum of 1000000"),
         ("design", "true_hr", [0.5, 1.5], "true_hr must be in (0, 1], got 1.5"),
+        ("design", "accrual_months", float("inf"),
+         "accrual_months must be a finite number, got inf"),
+        ("design", "allocation", [1.0] * 11 + [float("inf")],
+         "allocation must be a finite number, got inf"),
     ])
     def test_replay_rejects_what_a_config_file_rejects(self, section, key, value, message):
         echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))

@@ -1,6 +1,7 @@
 """Tests for dataset generation: strata draws, event times, cutoff censoring."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,3 +328,17 @@ class TestTrialDataset:
         with pytest.raises(InvalidParameterError, match="arm values must be 0 or 1"):
             TrialDataset(subject_id=[0, 1], stratum_index=[0, 0], arm=[0, arm],
                          enroll_time=[0.0, 0.0], observed_time=[1.0, 2.0], event=[True, True])
+
+    @pytest.mark.parametrize("field,values,message", [
+        ("stratum_index", [0, 1.7], "stratum_index values must be integers in [0, 12)"),
+        ("arm", [0, 0.5], "arm values must be 0 or 1"),
+        ("event", [0, 0.5], "event values must be 0 or 1"),
+        ("event", [1, 2], "event values must be 0 or 1"),
+    ])
+    def test_values_checked_before_conversion(self, field, values, message):
+        # an integer or bool conversion would turn 1.7 into 1 and 0.5 into 0 or True
+        fields = dict(subject_id=[0, 1], stratum_index=[0, 1], arm=[0, 1],
+                      enroll_time=[0.0, 0.0], observed_time=[1.0, 2.0], event=[0, 1])
+        fields[field] = values
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            TrialDataset(**fields)

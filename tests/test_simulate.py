@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, metrics."""
 
 import math
+import multiprocessing
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -47,6 +48,18 @@ def _assert_same(a: Replicates, b: Replicates):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and x.shape == y.shape, field
         assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), field
+
+
+def _fail_generation(monkeypatch, seed):
+    """Make generation raise RuntimeError("boom") for the row seeded ``seed``."""
+    real = sim.generate_trials
+
+    def flaky(design, scenario, generators):
+        if generators[0].bit_generator.seed_seq.entropy == seed:
+            raise RuntimeError("boom")
+        return real(design, scenario, generators)
+
+    monkeypatch.setattr(sim, "generate_trials", flaky)
 
 
 def _reference_replicates(cfg: SimConfig) -> Replicates:
@@ -171,30 +184,31 @@ class TestResolveWorkers:
             sim._resolve_workers(_config(), 0)
 
 
-class _LazyPool:
-    """Executor stand-in that starts no process. Chunk 0 fails at once; every
-    other chunk runs only if shutdown waits for it, as in a busy pool."""
+class _StubPool:
+    """Executor stand-in that starts no process. Chunk 0 of the row seeded
+    ``failing_seed`` fails at once with ``error``, and that row's other chunks
+    run only if shutdown waits for them, as in a busy pool. Every other chunk
+    runs in this process when it is submitted."""
 
-    def __init__(self, error):
+    def __init__(self, error=None, failing_seed=None):
         self.error = error
+        self.failing_seed = failing_seed
         self.pending = []
         self.ran = []
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.shutdown()
+        self.cancelled_before_shutdown = None
 
     def submit(self, fn, config, lo, hi):
         future = Future()
-        if lo == 0:
+        if config.master_seed != self.failing_seed:
+            future.set_result(fn(config, lo, hi))
+        elif lo == 0:
             future.set_exception(self.error)
         else:
             self.pending.append((future, lo))
         return future
 
     def shutdown(self, wait=True, cancel_futures=False):
+        self.cancelled_before_shutdown = [future.cancelled() for future, _ in self.pending]
         for future, lo in self.pending:
             if cancel_futures:
                 future.cancel()
@@ -203,28 +217,105 @@ class _LazyPool:
                 future.set_result(None)
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def _use_pools(monkeypatch, *pools):
+    """The scheduler's n-th executor is pools[n]; returns the sizes asked for."""
+    sizes = []
+
+    def make(max_workers):
+        sizes.append(max_workers)
+        return pools[len(sizes) - 1]
+
+    monkeypatch.setattr(sim, "ProcessPoolExecutor", make)
+    return sizes
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestFailedChunk:
     @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()],
                              ids=["error", "interrupt"])
     def test_remaining_chunks_cancelled(self, monkeypatch, error):
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        pool = _LazyPool(error)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda max_workers: pool)
+        pool = _StubPool(error, failing_seed=555)
+        _use_pools(monkeypatch, pool)
         with pytest.raises(type(error)):
             run_replicates(_config(replicates=40), workers=2)
-        assert len(pool.pending) == 7
+        assert len(pool.pending) == 1  # 40 replicates at 2 workers: 2 chunks of 20
         assert pool.ran == []
 
+    def test_failed_chunk_cancels_only_its_row(self, monkeypatch):
+        configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
+        pool = _StubPool(RuntimeError("boom"), failing_seed=555)
+        sizes = _use_pools(monkeypatch, pool)
+        rows = run_study(configs, workers=2)
+        assert sizes == [2]
+        assert rows[0].metrics is None and rows[0].error == "RuntimeError: boom"
+        assert pool.cancelled_before_shutdown == [True]
+        assert pool.ran == []
+        assert rows[1] == run_study(configs[1:], workers=1)[0]
+
     def test_dead_worker_named_in_row_error(self, monkeypatch):
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1},
-                            raising=False)
-        pool = _LazyPool(BrokenProcessPool("terminated abruptly"))
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", lambda max_workers: pool)
+        pool = _StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555)
+        _use_pools(monkeypatch, pool)
         [row] = run_study([_config(replicates=40)], workers=2)
         assert row.metrics is None
         assert row.error == ("BrokenProcessPool: a worker process was killed before "
                              "its chunk finished, often for lack of memory")
+
+    def test_dead_worker_fails_one_row_and_the_rest_restart(self, monkeypatch):
+        configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
+        broken = _StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555)
+        sizes = _use_pools(monkeypatch, broken, _StubPool())
+        rows = run_study(configs, workers=2)
+        assert rows[0].error == ("BrokenProcessPool: a worker process was killed before "
+                                 "its chunk finished, often for lack of memory")
+        assert rows[1].error is None
+        assert rows[1].metrics == run_study(configs[1:], workers=1)[0].metrics
+        assert sizes == [2, 2]
+
+
+@pytest.mark.usefixtures("two_cpus")
+class TestOnePoolPerCall:
+    """A real two-worker pool on a tiny two-row study."""
+
+    CONFIGS = [_config(hr=0.5, d=20, replicates=8, seed=1),
+               _config(hr=0.7, d=20, replicates=8, seed=2)]
+
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        real = sim.ProcessPoolExecutor
+        sizes = []
+
+        def counting(max_workers):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
+        return sizes
+
+    def test_one_pool_and_no_process_left(self, sizes):
+        rows = run_study(self.CONFIGS, workers=2)
+        assert all(row.error is None for row in rows)
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+        assert rows == run_study(self.CONFIGS, workers=1)
+
+    def test_failed_row_leaves_no_process(self, sizes, monkeypatch):
+        # the pool's workers are forked after the patch and inherit it
+        _fail_generation(monkeypatch, seed=1)
+        rows = run_study(self.CONFIGS, workers=2)
+        assert rows[0].metrics is None and "boom" in rows[0].error
+        assert rows[1].error is None
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_no_pool_when_every_row_has_one_worker(self, sizes):
+        run_study(self.CONFIGS, workers=1)
+        run_study([_config(replicates=1), _config(replicates=1)], workers=2)
+        assert sizes == []
 
 
 class TestNoDatasetObjects:
@@ -328,14 +419,7 @@ class TestRunStudy:
 
     def test_failing_row_does_not_abort_others(self, monkeypatch):
         configs = [_config(seed=1, replicates=5), _config(seed=2, replicates=5)]
-        real = sim.generate_trials
-
-        def flaky(design, scenario, generators):
-            if generators[0].bit_generator.seed_seq.entropy == 1:  # row 0's seed
-                raise RuntimeError("boom")
-            return real(design, scenario, generators)
-
-        monkeypatch.setattr(sim, "generate_trials", flaky)
+        _fail_generation(monkeypatch, seed=1)
         rows = run_study(configs, workers=1)
         assert rows[0].metrics is None and "boom" in rows[0].error
         assert rows[1].metrics is not None and rows[1].error is None
@@ -363,3 +447,7 @@ class TestSimConfigValidation:
     def test_se_scale_checked(self):
         with pytest.raises(InvalidParameterError):
             _config(se_scale="linear")
+
+    def test_workers_hint_positive(self):
+        with pytest.raises(InvalidParameterError, match="workers must be at least 1"):
+            _config(workers=0)
