@@ -28,11 +28,12 @@ if args.blocks:
              if any(block in os.path.basename(p) for block in args.blocks)]
 
 for path in paths:
-    study = load_study_config(path).with_overrides(replicates=args.replicates)
+    study = load_study_config(path).with_overrides(replicates=args.replicates,
+                                                   workers=args.workers)
     print(f"\n=== {os.path.basename(path)} ({study.replicates} replicates) ===")
     print(f"{'HR':>5} {'D':>4} | {'bias u/m/s':>20} | {'SE u/m/s':>20} | "
           f"{'power LR/sLR/mC/sC':>23}")
-    for row in run_study(study.sim_configs(), workers=args.workers):
+    for row in run_study(study.sim_configs(), workers=study.workers):
         cfg = row.config
         if row.metrics is None:
             print(f"{cfg.design.true_hr:>5} {cfg.design.target_events:>4} | "

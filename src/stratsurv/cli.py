@@ -103,11 +103,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     study = study.with_overrides(seed=args.seed, workers=args.workers,
                                  replicates=args.replicates)
     configs = study.sim_configs()
-    rows = run_study(configs, workers=args.workers)
+    rows = run_study(configs, workers=study.workers)
 
     write_results_csv(args.output, rows)
     sidecar = args.sidecar if args.sidecar is not None else args.output + ".json"
-    write_sidecar_json(sidecar, study.to_mapping(), rows, study.workers)
+    write_sidecar_json(sidecar, study.to_mapping(), rows)
 
     if args.dump_datasets is not None:
         os.makedirs(args.dump_datasets, exist_ok=True)

@@ -82,7 +82,6 @@ class StudyConfig:
                 master_seed=self.seed + i,
                 tie_method=self.tie_method,
                 se_scale=self.se_scale,
-                workers=self.workers,
             ))
         return configs
 

@@ -268,12 +268,13 @@ def results_to_records(rows: list[StudyRow]) -> list[dict[str, Any]]:
 
 
 def write_sidecar_json(path: str, config_mapping: dict[str, Any],
-                       rows: list[StudyRow], workers: int | None) -> None:
-    """Provenance sidecar: config echo, seed, and full-precision metrics."""
+                       rows: list[StudyRow]) -> None:
+    """Provenance sidecar: config echo (its ``workers`` repeated at the top
+    level), seed, and full-precision metrics."""
     payload = {
         "tool": "stratsurv",
         "config": config_mapping,
-        "workers": workers,
+        "workers": config_mapping["run"]["workers"],
         "rows": results_to_records(rows),
     }
     with open(path, "w", encoding="utf-8", newline="") as fh:

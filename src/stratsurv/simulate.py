@@ -10,11 +10,14 @@ per replicate in index order, holding the three Cox estimates in COX_KEYS
 order and the five test outcomes in TEST_KEYS order. Aggregation reduces
 those columns in replicate order.
 
-A study runs on at most one process pool per call. Every row's chunks are
-queued on it up front, in row order, and each row is collected in replicate
-order, so a row's chunks start as soon as the previous row's free a worker.
-A row whose chunk raises fails alone. A killed worker breaks the pool: the
-row being collected fails, and the rows after it run on a fresh pool.
+The worker count is a setting of the run, not of a study cell: each call
+resolves one width w for all its rows. At w = 1 every row runs in this
+process. Otherwise every row's chunks of ceil(n / w) replicates are queued on
+one process pool up front, in row order, and each row is collected in
+replicate order. A row whose chunk raises fails alone. A killed worker breaks
+the pool, whichever row's chunk it ran: the row being collected runs again
+alone on a fresh pool and fails only if that pool breaks too, and the rows
+after it run on a fresh pool.
 """
 
 from __future__ import annotations
@@ -62,7 +65,6 @@ class SimConfig:
     master_seed: int = 0
     tie_method: str = "efron"
     se_scale: str = "log"
-    workers: int | None = None
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -73,8 +75,6 @@ class SimConfig:
             raise InvalidParameterError(f"se_scale must be one of {SE_SCALES}")
         if self.master_seed < 0:
             raise InvalidParameterError("master_seed must be nonnegative")
-        if self.workers is not None and self.workers < 1:
-            raise InvalidParameterError("workers must be at least 1")
 
 
 class Replicates(NamedTuple):
@@ -211,67 +211,66 @@ def aggregate(
     )
 
 
-def _resolve_workers(config: SimConfig, workers: int | None) -> int:
-    """Processes to use: the request, else the config hint, else every usable
-    CPU; never more than the replicates or the usable CPUs."""
-    if workers is None:
-        workers = config.workers
+def _resolve_workers(configs: list[SimConfig], workers: int | None) -> int:
+    """Processes for one call: the request, else every usable CPU; never more
+    than the usable CPUs or the largest row's replicates."""
     if workers is not None and workers < 1:
         raise InvalidParameterError("workers must be at least 1")
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(workers or cpus, config.replicates, cpus)
+    return min(workers or cpus, cpus, max(config.replicates for config in configs))
 
 
 def _run_rows(configs: list[SimConfig], workers: int | None) -> list[Replicates | Exception]:
-    """Each row's replicates in index order, or the exception that failed the row.
-
-    Every row resolves its worker count first; a row that resolves to one
-    worker runs in this process. The other rows share one pool: every chunk of
-    ceil(n / w) replicates is submitted up front, in row order, and the rows
-    are collected in order. A chunk that raises fails its row and cancels that
-    row's pending chunks. A broken pool fails the row being collected, and the
-    rows after it start again on a fresh pool.
-    """
-    widths = [_resolve_workers(config, workers) for config in configs]
+    """Each row's replicates in index order, or the exception that failed the row,
+    scheduled at one width as the module docstring describes; a chunk that
+    raises cancels its row's pending chunks."""
+    w = _resolve_workers(configs, workers)
+    if w == 1:
+        return [_run_in_process(config) for config in configs]
     outcomes: list[Replicates | Exception] = []
     while len(outcomes) < len(configs):
-        done = len(outcomes)
-        outcomes += _run_on_one_pool(configs[done:], widths[done:])
-    return outcomes
-
-
-def _run_on_one_pool(configs: list[SimConfig], widths: list[int]) -> list[Replicates | Exception]:
-    """The leading rows' outcomes, up to and including a row that found the pool
-    broken; the pool is shut down before this returns, whatever happens."""
-    pool = ProcessPoolExecutor(max_workers=max(widths)) if max(widths) > 1 else None
-    try:
-        chunks = [_submit(pool, config, w) if w > 1 else None
-                  for config, w in zip(configs, widths)]
-        outcomes: list[Replicates | Exception] = []
-        for config, futures in zip(configs, chunks):
-            try:
-                if futures is None:
-                    outcomes.append(_replicate_range(config, 0, config.replicates))
-                else:
-                    outcomes.append(_concatenate([fut.result() for fut in futures]))
+        try:
+            _run_on_one_pool(configs[len(outcomes):], w, outcomes)
+        except BrokenProcessPool:
+            try:  # any row's chunk may have killed the worker
+                _run_on_one_pool(configs[len(outcomes):len(outcomes) + 1], w, outcomes)
             except BrokenProcessPool as exc:
                 error = BrokenProcessPool("a worker process was killed before its "
                                           "chunk finished, often for lack of memory")
                 error.__cause__ = exc
                 outcomes.append(error)
-                break
+    return outcomes
+
+
+def _run_in_process(config: SimConfig) -> Replicates | Exception:
+    try:
+        return _replicate_range(config, 0, config.replicates)
+    except Exception as exc:  # row isolation by contract
+        return exc
+
+
+def _run_on_one_pool(configs: list[SimConfig], w: int,
+                     outcomes: list[Replicates | Exception]) -> None:
+    """Append the rows' outcomes from one pool of w workers, which is shut down
+    before this returns or raises; a row that finds it broken raises
+    BrokenProcessPool."""
+    pool = ProcessPoolExecutor(max_workers=w)
+    try:
+        for futures in [_submit(pool, config, w) for config in configs]:
+            try:
+                outcomes.append(_concatenate([fut.result() for fut in futures]))
+            except BrokenProcessPool:
+                raise
             except Exception as exc:  # row isolation by contract
-                for fut in futures or ():
+                for fut in futures:
                     fut.cancel()
                 outcomes.append(exc)
-        return outcomes
     finally:
         # after an interrupt or a broken pool, every pending chunk is dropped
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        pool.shutdown(cancel_futures=True)
 
 
 def _submit(pool: ProcessPoolExecutor, config: SimConfig, w: int) -> list[Future]:
@@ -298,8 +297,8 @@ def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
 def run_study(configs: list[SimConfig], workers: int | None = None) -> list[StudyRow]:
     """Run every configured study cell; a failing row never aborts the others.
 
-    All rows share at most one process pool (see ``_run_rows``), so a later
-    row's chunks start as soon as a worker is free.
+    ``workers`` is the run's one worker count (``StudyConfig.workers``): all
+    rows share its width and, above one, a process pool (see ``_run_rows``).
     """
     if not configs:
         raise InvalidParameterError("config list must not be empty")

@@ -285,11 +285,13 @@ class TestResultFiles:
 
     def test_sidecar_echo_rebuilds_config(self, tmp_path):
         study, rows = self._rows()
+        study = study.with_overrides(workers=3)
         path = tmp_path / "results.json"
-        write_sidecar_json(path, study.to_mapping(), rows, workers=1)
+        write_sidecar_json(path, study.to_mapping(), rows)
         payload = json.loads(path.read_text())
         rebuilt = StudyConfig.from_mapping(payload["config"])
         assert rebuilt == study
+        assert payload["workers"] == payload["config"]["run"]["workers"] == 3
         assert len(payload["rows"]) == 2
         assert "power" in payload["rows"][0]
         assert payload["rows"][0]["methods"]["unstrat_cox"]["avg_se"] is not None
@@ -299,7 +301,7 @@ class TestResultFiles:
         csv1 = tmp_path / "a.csv"
         write_results_csv(csv1, rows)
         sidecar = tmp_path / "a.json"
-        write_sidecar_json(sidecar, study.to_mapping(), rows, workers=1)
+        write_sidecar_json(sidecar, study.to_mapping(), rows)
         rebuilt = StudyConfig.from_mapping(json.loads(sidecar.read_text())["config"])
         rows2 = run_study(rebuilt.sim_configs(), workers=1)
         csv2 = tmp_path / "b.csv"

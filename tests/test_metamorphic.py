@@ -11,7 +11,10 @@ first (Therneau & Grambsch, *Modeling Survival Data*, 2000, ch. 3):
   with d deaths: beta-hat is unchanged and the SE is divided by sqrt(2);
 - relabelling the 12 strata by a permutation leaves the stratified log-rank
   test and the stratified Cox fit unchanged up to rounding, since only the
-  order in which strata are summed moves.
+  order in which strata are summed moves;
+- permuting the subjects of each trial leaves every analysis unchanged up to
+  rounding, since the analyses read the subjects only through their sorted
+  order, and only the order of subjects within a tied block moves.
 
 Each relation is checked through the one-dataset calls ``cox_fit`` and
 ``logrank``, and through one ``analyze_trials`` batch that holds the original
@@ -69,6 +72,14 @@ STRATUM_LABELS = np.random.default_rng(8).permutation(12)
 
 def _relabel_strata(batch: TrialBatch) -> TrialBatch:
     return batch._replace(stratum_index=STRATUM_LABELS[batch.stratum_index])
+
+
+def _permute_rows(batch: TrialBatch) -> TrialBatch:
+    """Each trial's subjects in an order of their own."""
+    order = np.argsort(np.random.default_rng(9).random(batch.arm.shape), axis=1)
+    return batch._replace(**{name: np.take_along_axis(values, order, axis=1)
+                             for name, values in batch._asdict().items()
+                             if name != "cutoff_calendar_time"})
 
 
 def _stacked(*batches: TrialBatch) -> TrialBatch:
@@ -198,3 +209,33 @@ class TestRelabellingStrata:
         assert np.all(fits.converged)
         assert np.all(np.abs(fits.beta[first] - fits.beta[second]) <= TOL)
         assert np.all(np.abs(fits.treatment_se[first] - fits.treatment_se[second]) <= TOL)
+
+
+class TestPermutingRows:
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_one_dataset_calls_unchanged(self, batch, ties):
+        image = _permute_rows(batch)
+        assert not np.array_equal(image.observed_time, batch.observed_time)
+        for row in range(TRIALS):
+            ds, ds2 = _dataset(batch, row), _dataset(image, row)
+            for stratified in (False, True):
+                assert abs(logrank(ds, stratified).z - logrank(ds2, stratified).z) <= TOL
+            for method in COX_METHODS:
+                fit = cox_fit(ds, AnalysisSpec(method, ties))
+                fit2 = cox_fit(ds2, AnalysisSpec(method, ties))
+                assert fit.converged and fit2.converged
+                assert np.all(np.abs(fit.beta - fit2.beta) <= TOL)
+                assert np.all(np.abs(fit.covariance - fit2.covariance) <= TOL)
+                assert fit2.loglik == pytest.approx(fit.loglik, rel=TOL)
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_mixed_batch_unchanged(self, batch, ties):
+        out = analyze_trials(_stacked(batch, _permute_rows(batch)), ties)
+        first, second = slice(0, TRIALS), slice(TRIALS, 2 * TRIALS)
+        for z in (out.logrank_z, out.stratified_logrank_z):
+            assert np.all(np.abs(z[first] - z[second]) <= TOL)
+        for fits in out.fits:
+            assert np.all(fits.converged)
+            assert np.all(np.abs(fits.beta[first] - fits.beta[second]) <= TOL)
+            assert np.all(np.abs(fits.treatment_se[first] - fits.treatment_se[second]) <= TOL)
+            assert np.allclose(fits.loglik[second], fits.loglik[first], rtol=TOL, atol=0)

@@ -2,6 +2,8 @@
 
 import math
 import multiprocessing
+import os
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -162,26 +164,35 @@ class TestReferenceColumns:
         _assert_same(sim._replicate_range(cfg, 0, 37), whole)
 
 
+def _rows(*replicates):
+    return [_config(replicates=n, seed=555 + i) for i, n in enumerate(replicates)]
+
+
 class TestResolveWorkers:
-    """The worker count is resolved without starting any process."""
+    """One worker count per call, resolved without starting any process."""
 
     def test_huge_request_clamped(self, monkeypatch):
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        assert sim._resolve_workers(_config(replicates=40), 100_000) == 3
-        assert sim._resolve_workers(_config(replicates=2), 100_000) == 2
-        assert sim._resolve_workers(_config(replicates=40, workers=100_000), None) == 3
-        assert sim._resolve_workers(_config(replicates=40), None) == 3
-        assert sim._resolve_workers(_config(replicates=40), 2) == 2
+        assert sim._resolve_workers(_rows(40), 100_000) == 3
+        assert sim._resolve_workers(_rows(40), None) == 3
+        assert sim._resolve_workers(_rows(40), 2) == 2
+        # clamped to the largest row's replicates, not to each row's
+        assert sim._resolve_workers(_rows(2), 100_000) == 2
+        assert sim._resolve_workers(_rows(1, 2, 1), None) == 2
+        assert sim._resolve_workers(_rows(1, 40, 2), 100_000) == 3
+        assert sim._resolve_workers(_rows(1, 1), 2) == 1
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(sim.os, "cpu_count", lambda: 5)
-        assert sim._resolve_workers(_config(replicates=40), 100_000) == 5
+        assert sim._resolve_workers(_rows(40, 3), 100_000) == 5
+        assert sim._resolve_workers(_rows(4, 3), None) == 4
 
     def test_nonpositive_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sim._resolve_workers(_config(), 0)
+        for workers in (0, -3):
+            with pytest.raises(InvalidParameterError, match="workers must be at least 1"):
+                sim._resolve_workers(_rows(40), workers)
 
 
 class _StubPool:
@@ -258,23 +269,49 @@ class TestFailedChunk:
         assert rows[1] == run_study(configs[1:], workers=1)[0]
 
     def test_dead_worker_named_in_row_error(self, monkeypatch):
-        pool = _StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555)
-        _use_pools(monkeypatch, pool)
+        # the row breaks its pool, and the fresh pool it runs on alone
+        sizes = _use_pools(monkeypatch, *(_StubPool(BrokenProcessPool("terminated abruptly"),
+                                                    failing_seed=555) for _ in range(2)))
         [row] = run_study([_config(replicates=40)], workers=2)
         assert row.metrics is None
         assert row.error == ("BrokenProcessPool: a worker process was killed before "
                              "its chunk finished, often for lack of memory")
+        assert sizes == [2, 2]
 
     def test_dead_worker_fails_one_row_and_the_rest_restart(self, monkeypatch):
+        # Row 0 finds the shared pool broken and breaks its own pool too, so it
+        # fails; row 1 then runs on a third pool.
         configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
-        broken = _StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555)
-        sizes = _use_pools(monkeypatch, broken, _StubPool())
+        sizes = _use_pools(monkeypatch,
+                           *(_StubPool(BrokenProcessPool("terminated abruptly"),
+                                       failing_seed=555) for _ in range(2)),
+                           _StubPool())
         rows = run_study(configs, workers=2)
         assert rows[0].error == ("BrokenProcessPool: a worker process was killed before "
                                  "its chunk finished, often for lack of memory")
         assert rows[1].error is None
         assert rows[1].metrics == run_study(configs[1:], workers=1)[0].metrics
-        assert sizes == [2, 2]
+        assert sizes == [2, 2, 2]
+
+    def test_row_that_finds_the_pool_broken_runs_again_alone(self, monkeypatch):
+        # Another row's chunk killed a worker while row 0 was collected: row 0
+        # succeeds alone on a fresh pool, and row 1 runs on a third one.
+        configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
+        sizes = _use_pools(monkeypatch,
+                           _StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555),
+                           _StubPool(), _StubPool())
+        assert run_study(configs, workers=2) == run_study(configs, workers=1)
+        assert sizes == [2, 2, 2]
+
+    def test_pool_broken_while_queueing_reruns_the_first_row(self, monkeypatch):
+        class BrokenOnSubmit(_StubPool):
+            def submit(self, fn, config, lo, hi):
+                raise BrokenProcessPool("terminated abruptly")
+
+        configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
+        sizes = _use_pools(monkeypatch, BrokenOnSubmit(), _StubPool(), _StubPool())
+        assert run_study(configs, workers=2) == run_study(configs, workers=1)
+        assert sizes == [2, 2, 2]
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -311,6 +348,44 @@ class TestOnePoolPerCall:
         assert rows[1].error is None
         assert sizes == [2]
         assert multiprocessing.active_children() == []
+
+    def test_unequal_rows_share_one_pool(self, sizes):
+        # the 1- and 7-replicate rows run as 1 and 4 chunks on the 40-row's pool
+        configs = [_config(hr=0.5, d=20, replicates=n, seed=n) for n in (1, 7, 40)]
+        rows = run_study(configs, workers=2)
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+        assert rows == run_study(configs, workers=1)
+        assert all(row.error is None for row in rows)
+
+    def test_killed_worker_fails_only_its_row(self, sizes, monkeypatch, tmp_path):
+        # Row 1's chunks kill their worker while row 0's first chunk waits for
+        # that to happen. Row 0 runs again alone, row 1 fails alone on its own
+        # pool, and row 2 runs on a fifth pool.
+        real = sim.generate_trials
+        killed = tmp_path / "killed"
+
+        def waiting_or_fatal(design, scenario, generators):
+            seed = generators[0].bit_generator.seed_seq.entropy
+            if seed == 2:
+                killed.touch()
+                os._exit(1)
+            if seed == 1 and generators[0].bit_generator.seed_seq.spawn_key == (0,):
+                deadline = time.monotonic() + 30
+                while not killed.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+            return real(design, scenario, generators)
+
+        monkeypatch.setattr(sim, "generate_trials", waiting_or_fatal)
+        configs = [_config(hr=0.5, d=20, replicates=8, seed=seed) for seed in (1, 2, 3)]
+        rows = run_study(configs, workers=2)
+        assert rows[1].error == ("BrokenProcessPool: a worker process was killed before "
+                                 "its chunk finished, often for lack of memory")
+        assert rows[0].error is None and rows[2].error is None
+        assert sizes == [2, 2, 2, 2, 2]
+        assert multiprocessing.active_children() == []
+        monkeypatch.setattr(sim, "generate_trials", real)
+        assert [rows[0], rows[2]] == run_study(configs[::2], workers=1)
 
     def test_no_pool_when_every_row_has_one_worker(self, sizes):
         run_study(self.CONFIGS, workers=1)
@@ -447,7 +522,3 @@ class TestSimConfigValidation:
     def test_se_scale_checked(self):
         with pytest.raises(InvalidParameterError):
             _config(se_scale="linear")
-
-    def test_workers_hint_positive(self):
-        with pytest.raises(InvalidParameterError, match="workers must be at least 1"):
-            _config(workers=0)
