@@ -22,9 +22,8 @@ from .design import DesignInputs, sample_size, schoenfeld_events
 from .errors import ConfigError, InvalidParameterError
 from .inference import TIE_METHODS
 from .simulate import SE_SCALES, SimConfig
-from .trial import MAX_SAMPLE_SIZE, STRATUM_COUNT, ScenarioKind, ScenarioSpec, TrialDesign
-
-_BALANCED = (1.0,) * STRATUM_COUNT  # equal weights: ``allocation = balanced``
+from .trial import (BALANCED_WEIGHTS, MAX_SAMPLE_SIZE, STRATUM_COUNT, ScenarioKind,
+                    ScenarioSpec, TrialDesign)
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class StudyConfig:
     true_hrs: tuple[float, ...]
     events: tuple[int, ...]
     accrual_months: float = 14.0
-    allocation_weights: tuple[float, ...] = _BALANCED
+    allocation_weights: tuple[float, ...] = BALANCED_WEIGHTS
     randomization_prob: float = 0.5
     alpha_one_sided: float = 0.025
     power: float = 0.80
@@ -280,7 +279,7 @@ def _events(value, key, path, line):
 
 def _allocation(value, key, path, line):
     if isinstance(value, str) and value.strip().lower() == "balanced":
-        return _BALANCED
+        return BALANCED_WEIGHTS
     parts = _items(value, ":", key, path, line)
     if len(parts) != STRATUM_COUNT:
         raise ConfigError(f"{key} must be 'balanced' or 12 colon-separated weights", path, line)

@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .trial import ScenarioSpec, TrialDesign, control_rate_table
+from .trial import STRATUM_COUNT, ScenarioSpec, TrialDesign, control_rate_table
 
 TREATMENT = 1
 
@@ -71,8 +71,8 @@ class TrialDataset:
         # conversion, which would truncate a fractional value silently
         self.subject_id = _frozen(subject_id, np.int64)
         self.stratum_index = _checked(stratum_index, np.int64, "stratum_index",
-                                      lambda s: (s % 1 == 0) & (s >= 0) & (s < 12),
-                                      "be integers in [0, 12)")
+                                      lambda s: (s % 1 == 0) & (s >= 0) & (s < STRATUM_COUNT),
+                                      f"be integers in [0, {STRATUM_COUNT})")
         self.arm = _checked(arm, np.int8, "arm", _binary, "be 0 or 1")
         self.enroll_time = _frozen(enroll_time, np.float64)
         self.observed_time = _frozen(observed_time, np.float64)

@@ -29,7 +29,9 @@ Breslow r = n1/n, so the score is the log-rank O - E: the log-rank test is
 this likelihood's score test at beta = 0. Its information sums f(1 - f),
 f = n1/n, over the deaths, and the log-rank variance sums
 f(1 - f)(n - d)/(n - 1), the exact hypergeometric variance of a tied block;
-the two agree where no block holds two deaths.
+the two agree where no block holds two deaths. A batch returns each row's
+log-rank z only; ``logrank`` also reports its one dataset's O - E, variance
+and strata used, the strata with a positive variance term.
 
 Risk-set sums. The multivariate likelihood sums over risk sets directly.
 Suffix sums run along each row, with a trailing zero, so the sum over a risk
@@ -197,10 +199,10 @@ class _Runs:
     def end(self) -> np.ndarray:
         return self._spread_index(self.first % self.shape[1] + self.length)
 
-    def spread(self, reduce, values: np.ndarray) -> np.ndarray:
-        """``reduce`` of (B[, p], N) values over each run, at every position."""
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Sum of (B[, p], N) values over each run, at every position."""
         flat = np.moveaxis(values, 0, -2).reshape(values.shape[1:-1] + (-1,))
-        out = np.repeat(reduce.reduceat(flat, self.first, axis=-1), self.length, axis=-1)
+        out = np.repeat(np.add.reduceat(flat, self.first, axis=-1), self.length, axis=-1)
         return np.moveaxis(out.reshape(flat.shape[:-1] + (values.shape[0], -1)), -2, 0)
 
 
@@ -275,13 +277,7 @@ class _RiskSets:
 
     def block_sums(self, values: np.ndarray) -> np.ndarray:
         """Sum of values over each position's tied block."""
-        return values if self.untied else self._blocks.spread(np.add, values)
-
-    def stratum_max(self, values: np.ndarray) -> np.ndarray:
-        """Maximum of (B, N) values over each position's stratum."""
-        if self.pooled:
-            return values.max(axis=1, keepdims=True)
-        return self._strata.spread(np.maximum, values)
+        return values if self.untied else self._blocks.spread(values)
 
     @cached_property
     def counts(self) -> _ArmCounts:
@@ -311,22 +307,8 @@ class _RiskSets:
 # Log-rank
 
 
-class _LogRankStats(NamedTuple):
-    """Per-row log-rank sums; a row with zero variance is degenerate."""
-
-    observed_minus_expected: np.ndarray
-    variance: np.ndarray
-    strata_used: np.ndarray
-
-    def z(self) -> np.ndarray:
-        """Signed z statistic per row, NaN where the test is degenerate."""
-        var = self.variance
-        root = np.sqrt(np.where(var > 0.0, var, np.nan))
-        return self.observed_minus_expected / root
-
-
-def _logrank_stats(risk: _RiskSets) -> _LogRankStats:
-    """O - E and hypergeometric variance per row, summed over the deaths.
+def _logrank_terms(risk: _RiskSets) -> tuple[np.ndarray, np.ndarray]:
+    """O - E per row, and each death's term of the hypergeometric variance.
 
     A death in a block with d deaths among n at risk, n1 of them treated,
     adds arm - n1/n to O - E and f(1 - f)(n - d)/(n - 1) with f = n1/n to the
@@ -337,12 +319,12 @@ def _logrank_stats(risk: _RiskSets) -> _LogRankStats:
     n = n0 + n1
     frac = n1 / n
     oe = ((risk.arm - frac) * e).sum(axis=1)
-    terms = frac * (1.0 - frac) * (n - (d0 + d1)) / np.maximum(n - 1.0, 1.0) * e
-    # a stratum's running count at its last position covers the whole stratum
-    last = np.ones_like(risk.new_stratum)
-    last[:, :-1] = risk.new_stratum[:, 1:]
-    used = last & (risk.running_sums(terms > 0.0) > 0.0)
-    return _LogRankStats(oe, terms.sum(axis=1), np.count_nonzero(used, axis=1))
+    return oe, frac * (1.0 - frac) * (n - (d0 + d1)) / np.maximum(n - 1.0, 1.0) * e
+
+
+def _z(oe: np.ndarray, variance: np.ndarray) -> np.ndarray:
+    """Signed z statistic per row, NaN where the variance is zero (degenerate)."""
+    return oe / np.sqrt(np.where(variance > 0.0, variance, np.nan))
 
 
 def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
@@ -354,20 +336,22 @@ def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
     """
     if dataset.n_subjects == 0:
         raise DegenerateTestError("empty dataset", 0.0)
-    stats = _Trials(dataset).logrank(stratified)
-    observed_minus_expected = float(stats.observed_minus_expected[0])
-    variance = float(stats.variance[0])
-    if variance <= 0.0:
+    risk = _Trials(dataset).layout(stratified)
+    oe, terms = _logrank_terms(risk)
+    variance = terms.sum(axis=1)
+    observed_minus_expected = float(oe[0])
+    if variance[0] <= 0.0:
         raise DegenerateTestError(
             "log-rank variance is zero (no within-stratum arm contrast)",
             observed_minus_expected)
-    z = float(stats.z()[0])
+    z = float(_z(oe, variance)[0])
+    per_stratum = np.add.reduceat(terms[0] > 0.0, np.flatnonzero(risk.new_stratum[0]))
     return LogRankResult(
         observed_minus_expected=observed_minus_expected,
-        variance=variance,
+        variance=float(variance[0]),
         z=z,
         p_one_sided=_normal_cdf(z),
-        strata_used=int(stats.strata_used[0]),
+        strata_used=int(np.count_nonzero(per_stratum)),
     )
 
 
@@ -403,7 +387,9 @@ class _CoxLikelihood:
         risk, X, j, e = self.risk, self.X, self.j, self.risk.event
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eta = np.matmul(beta[:, None, :], X)[:, 0]
-            eta -= risk.stratum_max(eta)
+            # every risk set lies within one row, so shifting a row's eta by
+            # its maximum leaves the likelihood unchanged and exp finite
+            eta -= eta.max(axis=1, keepdims=True)
             w = np.exp(eta)
             denom = risk.risk_sums(w)
             num = risk.risk_sums(X * w[:, None])
@@ -681,19 +667,18 @@ class _Trials:
             self._layouts[key] = _RiskSets.of(time, event, arm.astype(float), strata)
         return self._layouts[key]
 
-    def logrank(self, stratified: bool) -> _LogRankStats:
-        return _logrank_stats(self.layout(stratified))
+    def logrank_z(self, stratified: bool) -> np.ndarray:
+        oe, terms = _logrank_terms(self.layout(stratified))
+        return _z(oe, terms.sum(axis=1))
 
-    def likelihood(self, spec: AnalysisSpec
-                   ) -> tuple[_CoxLikelihood | _TreatmentLikelihood, tuple[str, ...]]:
-        method = spec.method
+    def likelihood(self, method: Method, tie_method: str
+                   ) -> _CoxLikelihood | _TreatmentLikelihood:
         if method is Method.COX_MULTIVARIATE:
             X = _CELL_DESIGN[:, self.cells].transpose(1, 0, 2).copy()
-            return (_CoxLikelihood.build(self.layout(False), X, spec.tie_method),
-                    ("treatment",) + COVARIATE_NAMES)
+            return _CoxLikelihood.build(self.layout(False), X, tie_method)
         if method in (Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED):
             risk = self.layout(method is Method.COX_STRATIFIED)
-            return _TreatmentLikelihood.build(risk, spec.tie_method), ("treatment",)
+            return _TreatmentLikelihood.build(risk, tie_method)
         raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
 
 
@@ -714,20 +699,20 @@ def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyse
     trials = _Trials(batch)
 
     def fit(method: Method) -> _CoxFits:
-        return _newton(trials.likelihood(AnalysisSpec(method, tie_method))[0])
+        return _newton(trials.likelihood(method, tie_method))
 
     # The multivariate fit has the largest working set; it runs before the
     # layouts hold their arm counts.
     multivariate = fit(Method.COX_MULTIVARIATE)
     return TrialAnalyses(
-        logrank_z=trials.logrank(False).z(),
-        stratified_logrank_z=trials.logrank(True).z(),
+        logrank_z=trials.logrank_z(False),
+        stratified_logrank_z=trials.logrank_z(True),
         fits=(fit(Method.COX_UNSTRATIFIED), multivariate, fit(Method.COX_STRATIFIED)),
     )
 
 
 def _one_dataset_likelihood(dataset: TrialDataset, spec: AnalysisSpec):
-    likelihood = _Trials(dataset).likelihood(spec)
+    likelihood = _Trials(dataset).likelihood(spec.method, spec.tie_method)
     if not dataset.event.any():
         raise InvalidModelError(_DIAGNOSTICS[_NO_EVENTS])
     return likelihood
@@ -735,7 +720,7 @@ def _one_dataset_likelihood(dataset: TrialDataset, spec: AnalysisSpec):
 
 def partial_likelihood_terms(dataset: TrialDataset, spec: AnalysisSpec, beta):
     """Log partial likelihood, gradient and Hessian at ``beta`` for a Cox spec."""
-    lik, _ = _one_dataset_likelihood(dataset, spec)
+    lik = _one_dataset_likelihood(dataset, spec)
     ll, grad, hess = lik.evaluate(np.asarray(beta, dtype=float)[None, :])
     return float(ll[0]), grad[0], hess[0]
 
@@ -749,5 +734,8 @@ def cox_fit(dataset: TrialDataset, spec: AnalysisSpec) -> CoxFit:
     below 1e-12. Any coefficient beyond +-15 flags likely separation: the fit
     is returned with ``converged=False`` and a diagnostic rather than raising.
     """
-    lik, names = _one_dataset_likelihood(dataset, spec)
-    return _newton(lik).fit(0, names)
+    fits = _newton(_one_dataset_likelihood(dataset, spec))
+    names = ("treatment",)
+    if spec.method is Method.COX_MULTIVARIATE:
+        names += COVARIATE_NAMES
+    return fits.fit(0, names)

@@ -140,9 +140,9 @@ def _read_rows(path: str) -> TrialDataset:
                 strata.append(x1 * 6 + x2 * 2 + x3)
             else:
                 stratum = _int_cell(row[index["stratum"]], "stratum", rownum)
-                if not 0 <= stratum < 12:
+                if not 0 <= stratum < STRATUM_COUNT:
                     raise DataFormatError(
-                        f"stratum must be in [0, 12), got {stratum}", row=rownum)
+                        f"stratum must be in [0, {STRATUM_COUNT}), got {stratum}", row=rownum)
                 strata.append(stratum)
 
     if not ids:
@@ -221,7 +221,8 @@ def write_results_csv(path: str, rows: list[StudyRow]) -> None:
                 str(cfg.design.sample_size),
             ]
             if row.metrics is None:
-                record += ["nan"] * 17
+                # every column but the three design cells and the status
+                record += ["nan"] * (len(RESULT_COLUMNS) - 4)
                 record.append(f"failed: {row.error}")
             else:
                 m = row.metrics.methods

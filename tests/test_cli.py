@@ -299,3 +299,99 @@ events = 20
         proc = run_cli("--workers", "1", "--seed", "7", "simulate", str(cfg),
                        "-o", str(tmp_path / "r.csv"))
         assert proc.returncode == 0
+
+
+TWO_ROW_CONFIG = CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
+                                     "true_hr = 0.5, 0.7\nevents = 20, 20")
+
+
+def simulate_in_process(config, out, *flags):
+    """``simulate`` through ``cli.main``: the exit code, the CSV's lines and the sidecar."""
+    from stratsurv.cli import main
+
+    code = main(["simulate", str(config), "-o", str(out), *flags])
+    return code, out.read_text().splitlines(), json.loads(Path(f"{out}.json").read_text())
+
+
+class TestSimulateOutputPaths:
+    """The CSV and sidecar records of a failed row and of a method with no usable fit."""
+
+    def test_failed_row_is_recorded_and_exits_3(self, tmp_path, monkeypatch, capsys):
+        import stratsurv.simulate as sim
+
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(TWO_ROW_CONFIG)
+        _, clean_csv, clean_sidecar = simulate_in_process(cfg, tmp_path / "clean.csv",
+                                                          "--workers", "1")
+        real = sim.generate_trials
+
+        def flaky(design, scenario, generators):
+            if design.true_hr == 0.7:
+                raise RuntimeError("boom")
+            return real(design, scenario, generators)
+
+        monkeypatch.setattr(sim, "generate_trials", flaky)
+        capsys.readouterr()
+        code, lines, sidecar = simulate_in_process(cfg, tmp_path / "failed.csv",
+                                                   "--workers", "1")
+        assert code == 3
+        assert capsys.readouterr().err == "1 of 2 rows failed\n"
+        failed = lines[2].split(",")
+        assert failed[:3] == ["0.7", "20", clean_csv[2].split(",")[2]]
+        assert failed[3:-1] == ["nan"] * 17
+        assert failed[-1] == "failed: RuntimeError: boom"
+        assert sidecar["rows"][1]["error"] == "RuntimeError: boom"
+        assert "methods" not in sidecar["rows"][1]
+        assert lines[:2] == clean_csv[:2]
+        assert sidecar["rows"][0] == clean_sidecar["rows"][0]
+
+    def test_no_usable_fit_prints_nan_and_exits_0(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("events = 20", "events = 1\nevent_fraction = 1")
+                       .replace("replicates = 6", "replicates = 5"))
+        code, lines, sidecar = simulate_in_process(cfg, tmp_path / "r.csv", "--workers", "1")
+        assert code == 0
+        row = dict(zip(lines[0].split(","), lines[1].split(",")))
+        for metric in ("bias", "se", "mse"):
+            for method in ("unstrat", "mult", "strat"):
+                assert row[f"{metric}_{method}"] == "nan"
+        for method in ("unstrat", "mult", "strat"):
+            assert row[f"replicates_excluded_{method}"] == "5"
+        assert row["status"] == "ok"
+        for method in sidecar["rows"][0]["methods"].values():
+            assert method["avg_bias"] is method["avg_se"] is method["mse"] is None
+            assert method["replicates_excluded"] == 5
+
+
+class TestWidthsAboveHostCpus:
+    def test_widths_3_to_8_match_width_1(self, tmp_path, monkeypatch):
+        # The host reports 8 usable CPUs, so every requested width from 3 to 8
+        # runs as a real pool of that width, whatever the machine has.
+        import multiprocessing
+
+        import stratsurv.simulate as sim
+
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(8)),
+                            raising=False)
+        real = sim.ProcessPoolExecutor
+        widths = []
+
+        def counting(max_workers):
+            widths.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
+                                           "true_hr = 0.5, 0.6, 0.7\nevents = 20, 25, 30")
+                       .replace("replicates = 6", "replicates = 12"))
+        out = tmp_path / "w1.csv"
+        assert simulate_in_process(cfg, out, "--workers", "1")[0] == 0
+        reference = out.read_bytes(), json.loads(Path(f"{out}.json").read_text())["rows"]
+        for w in range(3, 9):
+            out = tmp_path / f"w{w}.csv"
+            assert simulate_in_process(cfg, out, "--workers", str(w))[0] == 0
+            assert out.read_bytes() == reference[0], w
+            assert json.loads(Path(f"{out}.json").read_text())["rows"] == reference[1], w
+            assert multiprocessing.active_children() == []
+        assert widths == list(range(3, 9))

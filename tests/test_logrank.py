@@ -30,6 +30,13 @@ def _random_trial(seed, stratified_strata=True, n_events=40):
     return generate_trial(design, scenario, RngStream(seed, 0))
 
 
+def _contributing_strata(times, events, arm, strata):
+    """Strata whose own hypergeometric variance is positive."""
+    times, events, arm = (np.asarray(a) for a in (times, events, arm))
+    return sum(hypergeom_logrank(times[strata == s], events[strata == s], arm[strata == s])[1] > 0
+               for s in np.unique(strata))
+
+
 class TestHandExamples:
     def test_two_subject_example(self):
         # treatment event at t=1, control event at t=2
@@ -89,7 +96,8 @@ class TestStratification:
     def test_strata_used_counts_contributing_strata(self):
         ds = _random_trial(3)
         res = logrank(ds, stratified=True)
-        assert 1 <= res.strata_used <= 12
+        assert res.strata_used == _contributing_strata(
+            ds.observed_time, ds.event, ds.arm, ds.stratum_index)
 
 
 class TestOracleAgreement:
@@ -113,7 +121,23 @@ class TestOracleAgreement:
                 res = logrank(ds, stratified)
                 assert res.observed_minus_expected == pytest.approx(oe, abs=1e-12)
                 assert res.variance == pytest.approx(var, abs=1e-12)
+                if stratified:
+                    assert res.strata_used == _contributing_strata(times, events, arm, strata)
+                else:
+                    assert res.strata_used == 1
             checked += 1
+
+    def test_strata_used_skips_single_arm_and_deathless_strata(self):
+        # stratum 0 holds a contrast with deaths, stratum 1 one arm only,
+        # stratum 2 both arms but no deaths, stratum 3 a contrast with deaths
+        times = [1.0, 2.0, 3.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 3.0]
+        events = [True, True, False, True, True, False, False, True, False, True]
+        arm = [1, 0, 1, 1, 1, 0, 1, 0, 1, 1]
+        strata = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3])
+        res = logrank(_dataset(times, events, arm, strata=strata), stratified=True)
+        assert res.strata_used == _contributing_strata(times, events, arm, strata) == 2
+        _, var = hypergeom_logrank(times, events, arm, strata)
+        assert res.variance == pytest.approx(var, abs=1e-12)
 
 
 class TestScoreTestIdentity:

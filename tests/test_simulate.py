@@ -359,21 +359,22 @@ class TestOnePoolPerCall:
         assert all(row.error is None for row in rows)
 
     def test_killed_worker_fails_only_its_row(self, sizes, monkeypatch, tmp_path):
-        # Row 1's chunks kill their worker while row 0's first chunk waits for
-        # that to happen. Row 0 runs again alone, row 1 fails alone on its own
-        # pool, and row 2 runs on a fifth pool.
+        # Row 1's chunks kill their worker while row 0's first chunk is still
+        # running: on its first run that chunk waits until the broken pool
+        # terminates its worker, so it can never finish first. Row 0 runs
+        # again alone, row 1 fails alone on its own pool, and row 2 runs on a
+        # fifth pool.
         real = sim.generate_trials
-        killed = tmp_path / "killed"
+        started = tmp_path / "started"
 
         def waiting_or_fatal(design, scenario, generators):
             seed = generators[0].bit_generator.seed_seq.entropy
             if seed == 2:
-                killed.touch()
                 os._exit(1)
-            if seed == 1 and generators[0].bit_generator.seed_seq.spawn_key == (0,):
-                deadline = time.monotonic() + 30
-                while not killed.exists() and time.monotonic() < deadline:
-                    time.sleep(0.01)
+            if (seed == 1 and generators[0].bit_generator.seed_seq.spawn_key == (0,)
+                    and not started.exists()):
+                started.touch()
+                time.sleep(30)
             return real(design, scenario, generators)
 
         monkeypatch.setattr(sim, "generate_trials", waiting_or_fatal)
