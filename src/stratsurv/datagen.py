@@ -1,20 +1,30 @@
 """Trial dataset generation: strata, randomization, enrollment, event times.
 
-Generation is batched: ``generate_trials`` turns B seeded streams, one per
-replicate, into (B, N) subject arrays in one pass. Each stream draws a single
-(4, N) block of uniforms in a fixed order: subjects are assigned a stratum
-from the allocation weights, randomized by independent Bernoulli draws,
-enrolled uniformly over the accrual window and given an exponential latent
-event time; each row is then administratively censored at the calendar time
+Generation is batched: ``generate_trials`` turns a (4, B, N) block of
+uniforms, one (4, N) block per replicate stream, into (B, N) subject arrays
+in one pass. A block's rows, in a fixed order, assign each subject a stratum
+from the allocation weights, randomize it by an independent Bernoulli draw,
+enroll it uniformly over the accrual window and give it an exponential latent
+event time; each trial is then administratively censored at the calendar time
 of its own D-th event. ``generate_trial`` is the one-trial case, wrapped in a
 ``TrialDataset`` that holds one read-only array per subject field.
+
+Replicate i of a Monte Carlo run draws its block from
+``RngStream(master_seed, i).generator()``, a ``SeedSequence`` -> ``PCG64`` ->
+``Generator`` chain. The Monte Carlo path builds no such chain per replicate:
+``stream_states`` hashes a whole chunk's spawn keys at once, in numpy uint32
+arithmetic that transcribes ``SeedSequence``'s mixing, and
+``stream_uniforms`` re-seeds one ``PCG64`` per replicate from those words.
+The draws equal the reference chain's bit for bit;
+``tests/test_datagen.py::TestBatchedStreams`` holds them to it, so a numpy
+release that changed ``SeedSequence`` or ``PCG64`` seeding would fail it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,6 +32,16 @@ from .errors import InvalidParameterError
 from .trial import STRATUM_COUNT, ScenarioSpec, TrialDesign, control_rate_table
 
 TREATMENT = 1
+
+# numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding (pcg64.h)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -36,14 +56,106 @@ class RngStream:
     replicate_index: int = 0
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise InvalidParameterError("seed must be a nonnegative integer")
-        if self.replicate_index < 0:
-            raise InvalidParameterError("replicate_index must be nonnegative")
+        check_nonnegative_integer(self.seed, "seed")
+        check_nonnegative_integer(self.replicate_index, "replicate_index")
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.replicate_index,))
         return np.random.default_rng(seq)
+
+
+def check_nonnegative_integer(value, name: str) -> None:
+    """Raise InvalidParameterError unless ``value`` is a Python or numpy integer >= 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise InvalidParameterError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
+def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
+    """The seed words of streams ``RngStream(seed, i)``, i in lo..hi-1, as a
+    (hi - lo, 4) uint64 array: row i - lo is
+    ``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
+
+    An index below 2**32 is one spawn word and a larger one (below 2**64) two,
+    so a range that crosses 2**32 is hashed in one call per word count.
+    """
+    edges = [lo, 1 << 32, hi] if lo < 1 << 32 < hi else [lo, hi]
+    return np.concatenate([_hash_spawn_keys(seed, a, b) for a, b in zip(edges, edges[1:])])
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value``'s little-endian uint32 words; 0 is one word."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_spawn_keys(seed: int, lo: int, hi: int) -> np.ndarray:
+    """``stream_states`` for indices lo..hi-1 that all have one spawn-word count.
+
+    Transcribes ``SeedSequence.mix_entropy`` and ``generate_state`` with each
+    uint32 word an array over the replicates (numpy wraps its products mod
+    2**32). The entropy is the seed's words, padded with zeros to the pool
+    size because a spawn key is present, then the spawn key's words.
+    """
+    index = np.arange(lo, hi, dtype=np.uint64)
+    spawn = [(index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)]
+    seed_words = _uint32_words(int(seed))
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    entropy = [np.full(len(index), word, np.uint32) for word in seed_words]
+    entropy += spawn[:len(_uint32_words(lo))]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        return value ^ value >> _XSHIFT
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> _XSHIFT
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = np.empty((len(index), 8), np.uint32)
+    for i_dst in range(8):
+        value = pool[i_dst % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * hash_const
+        state[:, i_dst] = value ^ value >> _XSHIFT
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def stream_uniforms(states: np.ndarray, n: int) -> np.ndarray:
+    """The (4, B, N) uniform block of the B streams whose ``stream_states``
+    rows are ``states``: row b of each (B, N) slice is drawn as
+    ``RngStream(seed, i).generator().random((4, n))`` would draw it.
+
+    One ``PCG64`` is re-seeded per stream, as ``PCG64(seed_sequence)`` seeds
+    itself from the four words ``w``: seed ``w0 << 64 | w1``, increment
+    ``(w2 << 64 | w3) << 1 | 1``, then two steps of the LCG.
+    """
+    bit_generator = np.random.PCG64(0)
+    gen = np.random.Generator(bit_generator)
+    block = np.empty((len(states), 4, n))
+    for row, (w0, w1, w2, w3) in zip(block, states.tolist()):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        state = (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
+    return block.transpose(1, 0, 2)
 
 
 class TrialDataset:
@@ -128,18 +240,16 @@ class TrialBatch(NamedTuple):
 
 
 def generate_trials(
-    design: TrialDesign, scenario: ScenarioSpec, generators: Iterable[np.random.Generator]
+    design: TrialDesign, scenario: ScenarioSpec, uniforms: np.ndarray
 ) -> TrialBatch:
-    """Generate one trial per generator, each on its own stream, as (B, N) arrays.
+    """Generate B trials of N subjects as (B, N) arrays from (4, B, N) uniforms.
 
-    Each generator draws one (4, N) block of uniforms whose rows, in this
-    fixed order (part of the determinism contract), set the trial's strata,
-    arms, enrollment times and event times. Every later step acts row by row,
-    so no trial depends on the others in its batch.
+    Trial b reads the (4, N) block ``uniforms[:, b]``, drawn from its own
+    stream, whose rows in this fixed order (part of the determinism contract)
+    set its strata, arms, enrollment times and event times. Every step acts
+    row by row, so no trial depends on the others in its batch.
     """
-    n = design.sample_size
-    u_stratum, u_arm, u_enroll, u_event = np.stack(
-        [gen.random((4, n)) for gen in generators], axis=1)
+    u_stratum, u_arm, u_enroll, u_event = uniforms
 
     cdf = np.cumsum(design.allocation_weights)
     strata = np.searchsorted(cdf, u_stratum * cdf[-1], side="right").astype(np.int64)
@@ -180,6 +290,6 @@ def generate_trial(
     ``RngStream(master_seed, i)`` it is replicate i of a Monte Carlo run.
     """
     gen = rng.generator() if isinstance(rng, RngStream) else rng
-    batch = generate_trials(design, scenario, [gen])
+    batch = generate_trials(design, scenario, gen.random((4, design.sample_size))[:, None])
     return TrialDataset(np.arange(design.sample_size),
                         **{field: values[0] for field, values in batch._asdict().items()})

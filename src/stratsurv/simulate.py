@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import RngStream, generate_trials
+from .datagen import check_nonnegative_integer, generate_trials, stream_states, stream_uniforms
 from .errors import InvalidParameterError
 from .inference import TIE_METHODS, TrialAnalyses, analyze_trials
 from .trial import ScenarioSpec, TrialDesign
@@ -73,8 +73,7 @@ class SimConfig:
             raise InvalidParameterError(f"tie_method must be one of {TIE_METHODS}")
         if self.se_scale not in SE_SCALES:
             raise InvalidParameterError(f"se_scale must be one of {SE_SCALES}")
-        if self.master_seed < 0:
-            raise InvalidParameterError("master_seed must be nonnegative")
+        check_nonnegative_integer(self.master_seed, "master_seed")
 
 
 class Replicates(NamedTuple):
@@ -127,16 +126,18 @@ class StudyRow:
 def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
     """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index).
 
-    Replicates are generated and analyzed in batches of at most
-    BATCH_SUBJECT_ROWS subject rows; the results do not depend on the batching.
+    The chunk's stream states are hashed at once; replicates are then drawn,
+    generated and analyzed in batches of at most BATCH_SUBJECT_ROWS subject
+    rows. The results do not depend on the batching.
     """
     zcrit = NormalDist().inv_cdf(config.design.alpha_one_sided)
-    size = max(1, BATCH_SUBJECT_ROWS // config.design.sample_size)
+    n = config.design.sample_size
+    size = max(1, BATCH_SUBJECT_ROWS // n)
+    states = stream_states(config.master_seed, lo, hi)
     batches = []
-    for start in range(lo, hi, size):
+    for start in range(0, hi - lo, size):
         trials = generate_trials(config.design, config.scenario,
-                                 [RngStream(config.master_seed, index).generator()
-                                  for index in range(start, min(start + size, hi))])
+                                 stream_uniforms(states[start:start + size], n))
         batches.append(_replicate_columns(
             analyze_trials(trials, config.tie_method), zcrit))
     return _concatenate(batches)

@@ -325,10 +325,10 @@ class TestSimulateOutputPaths:
                                                           "--workers", "1")
         real = sim.generate_trials
 
-        def flaky(design, scenario, generators):
+        def flaky(design, scenario, uniforms):
             if design.true_hr == 0.7:
                 raise RuntimeError("boom")
-            return real(design, scenario, generators)
+            return real(design, scenario, uniforms)
 
         monkeypatch.setattr(sim, "generate_trials", flaky)
         capsys.readouterr()

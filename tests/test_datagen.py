@@ -9,12 +9,15 @@ from scipy.stats import kstest
 
 import stratsurv.simulate as sim
 from _oracles import naive_trial
+from _replay import assert_same, replay_replicates
 from stratsurv.datagen import (
     RngStream,
     TrialDataset,
     _censor_at_event,
     generate_trial,
     generate_trials,
+    stream_states,
+    stream_uniforms,
 )
 from stratsurv.errors import InvalidParameterError
 from stratsurv.trial import ScenarioSpec, TrialDesign, control_rate_table
@@ -59,6 +62,56 @@ class TestRngStream:
     def test_negative_seed_rejected(self):
         with pytest.raises(InvalidParameterError):
             RngStream(-1, 0)
+
+    @pytest.mark.parametrize("bad", [7.0, 7.5, "7", None, True])
+    def test_non_integer_seed_or_index_rejected(self, bad):
+        # SeedSequence would raise a TypeError only when the stream is built
+        with pytest.raises(InvalidParameterError, match="seed must be a nonnegative integer"):
+            RngStream(bad, 0)
+        with pytest.raises(InvalidParameterError,
+                           match="replicate_index must be a nonnegative integer"):
+            RngStream(7, bad)
+
+    def test_numpy_integers_accepted(self):
+        a = RngStream(np.int64(123), np.uint32(7)).generator().random(10)
+        assert np.array_equal(a, RngStream(123, 7).generator().random(10))
+
+
+def _reference_uniforms(seed, indices, n):
+    """The (4, B, N) block of the reference streams ``RngStream(seed, i)``."""
+    return np.stack([RngStream(seed, i).generator().random((4, n)) for i in indices], axis=1)
+
+
+class TestBatchedStreams:
+    """The Monte Carlo path's streams against the SeedSequence reference, bit for bit.
+
+    ``stream_states`` transcribes numpy's SeedSequence hash and
+    ``stream_uniforms`` its PCG64 seeding, so these tests are the contract: a
+    numpy release that changed either would fail them.
+    """
+
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 + 3, 2**128 + 5, 2**200 + 11]
+    # one spawn word, and a range whose second half needs two
+    RANGES = [(0, 40), (2**32 - 20, 2**32 + 20)]
+
+    @pytest.mark.parametrize("lo, hi", RANGES, ids=["one_word", "crossing_2_32"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_uniforms_equal_reference(self, seed, lo, hi):
+        got = stream_uniforms(stream_states(seed, lo, hi), 5)
+        assert np.array_equal(got, _reference_uniforms(seed, range(lo, hi), 5))
+
+    def test_states_are_generate_state_words(self):
+        for seed, index in [(0, 0), (2**64 + 3, 2**32 + 1)]:
+            want = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)
+            assert np.array_equal(stream_states(seed, index, index + 1), [want])
+
+    def test_chunk_across_2_32_equals_its_replay(self):
+        # replicates on both sides of the spawn key's second word
+        design = TrialDesign.from_event_target(0.6, 12)
+        config = sim.SimConfig(scenario=ScenarioSpec.multiplicative_covariates(),
+                               design=design, replicates=2**32 + 2, master_seed=2**63 + 7)
+        lo, hi = 2**32 - 2, 2**32 + 2
+        assert_same(sim._replicate_range(config, lo, hi), replay_replicates(config, lo, hi))
 
 
 class TestAssignStratum:
@@ -223,7 +276,8 @@ class TestGenerationOracle:
         # generate_trial and every row of one batch, on the same 20 streams
         design, scenario = _DESIGNS[design], _SCENARIOS[scenario]
         streams = [RngStream(31, index) for index in range(20)]
-        batch = generate_trials(design, scenario, [s.generator() for s in streams])
+        batch = generate_trials(design, scenario,
+                                _reference_uniforms(31, range(20), design.sample_size))
         assert batch.event.shape == (20, design.sample_size)
         for row, stream in enumerate(streams):
             _assert_matches_oracle(batch, row, design, scenario, stream)

@@ -26,7 +26,13 @@ duplicates).
 import numpy as np
 import pytest
 
-from stratsurv.datagen import RngStream, TrialBatch, TrialDataset, generate_trials
+from stratsurv.datagen import (
+    TrialBatch,
+    TrialDataset,
+    generate_trials,
+    stream_states,
+    stream_uniforms,
+)
 from stratsurv.inference import (
     COX_METHODS,
     TIE_METHODS,
@@ -46,7 +52,7 @@ def _batch(tied: bool) -> TrialBatch:
     """Four 200-subject trials; ``tied`` rounds times up to whole months."""
     design = TrialDesign.from_event_target(0.7, 140)
     batch = generate_trials(design, ScenarioSpec.multiplicative_covariates(),
-                            (RngStream(17, i).generator() for i in range(TRIALS)))
+                            stream_uniforms(stream_states(17, 0, TRIALS), design.sample_size))
     if tied:
         batch = batch._replace(observed_time=np.ceil(batch.observed_time))
     return batch

@@ -9,12 +9,11 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import stratsurv.simulate as sim
-from stratsurv.datagen import RngStream, TrialDataset, generate_trial
-from stratsurv.errors import DegenerateTestError, InvalidModelError, InvalidParameterError
-from stratsurv.inference import COX_METHODS, AnalysisSpec, cox_fit, logrank
+from _replay import assert_same, replay_replicates
+from stratsurv.datagen import TrialDataset
+from stratsurv.errors import InvalidParameterError
 from stratsurv.simulate import (
     COX_KEYS,
     TEST_KEYS,
@@ -45,67 +44,25 @@ def _stack(*results):
     return Replicates(*(np.concatenate(column) for column in zip(*results)))
 
 
-def _assert_same(a: Replicates, b: Replicates):
-    for field in Replicates._fields:
-        x, y = getattr(a, field), getattr(b, field)
-        assert x.dtype == y.dtype and x.shape == y.shape, field
-        assert np.array_equal(x, y, equal_nan=x.dtype.kind == "f"), field
-
-
 def _fail_generation(monkeypatch, seed):
     """Make generation raise RuntimeError("boom") for the row seeded ``seed``."""
-    real = sim.generate_trials
+    real = sim.stream_states
 
-    def flaky(design, scenario, generators):
-        if generators[0].bit_generator.seed_seq.entropy == seed:
+    def flaky(master_seed, lo, hi):
+        if master_seed == seed:
             raise RuntimeError("boom")
-        return real(design, scenario, generators)
+        return real(master_seed, lo, hi)
 
-    monkeypatch.setattr(sim, "generate_trials", flaky)
-
-
-def _reference_replicates(cfg: SimConfig) -> Replicates:
-    """The documented rules applied replicate by replicate.
-
-    A test outcome is None when the test is degenerate: a log-rank test that
-    raises, or the Wald test of a Cox fit that raised, did not converge or has
-    no finite SE. Only usable fits contribute estimates; None never rejects.
-    """
-    zcrit = norm.ppf(cfg.design.alpha_one_sided)
-    hr = np.full((cfg.replicates, 3), np.nan)
-    se = np.full((cfg.replicates, 3), np.nan)
-    outcomes = []
-    for i in range(cfg.replicates):
-        data = generate_trial(cfg.design, cfg.scenario, RngStream(cfg.master_seed, i))
-        outcome = {}
-        for key, stratified in (("lr", False), ("strat_lr", True)):
-            try:
-                outcome[key] = logrank(data, stratified=stratified).z < zcrit
-            except DegenerateTestError:
-                outcome[key] = None
-        for k, (key, method) in enumerate(zip(COX_KEYS, COX_METHODS)):
-            try:
-                fit = cox_fit(data, AnalysisSpec(method, tie_method=cfg.tie_method))
-            except InvalidModelError:
-                fit = None
-            if fit is not None and fit.converged and math.isfinite(fit.treatment_se):
-                hr[i, k], se[i, k] = fit.treatment_hr, fit.treatment_se
-                outcome[key] = fit.wald_z < zcrit
-            else:
-                outcome[key] = None
-        outcomes.append([outcome[key] for key in TEST_KEYS])
-    reject = np.array([[o is not None and bool(o) for o in row] for row in outcomes])
-    degenerate = np.array([[o is None for o in row] for row in outcomes])
-    return Replicates(hr, se, reject, degenerate)
+    monkeypatch.setattr(sim, "stream_states", flaky)
 
 
 class TestRunReplicate:
     def test_deterministic_per_index(self):
         cfg = _config()
-        _assert_same(sim._replicate_range(cfg, 5, 6), sim._replicate_range(cfg, 5, 6))
+        assert_same(sim._replicate_range(cfg, 5, 6), sim._replicate_range(cfg, 5, 6))
         chunk = sim._replicate_range(cfg, 3, 7)
-        _assert_same(sim._replicate_range(cfg, 5, 6),
-                     Replicates(*(column[2:3] for column in chunk)))
+        assert_same(sim._replicate_range(cfg, 5, 6),
+                    Replicates(*(column[2:3] for column in chunk)))
         assert not np.array_equal(sim._replicate_range(cfg, 5, 6).hr,
                                   sim._replicate_range(cfg, 6, 7).hr)
 
@@ -136,7 +93,7 @@ class TestReferenceColumns:
         design = TrialDesign(true_hr=0.5, target_events=10, sample_size=15)
         cfg = SimConfig(scenario=ScenarioSpec.multiplicative_covariates(), design=design,
                         replicates=37, master_seed=11)
-        return cfg, _reference_replicates(cfg)
+        return cfg, replay_replicates(cfg)
 
     def test_reference_has_unusable_replicates(self, small_n):
         _, ref = small_n
@@ -148,20 +105,20 @@ class TestReferenceColumns:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_columns_match_reference(self, small_n, workers):
         cfg, ref = small_n
-        _assert_same(run_replicates(cfg, workers=workers), ref)
+        assert_same(run_replicates(cfg, workers=workers), ref)
 
     def test_batching_does_not_change_results(self, small_n, monkeypatch):
         # A replicate's outcome must not depend on the batch it is analyzed
         # in, whatever the host's CPU count makes of the worker chunking.
         cfg, _ = small_n
         whole = sim._replicate_range(cfg, 0, 37)
-        _assert_same(_stack(sim._replicate_range(cfg, 0, 7),
-                            sim._replicate_range(cfg, 7, 37)), whole)
-        _assert_same(_stack(*(sim._replicate_range(cfg, i, i + 1) for i in range(37))), whole)
+        assert_same(_stack(sim._replicate_range(cfg, 0, 7),
+                           sim._replicate_range(cfg, 7, 37)), whole)
+        assert_same(_stack(*(sim._replicate_range(cfg, i, i + 1) for i in range(37))), whole)
         # batches of 5 replicates: 3..20 crosses the boundaries at 8, 13 and 18
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * cfg.design.sample_size)
-        _assert_same(sim._replicate_range(cfg, 3, 20), Replicates(*(c[3:20] for c in whole)))
-        _assert_same(sim._replicate_range(cfg, 0, 37), whole)
+        assert_same(sim._replicate_range(cfg, 3, 20), Replicates(*(c[3:20] for c in whole)))
+        assert_same(sim._replicate_range(cfg, 0, 37), whole)
 
 
 def _rows(*replicates):
@@ -364,20 +321,18 @@ class TestOnePoolPerCall:
         # terminates its worker, so it can never finish first. Row 0 runs
         # again alone, row 1 fails alone on its own pool, and row 2 runs on a
         # fifth pool.
-        real = sim.generate_trials
+        real = sim.stream_states
         started = tmp_path / "started"
 
-        def waiting_or_fatal(design, scenario, generators):
-            seed = generators[0].bit_generator.seed_seq.entropy
+        def waiting_or_fatal(seed, lo, hi):
             if seed == 2:
                 os._exit(1)
-            if (seed == 1 and generators[0].bit_generator.seed_seq.spawn_key == (0,)
-                    and not started.exists()):
+            if seed == 1 and lo == 0 and not started.exists():
                 started.touch()
                 time.sleep(30)
-            return real(design, scenario, generators)
+            return real(seed, lo, hi)
 
-        monkeypatch.setattr(sim, "generate_trials", waiting_or_fatal)
+        monkeypatch.setattr(sim, "stream_states", waiting_or_fatal)
         configs = [_config(hr=0.5, d=20, replicates=8, seed=seed) for seed in (1, 2, 3)]
         rows = run_study(configs, workers=2)
         assert rows[1].error == ("BrokenProcessPool: a worker process was killed before "
@@ -385,7 +340,7 @@ class TestOnePoolPerCall:
         assert rows[0].error is None and rows[2].error is None
         assert sizes == [2, 2, 2, 2, 2]
         assert multiprocessing.active_children() == []
-        monkeypatch.setattr(sim, "generate_trials", real)
+        monkeypatch.setattr(sim, "stream_states", real)
         assert [rows[0], rows[2]] == run_study(configs[::2], workers=1)
 
     def test_no_pool_when_every_row_has_one_worker(self, sizes):
@@ -409,7 +364,7 @@ class TestWorkerDeterminism:
         cfg = _config(replicates=30)
         serial = run_replicates(cfg, workers=1)
         parallel = run_replicates(cfg, workers=2)
-        _assert_same(serial, parallel)
+        assert_same(serial, parallel)
 
     def test_aggregate_identical_across_workers(self):
         cfg = _config(replicates=30)
@@ -523,3 +478,15 @@ class TestSimConfigValidation:
     def test_se_scale_checked(self):
         with pytest.raises(InvalidParameterError):
             _config(se_scale="linear")
+
+    @pytest.mark.parametrize("seed", [-1, 7.0, 7.5, "7", None, True])
+    def test_master_seed_must_be_a_nonnegative_integer(self, seed):
+        # a float seed used to construct and fail its row when the streams were built
+        with pytest.raises(InvalidParameterError, match="master_seed must be a nonnegative "
+                                                        "integer"):
+            _config(seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = _config(seed=np.uint64(2**63 + 7), replicates=3)
+        assert_same(sim._replicate_range(cfg, 0, 3),
+                    sim._replicate_range(_config(seed=2**63 + 7, replicates=3), 0, 3))
