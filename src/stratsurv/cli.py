@@ -103,10 +103,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     study = study.with_overrides(seed=args.seed, workers=args.workers,
                                  replicates=args.replicates)
     configs = study.sim_configs()
+    sidecar = args.sidecar if args.sidecar is not None else args.output + ".json"
+    for path in (args.output, sidecar):
+        directory = os.path.dirname(os.path.abspath(path))
+        if not os.path.isdir(directory):
+            raise InvalidParameterError(f"cannot write {path}: no directory {directory}")
     rows = run_study(configs, workers=study.workers)
 
     write_results_csv(args.output, rows)
-    sidecar = args.sidecar if args.sidecar is not None else args.output + ".json"
     write_sidecar_json(sidecar, study.to_mapping(), rows)
 
     if args.dump_datasets is not None:

@@ -114,9 +114,16 @@ class StudyConfig:
 
 
 def load_study_config(path: str) -> StudyConfig:
-    """Parse and validate a study configuration file."""
-    with open(path, encoding="utf-8") as fh:
-        return parse_study_config(fh.read(), path)
+    """Parse and validate a study configuration file. A file that cannot be
+    read, or is not UTF-8 text, is a ``ConfigError`` naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc.strerror or exc}", path) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc.reason}", path) from None
+    return parse_study_config(text, path)
 
 
 def parse_study_config(text: str, path: str = "<config>") -> StudyConfig:

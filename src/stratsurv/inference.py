@@ -5,15 +5,20 @@ subject arrays; ``logrank``, ``cox_fit`` and ``partial_likelihood_terms`` are
 its B = 1 case, on a 1-row view of their dataset, so a replay of a Monte Carlo
 run through them reproduces it exactly.
 
-Layout. Each row (one dataset) is sorted by time with one stable argsort;
-the unstratified layout pools the row into one stratum, and the stratified
-layout re-sorts that order by stratum with one stable sort on int8 strata,
-which sorts by (stratum, time) with ties in subject order. Subjects run along
-the last axis: event indicators are (B, N) and covariates (B, p, N). Every
-position knows the first and one-past-last position of its tied
-(stratum, time) block and of its stratum, and the risk set of a block is the
-rest of its stratum from the block's start. The multivariate design is one
-gather from a coding table of the 24 cells 2 * stratum + arm.
+Layout. Each row (one dataset) is sorted by time, ties in subject order:
+``datagen.stable_argsort`` starts from numpy's default (SIMD) argsort and
+puts each run of tied times back in subject order, which gives exactly the
+permutation of ``np.argsort(kind="stable")``
+(``tests/test_datagen.py::TestStableArgsort`` holds it to that oracle). The
+unstratified layout pools the row into one stratum, and the stratified
+layout re-sorts that order by stratum with one stable sort on int8 strata
+(numpy's linear radix sort), which sorts by (stratum, time) with ties in
+subject order. Subjects run along the last axis: event indicators are (B, N)
+and covariates (B, p, N). Every position knows the first and one-past-last
+position of its tied (stratum, time) block and of its stratum, and the risk
+set of a block is the rest of its stratum from the block's start. The
+multivariate design is one gather from a coding table of the 24 cells
+2 * stratum + arm.
 
 Arm counts. Each layout computes once, per position, n0 and n1, the control
 and treated subjects in its risk set, and d0 and d1, the control and treated
@@ -75,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .datagen import TrialBatch, TrialDataset
+from .datagen import TrialBatch, TrialDataset, stable_argsort
 from .errors import DegenerateTestError, InvalidModelError, InvalidParameterError
 from .trial import COVARIATE_NAMES, STRATUM_COUNT, stratum_covariates
 
@@ -637,16 +642,16 @@ class _Trials:
     of a ``TrialBatch`` or a 1-row view of a ``TrialDataset``, with the two
     layouts built once and shared by the analyses.
 
-    Both layouts start from one stable sort of each row by time. The
-    stratified order re-sorts it by stratum, stably, so ties keep subject
-    order within a (stratum, time) block.
+    Both layouts start from one stable sort of each row by time
+    (``stable_argsort``). The stratified order re-sorts it by stratum, stably,
+    so ties keep subject order within a (stratum, time) block.
     """
 
     def __init__(self, trials: TrialBatch | TrialDataset):
         self.time, self.event, self.arm, strata = (
             np.atleast_2d(a) for a in
             (trials.observed_time, trials.event, trials.arm, trials.stratum_index))
-        self.order = np.argsort(self.time, axis=1, kind="stable")
+        self.order = stable_argsort(self.time)
         # cell = 2 * stratum + arm, in time order
         cells = 2 * strata.astype(np.int8) + self.arm.astype(np.int8)
         self.cells = np.take_along_axis(cells, self.order, 1)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import warnings
+from contextlib import contextmanager
 from typing import Any
 
 import numpy as np
@@ -23,6 +25,8 @@ from .trial import STRATUM_COUNT
 
 _BASE_COLUMNS = ("id", "arm", "time", "event")
 _INT64 = np.iinfo(np.int64)
+#: Suffixes by which ``np.loadtxt`` decompresses a path (numpy's DataSource).
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 #: Result CSV column order; power as percent with one decimal, estimation
 #: metrics with three decimals.
@@ -44,22 +48,33 @@ def read_subject_records(path: str) -> TrialDataset:
 
     Requires a header; times must be strictly positive, arm and event must be
     0/1, and the stratum is given either as an index in [0, 12) or as the
-    factor triple x1, x2, x3. The body is read with one ``np.loadtxt`` pass;
-    a file that pass cannot read, or with any row that fails a check, goes
-    to the row-by-row parser, which accepts exactly the same input as Python's
-    ``int``/``float`` and words every error with its row number.
+    factor triple x1, x2, x3. The header is read with ``csv``; the body with
+    one ``np.loadtxt`` pass on the path, which numpy reads in C chunks,
+    skipping the header's lines (more than one where a quoted header cell
+    holds a newline). A file that pass cannot read, a file whose name numpy
+    would decompress by its suffix, or any row that fails a check goes to the
+    row-by-row parser, which accepts exactly the same input as Python's
+    ``int``/``float`` and words every error with its row number
+    (``tests/test_import_paths.py`` holds the two paths equal). A file that
+    cannot be opened or is not UTF-8 text is a ``DataFormatError`` naming it.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        columns, triple = _read_header(csv.reader(fh))
-        dtype = [(name, np.float64 if name == "time" else np.int64) for name in columns]
-        try:
-            # As an error, a warning (such as loadtxt's on a file with no data
-            # rows) sends the file to the row parser instead of to stderr.
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None, ndmin=1)
-        except (ValueError, Warning):
-            table = None
+    with _dataset_text(path) as fh:
+        reader = csv.reader(fh)
+        columns, triple = _read_header(reader)
+    if os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
+        return _read_rows(path)
+    dtype = [(name, np.float64 if name == "time" else np.int64) for name in columns]
+    try:
+        # As an error, a warning (such as loadtxt's on a file with no data
+        # rows) sends the file to the row parser instead of to stderr.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # An absolute path, so that numpy never reads it as a URL.
+            table = np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=",",
+                               comments=None, skiprows=reader.line_num, ndmin=1,
+                               encoding="utf-8")
+    except (ValueError, Warning):
+        table = None
     if table is None or not _rows_valid(table, triple):
         return _read_rows(path)
     strata = table["x1"] * 6 + table["x2"] * 2 + table["x3"] if triple else table["stratum"]
@@ -71,6 +86,21 @@ def read_subject_records(path: str) -> TrialDataset:
         observed_time=table["time"],
         event=table["event"] == 1,
     )
+
+
+@contextmanager
+def _dataset_text(path: str):
+    """The dataset file opened as UTF-8 text. A file that cannot be opened or
+    read, or that is not UTF-8, raises a ``DataFormatError`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataFormatError(f"cannot read dataset {os.fspath(path)}: "
+                              f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"dataset {os.fspath(path)} is not UTF-8 text: "
+                              f"{exc.reason}") from None
 
 
 def _rows_valid(table: np.ndarray, triple: bool) -> bool:
@@ -100,7 +130,7 @@ def _read_header(reader) -> tuple[list[str], bool]:
 
 def _read_rows(path: str) -> TrialDataset:
     """The reference parser: one row at a time, each cell through ``int``/``float``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _dataset_text(path) as fh:
         reader = csv.reader(fh)
         columns, triple = _read_header(reader)
         index = {name: columns.index(name) for name in columns}

@@ -395,3 +395,59 @@ class TestWidthsAboveHostCpus:
             assert json.loads(Path(f"{out}.json").read_text())["rows"] == reference[1], w
             assert multiprocessing.active_children() == []
         assert widths == list(range(3, 9))
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read, or an output directory that does not exist,
+    is one ``error:`` line naming the path and exit 2, with nothing written."""
+
+    BODY = "".join(f"{i},{i % 12},{i % 2},{1 + i % 30}.5,{i % 2}\n" for i in range(2000))
+
+    def _assert_rejected(self, proc, path, tmp_path, before):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert str(path) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "latin1_header", "latin1_body"])
+    def test_fit_dataset(self, tmp_path, case):
+        path = tmp_path / "data.csv"
+        if case == "directory":
+            path.mkdir()
+        elif case != "missing":
+            text = ("id,stratum,arm,time,event\n" + self.BODY).encode("utf-8")
+            at = 30 if case == "latin1_header" else 20_000
+            path.write_bytes(text[:at] + b"\xe9" + text[at:])
+        before = sorted(tmp_path.iterdir())
+        proc = run_cli("fit", str(path), "--method", "cox-stratified")
+        self._assert_rejected(proc, path, tmp_path, before)
+
+    @pytest.mark.parametrize("case", ["missing", "latin1"])
+    def test_simulate_config(self, tmp_path, case):
+        cfg = tmp_path / "study.cfg"
+        if case == "latin1":
+            cfg.write_bytes(CONFIG_TEXT.replace("seed = 42", "seed = 42  # caf\xe9")
+                            .encode("latin-1"))
+        before = sorted(tmp_path.iterdir())
+        proc = run_cli("simulate", str(cfg), "-o", str(tmp_path / "r.csv"))
+        self._assert_rejected(proc, cfg, tmp_path, before)
+
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    def test_simulate_output_directory_checked_before_the_study(self, tmp_path, monkeypatch,
+                                                                capsys, flag):
+        import stratsurv.cli as cli
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the study was started")
+
+        monkeypatch.setattr(cli, "run_study", refuse)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        missing = tmp_path / "nonexistent" / "dir" / "x.csv"
+        out = missing if flag == "-o" else tmp_path / "r.csv"
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["simulate", str(cfg), "-o", str(out), flag, str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+        assert sorted(tmp_path.iterdir()) == before

@@ -16,6 +16,7 @@ from stratsurv.datagen import (
     _censor_at_event,
     generate_trial,
     generate_trials,
+    stable_argsort,
     stream_states,
     stream_uniforms,
 )
@@ -112,6 +113,50 @@ class TestBatchedStreams:
                                design=design, replicates=2**32 + 2, master_seed=2**63 + 7)
         lo, hi = 2**32 - 2, 2**32 + 2
         assert_same(sim._replicate_range(config, lo, hi), replay_replicates(config, lo, hi))
+
+
+class TestStableArgsort:
+    """``stable_argsort`` against its oracle ``np.argsort(kind="stable")``.
+
+    The layouts and the event cutoff sort through the helper, and so does the
+    one-trial replay the fuzz tests compare with, so this test is the guard
+    on the order itself.
+    """
+
+    SPECIALS = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, 1.0, -1.0])
+
+    def _values(self, rng, rows, n):
+        kind = rng.integers(5)
+        if kind == 0:  # integer-valued, heavily tied
+            return rng.integers(0, int(rng.integers(1, 5)), (rows, n)).astype(float)
+        if kind == 1:  # distinct values
+            return rng.random((rows, n))
+        if kind == 2:  # nothing but the special values
+            return rng.choice(self.SPECIALS, (rows, n))
+        if kind == 3:  # month-rounded times, a few specials mixed in
+            values = np.ceil(rng.exponential(12.0, (rows, n)))
+            special = rng.random((rows, n)) < 0.1
+            values[special] = rng.choice(self.SPECIALS, int(special.sum()))
+            return values
+        return np.repeat(rng.random((rows, 1)), n, axis=1)  # one value per row
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_stable_argsort(self, seed):
+        rng = np.random.default_rng([20261019, seed])
+        for _ in range(500):
+            rows = int(rng.choice([1, int(rng.integers(2, 9))]))
+            n = int(rng.choice([0, 1, 2, int(rng.integers(3, 200))]))
+            values = self._values(rng, rows, n)
+            got = stable_argsort(values)
+            want = np.argsort(values, axis=-1, kind="stable")
+            assert got.dtype == want.dtype and np.array_equal(got, want), values
+
+    def test_ties_beyond_the_default_sorts_order(self):
+        # long enough for numpy's default argsort to reorder ties
+        values = np.tile([2.0, np.nan, -0.0, 0.0, 1.0], (3, 40))
+        values[1] = values[1, ::-1]
+        assert np.array_equal(stable_argsort(values),
+                              np.argsort(values, axis=-1, kind="stable"))
 
 
 class TestAssignStratum:

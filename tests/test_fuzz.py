@@ -5,16 +5,25 @@ edges: all three scenario kinds, zero-weight strata and 7:1 weights,
 randomization probabilities near 0 and 1, a target of one event, an event
 fraction of 1, accrual near 0, both tie methods and seeds up to 2**63.
 Every row of ``_replicate_range`` must equal the row that ``generate_trial``,
-``logrank`` and ``cox_fit`` give for that replicate, bit for bit.
+``logrank`` and ``cox_fit`` give for that replicate, bit for bit. A share of
+the configs also runs through ``simulate`` from a config file, and the run's
+sidecar echo, read back by ``StudyConfig.from_mapping``, must reproduce the
+result CSV byte for byte.
 """
+
+import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 import stratsurv.simulate as sim
 from _replay import assert_same, replay_replicates
+from stratsurv.cli import main
+from stratsurv.config import StudyConfig, load_study_config
 from stratsurv.inference import TIE_METHODS
-from stratsurv.trial import STRATUM_COUNT, ScenarioSpec, TrialDesign
+from stratsurv.io import write_results_csv
+from stratsurv.trial import STRATUM_COUNT, ScenarioSpec
 
 FUZZ_SEED = 20261018
 CASES = 100
@@ -48,24 +57,26 @@ def _weights(rng) -> tuple[float, ...]:
     return tuple(float(w) for w in weights)
 
 
-def _draw_config(case: int) -> sim.SimConfig:
+def _draw_study(case: int) -> StudyConfig:
+    """A one-row study; its row is the fuzzed ``SimConfig``."""
     rng = np.random.default_rng([FUZZ_SEED, case])
     events = int(_choose(rng, [1, 2, rng.integers(1, 61)]))
-    design = TrialDesign.from_event_target(
-        true_hr=float(_choose(rng, [1.0, rng.uniform(0.2, 1.0)])),
-        target_events=events,
+    design = dict(
+        true_hrs=(float(_choose(rng, [1.0, rng.uniform(0.2, 1.0)])),),
+        events=(events,),
         event_fraction=float(_choose(rng, [1.0, rng.uniform(0.3, 1.0)])),
         accrual_months=float(_choose(rng, [1e-6, rng.uniform(0.5, 500)])),
         allocation_weights=_weights(rng),
         randomization_prob=float(_choose(rng, [0.02, 0.98, rng.uniform(0.02, 0.98)])),
         alpha_one_sided=float(_choose(rng, [0.025, rng.uniform(0.01, 0.2)])),
     )
-    return sim.SimConfig(scenario=_scenario(rng), design=design, replicates=REPLICATES,
-                         master_seed=int(rng.integers(2**63, dtype=np.uint64)),
-                         tie_method=str(_choose(rng, TIE_METHODS)))
+    return StudyConfig(scenario=_scenario(rng), **design, replicates=REPLICATES,
+                       seed=int(rng.integers(2**63, dtype=np.uint64)),
+                       tie_method=str(_choose(rng, TIE_METHODS)))
 
 
-CONFIGS = [_draw_config(case) for case in range(CASES)]
+STUDIES = [_draw_study(case) for case in range(CASES)]
+CONFIGS = [study.sim_configs()[0] for study in STUDIES]
 
 
 def test_draws_reach_the_schema_edges():
@@ -87,3 +98,36 @@ def test_draws_reach_the_schema_edges():
 def test_replicate_range_equals_replay(case):
     cfg = CONFIGS[case]
     assert_same(sim._replicate_range(cfg, 0, REPLICATES), replay_replicates(cfg))
+
+
+#: Configs run through ``simulate`` and replayed from their sidecar echo.
+ECHO_CASES = range(4, CASES, 8)
+
+
+def _config_text(study: StudyConfig) -> str:
+    """A config file of ``study``: its ``to_mapping`` echo, one key per line."""
+    lines = []
+    for section, keys in study.to_mapping().items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if isinstance(value, list):
+                value = (":" if key == "allocation" else ", ").join(map(repr, value))
+            if value is not None:
+                lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("case", ECHO_CASES)
+def test_sidecar_echo_reproduces_the_csv(tmp_path, case):
+    study = dataclasses.replace(STUDIES[case], replicates=3 + case % 2)
+    path = tmp_path / "study.cfg"
+    path.write_text(_config_text(study), encoding="utf-8")
+    assert load_study_config(path) == study
+    out = tmp_path / "run.csv"
+    assert main(["simulate", str(path), "-o", str(out), "--workers", "1"]) == 0
+
+    echo = StudyConfig.from_mapping(json.loads((tmp_path / "run.csv.json").read_text())["config"])
+    assert echo == dataclasses.replace(study, workers=1)
+    replay = tmp_path / "replay.csv"
+    write_results_csv(replay, sim.run_study(echo.sim_configs(), workers=echo.workers))
+    assert replay.read_bytes() == out.read_bytes()

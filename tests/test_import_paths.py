@@ -163,3 +163,50 @@ def test_cells_python_reads_and_loadtxt_does_not(tmp_path, cell, accepted):
         with pytest.raises(DataFormatError) as err:
             read_subject_records(path)
         assert err.value.row == 2
+
+
+def _refuse_row_parser(monkeypatch):
+    def refuse(path):
+        raise AssertionError("the file fell back to the row parser")
+
+    monkeypatch.setattr(io, "_read_rows", refuse)
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_header_with_quoted_newline_keeps_body_aligned(tmp_path, monkeypatch, ending):
+    # The header spans two lines; the loadtxt pass skips both and reads every row.
+    path = tmp_path / "quoted.csv"
+    lines = ['"id\n",stratum,arm,time,event', "1,0,1,2.5,1", "2,11,0,1.5,0", "3,4,1,7.25,1"]
+    path.write_bytes(ending.join(lines).replace("\n", ending).encode("utf-8") + b"\n")
+    expected = _outcome(io._read_rows, path)
+    assert expected[0][1] == np.array([1, 2, 3]).tobytes()
+    _refuse_row_parser(monkeypatch)
+    assert _outcome(read_subject_records, path) == expected
+
+
+def test_compressed_suffixes_cover_numpys():
+    # numpy decompresses a path by these suffixes; a new one would need adding.
+    assert set(np.lib._datasource._file_openers.keys()) - {None} <= set(io._COMPRESSED_SUFFIXES)
+
+
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_plain_file_with_compression_suffix_reads_as_text(tmp_path, suffix):
+    rng = np.random.default_rng(7)
+    path = tmp_path / f"data.csv{suffix}"
+    path.write_text(_dataset_file(rng, mutations=0), encoding="utf-8")
+    got = _outcome(read_subject_records, path)
+    assert got[0] != "error"
+    assert got == _outcome(io._read_rows, path)
+
+
+@pytest.mark.parametrize("offset", [30, 20_000], ids=["header_chunk", "body"])
+def test_non_utf8_byte_is_a_format_error(tmp_path, offset):
+    # A bad byte in the first block fails the header read; one further on
+    # fails the loadtxt pass, and the row parser then names the file.
+    rows = "".join(f"{i},{i % 12},{i % 2},{1 + i % 30}.5,{i % 2}\n" for i in range(2000))
+    text = ("id,stratum,arm,time,event\n" + rows).encode("utf-8")
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(text[:offset] + b"\xe9" + text[offset:])
+    got = _outcome(read_subject_records, path)
+    assert got == _outcome(io._read_rows, path)
+    assert got[0] == "error" and str(path) in got[1] and "not UTF-8" in got[1]

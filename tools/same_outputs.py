@@ -1,4 +1,4 @@
-"""Check that this tree's simulate output is byte-identical to a git revision's.
+"""Check that this tree's simulate and fit output is byte-identical to a git revision's.
 
 Usage: python tools/same_outputs.py REV
 
@@ -6,8 +6,11 @@ Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs every ``configs/*.cfg`` at ``--replicates 200`` with ``--workers 1`` and
 ``--workers 2``, at the config's seed and at ``--seed 2**64 + 12345`` (a seed
 of three uint32 words), through both REV's package and this working tree's.
-Prints each result CSV or sidecar pair that differs and exits 1 if any does,
-else 0.
+It also writes a seeded dataset of 20,000 subjects over 12 strata with times
+rounded up to whole months, so that nearly every event time is tied, and
+runs ``fit --json`` on it for every method, under both tie rules for the Cox
+methods. Prints each result CSV, sidecar or fit output that differs and exits
+1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -23,11 +26,18 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 REPLICATES = 200
 WORKERS = (1, 2)
 #: None runs the config's own seed.
 SEEDS = (None, 2**64 + 12345)
+FIT_ROWS = 20_000
+FIT_SEED = 20261019
+LOGRANK_METHODS = ("logrank", "logrank-stratified")
+COX_METHODS = ("cox-unstratified", "cox-multivariate", "cox-stratified")
+TIES = ("efron", "breslow")
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -54,27 +64,66 @@ def simulate(src: Path, config: Path, workers: int, seed: int | None,
     return csv_path, sidecar
 
 
+def write_tied_dataset(path: Path) -> None:
+    """A month-tied subject CSV: exponential times (stratum medians 6 to 36
+    months, treatment HR 0.8) censored 12 to 36 months after entry, then
+    rounded up to whole months."""
+    rng = np.random.default_rng(FIT_SEED)
+    stratum = rng.integers(0, 12, FIT_ROWS)
+    arm = rng.integers(0, 2, FIT_ROWS)
+    rate = np.log(2.0) / np.linspace(6.0, 36.0, 12)[stratum] * np.where(arm == 1, 0.8, 1.0)
+    latent = rng.exponential(1.0 / rate)
+    censor = rng.uniform(12.0, 36.0, FIT_ROWS)
+    months = np.ceil(np.minimum(latent, censor)).astype(int)
+    rows = zip(stratum.tolist(), arm.tolist(), months.tolist(), (latent <= censor).tolist())
+    path.write_text("id,stratum,arm,time,event\n" + "".join(
+        f"{i},{s},{a},{t},{int(e)}\n" for i, (s, a, t, e) in enumerate(rows)))
+
+
+def fit(src: Path, dataset: Path, method: str, ties: str | None, out_dir: Path) -> Path:
+    """``fit --json`` of one method through the package under ``src``; its stdout's path."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    ties_args = [] if ties is None else ["--ties", ties]
+    out = out_dir / (f"fit_{method}" + ("" if ties is None else f"_{ties}") + ".json")
+    env = dict(os.environ, PYTHONPATH=str(src))
+    stdout = subprocess.run([sys.executable, "-m", "stratsurv", "fit", str(dataset),
+                             "--method", method, "--json", *ties_args],
+                            check=True, env=env, capture_output=True).stdout
+    out.write_bytes(stdout)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     args = parser.parse_args(argv)
 
     configs = sorted((ROOT / "configs").glob("*.cfg"))
+    fits = [(m, None) for m in LOGRANK_METHODS] + list(itertools.product(COX_METHODS, TIES))
     differ = compared = 0
+
+    def compare(outputs: dict[str, tuple[Path, ...]]) -> None:
+        nonlocal differ, compared
+        for theirs, ours in zip(outputs["rev"], outputs["tree"]):
+            compared += 1
+            if not filecmp.cmp(theirs, ours, shallow=False):
+                differ += 1
+                print(f"differs: {ours.name}")
+
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"rev": export_src(args.rev, tmp / "rev"), "tree": ROOT / "src"}
         for config, workers, seed in itertools.product(configs, WORKERS, SEEDS):
-            outputs = {name: simulate(src, config, workers, seed, tmp / "out" / name)
-                       for name, src in trees.items()}
-            for theirs, ours in zip(outputs["rev"], outputs["tree"]):
-                compared += 1
-                if not filecmp.cmp(theirs, ours, shallow=False):
-                    differ += 1
-                    print(f"differs: {ours.name} (workers {workers})")
+            compare({name: simulate(src, config, workers, seed, tmp / "out" / name)
+                     for name, src in trees.items()})
+        dataset = tmp / "tied.csv"
+        write_tied_dataset(dataset)
+        for method, ties in fits:
+            compare({name: (fit(src, dataset, method, ties, tmp / "out" / name),)
+                     for name, src in trees.items()})
     print(f"{differ} of {compared} files differ from {args.rev} "
           f"({len(configs)} configs, workers {WORKERS}, seeds {SEEDS}, "
-          f"{REPLICATES} replicates)")
+          f"{REPLICATES} replicates; {len(fits)} fits of {FIT_ROWS} tied rows)")
     return 1 if differ else 0
 
 
