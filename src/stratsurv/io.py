@@ -51,18 +51,20 @@ def read_subject_records(path: str) -> TrialDataset:
     factor triple x1, x2, x3. The header is read with ``csv``; the body with
     one ``np.loadtxt`` pass on the path, which numpy reads in C chunks,
     skipping the header's lines (more than one where a quoted header cell
-    holds a newline). A file that pass cannot read, a file whose name numpy
-    would decompress by its suffix, or any row that fails a check goes to the
-    row-by-row parser, which accepts exactly the same input as Python's
-    ``int``/``float`` and words every error with its row number
+    holds a newline). That pass opens the file a second time, so it is only
+    for a regular file whose name numpy would not decompress by its suffix;
+    anything else (a pipe, a FIFO, a missing path) is read from one handle by
+    the row-by-row parser. So is a file that pass cannot read, or one with any
+    row that fails a check. The row parser accepts exactly the same input as
+    Python's ``int``/``float`` and words every error with its row number
     (``tests/test_import_paths.py`` holds the two paths equal). A file that
     cannot be opened or is not UTF-8 text is a ``DataFormatError`` naming it.
     """
+    if not os.path.isfile(path) or os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
+        return _read_rows(path)
     with _dataset_text(path) as fh:
         reader = csv.reader(fh)
         columns, triple = _read_header(reader)
-    if os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
-        return _read_rows(path)
     dtype = [(name, np.float64 if name == "time" else np.int64) for name in columns]
     try:
         # As an error, a warning (such as loadtxt's on a file with no data

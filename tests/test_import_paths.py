@@ -7,6 +7,8 @@ mutating valid rows must give bitwise-equal arrays through both, or the same
 ``DataFormatError`` (message and row).
 """
 
+import os
+import threading
 from decimal import Decimal
 
 import numpy as np
@@ -210,3 +212,44 @@ def test_non_utf8_byte_is_a_format_error(tmp_path, offset):
     got = _outcome(read_subject_records, path)
     assert got == _outcome(io._read_rows, path)
     assert got[0] == "error" and str(path) in got[1] and "not UTF-8" in got[1]
+
+
+def _feed_fifo(path, data: bytes, done: threading.Event) -> None:
+    """Write ``data`` to the FIFO at ``path`` for one reader."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:  # the reader closed before the end
+        pass
+    # A reader that opened the FIFO a second time would wait for a writer
+    # forever; open and close one so that it sees end of file instead.
+    while not done.wait(0.05):
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+        except OSError:
+            pass
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+@pytest.mark.parametrize("rows", [3, 2000], ids=["one_chunk", "beyond_8kb"])
+def test_fifo_reads_like_a_regular_file(tmp_path, rows):
+    # A pipe can be read once: every row must come through, as from a file.
+    text = "id,stratum,arm,time,event\n" + "".join(
+        f"{i},{i % 12},{i % 2},{1 + i % 30}.5,{i % 2}\n" for i in range(rows))
+    data = text.encode("utf-8")
+    regular = tmp_path / "data.csv"
+    regular.write_bytes(data)
+    expected = _outcome(io._read_rows, regular)
+    assert expected[0][1] == np.arange(rows).tobytes()
+
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    done = threading.Event()
+    writer = threading.Thread(target=_feed_fifo, args=(fifo, data, done))
+    writer.start()
+    try:
+        got = _outcome(read_subject_records, fifo)
+    finally:
+        done.set()
+        writer.join()
+    assert got == expected
