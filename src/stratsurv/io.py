@@ -197,18 +197,15 @@ def write_subject_records(path: str, dataset: TrialDataset) -> int:
     schema requires strictly positive times.
     """
     keep = dataset.observed_time > 0
+    ids, strata, arms = (a[keep].tolist() for a in (
+        dataset.subject_id, dataset.stratum_index, dataset.arm))
+    times = map(repr, dataset.observed_time[keep].tolist())
+    events = dataset.event[keep].astype(np.int8).tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(("id", "stratum", "arm", "time", "event"))
-        for i in np.flatnonzero(keep):
-            writer.writerow((
-                int(dataset.subject_id[i]),
-                int(dataset.stratum_index[i]),
-                int(dataset.arm[i]),
-                repr(float(dataset.observed_time[i])),
-                int(dataset.event[i]),
-            ))
-    return int(keep.sum())
+        writer.writerows(zip(ids, strata, arms, times, events))
+    return len(ids)
 
 
 def _int_cell(text: str, name: str, rownum: int) -> int:

@@ -398,8 +398,10 @@ class TestWidthsAboveHostCpus:
 
 
 class TestUnreadableInputs:
-    """A file that cannot be read, or an output directory that does not exist,
-    is one ``error:`` line naming the path and exit 2, with nothing written."""
+    """A file that cannot be read, or an output path that cannot be written
+    (a missing directory, a directory in place of a file, a dump directory
+    that cannot be made), is one ``error:`` line naming the path and exit 2,
+    with nothing written."""
 
     BODY = "".join(f"{i},{i % 12},{i % 2},{1 + i % 30}.5,{i % 2}\n" for i in range(2000))
 
@@ -433,9 +435,9 @@ class TestUnreadableInputs:
         proc = run_cli("simulate", str(cfg), "-o", str(tmp_path / "r.csv"))
         self._assert_rejected(proc, cfg, tmp_path, before)
 
-    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
-    def test_simulate_output_directory_checked_before_the_study(self, tmp_path, monkeypatch,
-                                                                capsys, flag):
+    def _assert_refused_before_the_study(self, tmp_path, monkeypatch, capsys, path, *flags):
+        """``simulate`` with ``flags`` exits 2 naming ``path``, starts no study
+        and leaves ``tmp_path`` as it was."""
         import stratsurv.cli as cli
 
         def refuse(*args, **kwargs):
@@ -444,10 +446,88 @@ class TestUnreadableInputs:
         monkeypatch.setattr(cli, "run_study", refuse)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT)
+        before = sorted(tmp_path.iterdir())
+        assert cli.main(["simulate", str(cfg), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    def test_simulate_output_directory_checked_before_the_study(self, tmp_path, monkeypatch,
+                                                                capsys, flag):
         missing = tmp_path / "nonexistent" / "dir" / "x.csv"
         out = missing if flag == "-o" else tmp_path / "r.csv"
-        before = sorted(tmp_path.iterdir())
-        assert cli.main(["simulate", str(cfg), "-o", str(out), flag, str(missing)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
-        assert sorted(tmp_path.iterdir()) == before
+        self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, missing,
+                                              "-o", str(out), flag, str(missing))
+
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    def test_simulate_output_that_is_a_directory_checked_before_the_study(
+            self, tmp_path, monkeypatch, capsys, flag):
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        out = directory if flag == "-o" else tmp_path / "r.csv"
+        self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, directory,
+                                              "-o", str(out), flag, str(directory))
+
+    @pytest.mark.parametrize("case", ["under_a_file", "a_file"])
+    def test_simulate_dump_directory_created_before_the_study(self, tmp_path, monkeypatch,
+                                                              capsys, case):
+        a_file = tmp_path / "notes.txt"
+        a_file.write_text("a regular file\n")
+        dump = a_file / "sub" if case == "under_a_file" else a_file
+        self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, dump,
+                                              "-o", str(tmp_path / "r.csv"),
+                                              "--dump-datasets", str(dump))
+        assert a_file.read_text() == "a regular file\n"
+
+
+def _has_mallopt() -> bool:
+    import ctypes
+
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestFreedMemory:
+    """The command keeps the memory it frees mapped, where the C library allows."""
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_second_simulate_reuses_the_first_ones_memory(self, tmp_path):
+        # The same N = 95 study twice in one process: the second run's arrays
+        # come from memory the first one freed, so it takes next to no page
+        # faults (about 2,000 when freed memory goes back to the kernel).
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("events = 20", "events = 66\nevent_fraction = 0.70")
+                       .replace("replicates = 6", "replicates = 250"))
+        code = f"""
+import contextlib, io, resource
+from stratsurv.cli import main
+argv = ["simulate", {str(cfg)!r}, "-o", {str(tmp_path / "r.csv")!r}, "--workers", "1"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(argv) == 0
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    assert main(argv) == 0
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(after - before)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "r.csv.json").read_text())["rows"][0]["replicates"] == 250
+        assert int(proc.stdout) < 200
+
+    @pytest.mark.parametrize("library", ["no_mallopt", "no_library"])
+    def test_c_library_without_mallopt_is_left_alone(self, monkeypatch, capsys, library):
+        import ctypes
+
+        import stratsurv.cli as cli
+
+        def cdll(name, *args, **kwargs):
+            if library == "no_library":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert cli.main(["design", "--hr", "0.7"]) == 0
+        assert "events (D):" in capsys.readouterr().out

@@ -8,7 +8,9 @@ Every row of ``_replicate_range`` must equal the row that ``generate_trial``,
 ``logrank`` and ``cox_fit`` give for that replicate, bit for bit. A share of
 the configs also runs through ``simulate`` from a config file, and the run's
 sidecar echo, read back by ``StudyConfig.from_mapping``, must reproduce the
-result CSV byte for byte.
+result CSV byte for byte. On the configs of at most 12 subjects, and on 30
+fuzzed configs cut to that size, replicate 0's log-rank tests and Cox partial
+likelihoods equal the naive oracles.
 """
 
 import dataclasses
@@ -18,10 +20,20 @@ import numpy as np
 import pytest
 
 import stratsurv.simulate as sim
+from _oracles import hypergeom_logrank, naive_partial_loglik
 from _replay import assert_same, replay_replicates
 from stratsurv.cli import main
 from stratsurv.config import StudyConfig, load_study_config
-from stratsurv.inference import TIE_METHODS
+from stratsurv.datagen import RngStream, generate_trial
+from stratsurv.errors import DegenerateTestError
+from stratsurv.inference import (
+    COX_METHODS,
+    TIE_METHODS,
+    AnalysisSpec,
+    Method,
+    logrank,
+    partial_likelihood_terms,
+)
 from stratsurv.io import write_results_csv
 from stratsurv.trial import STRATUM_COUNT, ScenarioSpec
 
@@ -98,6 +110,64 @@ def test_draws_reach_the_schema_edges():
 def test_replicate_range_equals_replay(case):
     cfg = CONFIGS[case]
     assert_same(sim._replicate_range(cfg, 0, REPLICATES), replay_replicates(cfg))
+
+
+TINY_EXTRA = 30
+
+
+def _draw_tiny_config(case: int):
+    """A fuzzed study cut to 3-8 events at an event fraction of 0.7-1, so
+    N <= 12, and randomized 30-70% to treatment, so both arms are likely
+    present: most fuzzed configs that small have one to three subjects."""
+    rng = np.random.default_rng([FUZZ_SEED, CASES + case])
+    study = dataclasses.replace(STUDIES[case], events=(int(rng.integers(3, 9)),),
+                                event_fraction=float(rng.uniform(0.7, 1.0)),
+                                randomization_prob=float(rng.uniform(0.3, 0.7)))
+    return study.sim_configs()[0]
+
+
+#: Configs small enough for the naive oracles: the fuzzed ones, then the cut ones.
+TINY_CONFIGS = ([cfg for cfg in CONFIGS if cfg.design.sample_size <= 12]
+                + [_draw_tiny_config(case) for case in range(TINY_EXTRA)])
+
+
+def test_tiny_configs_are_tiny_and_reach_past_three_subjects():
+    sizes = [cfg.design.sample_size for cfg in TINY_CONFIGS]
+    assert max(sizes) <= 12
+    assert sum(n >= 6 for n in sizes) >= TINY_EXTRA // 2
+
+
+def _covariates(stratum):
+    """The multivariate design, arm then x1, x2 == 1, x2 == 2, x3, coded by hand."""
+    return [[s // 6, (s % 6) // 2 == 1, (s % 6) // 2 == 2, s % 2] for s in stratum]
+
+
+@pytest.mark.parametrize("case", range(len(TINY_CONFIGS)))
+def test_tiny_replicate_equals_naive_oracles(case):
+    cfg = TINY_CONFIGS[case]
+    data = generate_trial(cfg.design, cfg.scenario, RngStream(cfg.master_seed, 0))
+    time, event, arm, stratum = (data.observed_time, data.event, data.arm.astype(int),
+                                 data.stratum_index)
+    for stratified in (False, True):
+        oe, var = hypergeom_logrank(time, event, arm, stratum if stratified else None)
+        if var <= 0:
+            with pytest.raises(DegenerateTestError):
+                logrank(data, stratified)
+            continue
+        res = logrank(data, stratified)
+        assert res.observed_minus_expected == pytest.approx(oe, abs=1e-12)
+        assert res.variance == pytest.approx(var, abs=1e-12)
+
+    rng = np.random.default_rng([FUZZ_SEED, case])
+    X = np.column_stack([arm, np.array(_covariates(stratum.tolist()), dtype=float)])
+    for method in COX_METHODS:
+        p = 5 if method is Method.COX_MULTIVARIATE else 1
+        strata = stratum if method is Method.COX_STRATIFIED else None
+        for ties in TIE_METHODS:
+            for beta in (np.zeros(p), rng.normal(0, 0.8, p)):
+                got = partial_likelihood_terms(data, AnalysisSpec(method, ties), beta)[0]
+                want = naive_partial_loglik(time, event, X[:, :p], beta, strata, ties)
+                assert got == pytest.approx(want, rel=1e-10, abs=1e-10)
 
 
 #: Configs run through ``simulate`` and replayed from their sidecar echo.

@@ -5,12 +5,12 @@ Usage: python tools/same_outputs.py REV
 Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
 runs every ``configs/*.cfg`` at ``--replicates 200`` with ``--workers 1`` and
 ``--workers 2``, at the config's seed and at ``--seed 2**64 + 12345`` (a seed
-of three uint32 words), through both REV's package and this working tree's.
-It also writes a seeded dataset of 20,000 subjects over 12 strata with times
-rounded up to whole months, so that nearly every event time is tied, and
-runs ``fit --json`` on it for every method, under both tie rules for the Cox
-methods. Prints each result CSV, sidecar or fit output that differs and exits
-1 if any does, else 0.
+of three uint32 words), through both REV's package and this working tree's,
+with ``--dump-datasets``. It also writes a seeded dataset of 20,000 subjects
+over 12 strata with times rounded up to whole months, so that nearly every
+event time is tied, and runs ``fit --json`` on it for every method, under
+both tie rules for the Cox methods. Prints each result CSV, sidecar, dumped
+dataset or fit output that differs and exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -50,18 +50,21 @@ def export_src(rev: str, dest: Path) -> Path:
 
 
 def simulate(src: Path, config: Path, workers: int, seed: int | None,
-             out_dir: Path) -> tuple[Path, Path]:
-    """Run one config through the package under ``src``; the CSV and sidecar paths."""
+             out_dir: Path) -> tuple[Path, ...]:
+    """Run one config through the package under ``src``; the paths of the CSV,
+    the sidecar and the dumped datasets, in name order."""
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{config.stem}_w{workers}" + ("" if seed is None else f"_s{seed}")
     csv_path, sidecar = out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
+    dumps = out_dir / f"{stem}_datasets"
     seed_args = [] if seed is None else ["--seed", str(seed)]
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-m", "stratsurv", "simulate", str(config),
                     "-o", str(csv_path), "--sidecar", str(sidecar),
-                    "--replicates", str(REPLICATES), "--workers", str(workers), *seed_args],
+                    "--replicates", str(REPLICATES), "--workers", str(workers), *seed_args,
+                    "--dump-datasets", str(dumps)],
                    check=True, env=env, stdout=subprocess.DEVNULL, cwd=out_dir)
-    return csv_path, sidecar
+    return (csv_path, sidecar, *sorted(dumps.iterdir()))
 
 
 def write_tied_dataset(path: Path) -> None:
@@ -104,11 +107,15 @@ def main(argv: list[str] | None = None) -> int:
 
     def compare(outputs: dict[str, tuple[Path, ...]]) -> None:
         nonlocal differ, compared
-        for theirs, ours in zip(outputs["rev"], outputs["tree"]):
+        rev, tree = outputs["rev"], outputs["tree"]
+        if [p.name for p in rev] != [p.name for p in tree]:
+            differ += 1
+            print(f"different files written: {[p.name for p in tree]}")
+        for theirs, ours in zip(rev, tree):
             compared += 1
             if not filecmp.cmp(theirs, ours, shallow=False):
                 differ += 1
-                print(f"differs: {ours.name}")
+                print(f"differs: {ours.parent.name}/{ours.name}")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
