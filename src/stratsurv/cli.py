@@ -136,6 +136,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise InvalidParameterError(f"cannot write {path}: no directory {directory}")
         if os.path.isdir(path):
             raise InvalidParameterError(f"cannot write {path}: it is a directory")
+    dumps = [] if args.dump_datasets is None else [
+        os.path.join(args.dump_datasets, f"row{i:02d}_replicate0.csv")
+        for i in range(len(configs))]
+    written: dict[str, str] = {}
+    for path in (args.output, sidecar, *dumps):
+        real = os.path.realpath(path)
+        if real in written:
+            raise InvalidParameterError(f"cannot write both {written[real]} and {path}: "
+                                        "they are the same file")
+        written[real] = path
     if args.dump_datasets is not None:
         try:
             os.makedirs(args.dump_datasets, exist_ok=True)
@@ -148,12 +158,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     write_results_csv(args.output, rows)
     write_sidecar_json(sidecar, study.to_mapping(), rows)
 
-    if args.dump_datasets is not None:
-        for i, cfg in enumerate(configs):
-            dataset = generate_trial(cfg.design, cfg.scenario,
-                                     RngStream(cfg.master_seed, 0))
-            name = os.path.join(args.dump_datasets, f"row{i:02d}_replicate0.csv")
-            write_subject_records(name, dataset)
+    for cfg, name in zip(configs, dumps):
+        dataset = generate_trial(cfg.design, cfg.scenario, RngStream(cfg.master_seed, 0))
+        write_subject_records(name, dataset)
 
     failed = [row for row in rows if row.error is not None]
     if args.json:

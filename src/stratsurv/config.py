@@ -21,7 +21,7 @@ from typing import Any, Callable, NamedTuple
 from .design import DesignInputs, sample_size, schoenfeld_events
 from .errors import ConfigError, InvalidParameterError
 from .inference import TIE_METHODS
-from .simulate import SE_SCALES, SimConfig
+from .simulate import MAX_REPLICATES, SE_SCALES, SimConfig
 from .trial import (BALANCED_WEIGHTS, MAX_SAMPLE_SIZE, STRATUM_COUNT, ScenarioKind,
                     ScenarioSpec, TrialDesign)
 
@@ -252,6 +252,7 @@ _probability = _bounded(_float_scalar, lambda x: 0.0 < x < 1.0, "in (0, 1)")
 _unit_interval = _bounded(_float_scalar, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
 _positive_int = _bounded(_int_scalar, lambda n: n >= 1, "at least 1")
 _nonneg_int = _bounded(_int_scalar, lambda n: n >= 0, "nonnegative")
+_replicates = _bounded(_positive_int, lambda n: n <= MAX_REPLICATES, f"at most {MAX_REPLICATES}")
 
 
 def _workers(value, key, path, line):
@@ -282,6 +283,13 @@ def _events(value, key, path, line):
     if isinstance(value, str) and value.strip().lower() == "auto":
         return None  # _build derives the targets from the design inputs
     return _number_list(value, key, path, line, _positive_int)
+
+
+def _stratum_medians(value, key, path, line):
+    medians = _number_list(value, key, path, line, _positive_float)
+    if len(medians) != STRATUM_COUNT:
+        raise ConfigError(f"{key} must hold exactly {STRATUM_COUNT} values", path, line)
+    return medians
 
 
 def _allocation(value, key, path, line):
@@ -330,7 +338,7 @@ _SCHEMA: dict[str, tuple[_Key, ...]] = {
         _Key("hr_x2_level1", _positive_float),
         _Key("hr_x2_level2", _positive_float),
         _Key("hr_x3", _positive_float),
-        _Key("stratum_medians", _number_list),
+        _Key("stratum_medians", _stratum_medians),
     ),
     "design": (
         _Key("true_hr", _hazard_ratios, "true_hrs", required=True),
@@ -343,7 +351,7 @@ _SCHEMA: dict[str, tuple[_Key, ...]] = {
         _Key("event_fraction", _unit_interval),
     ),
     "run": (
-        _Key("replicates", _positive_int),
+        _Key("replicates", _replicates),
         _Key("seed", _nonneg_int),
         _Key("tie_method", _choice(TIE_METHODS)),
         _Key("se_scale", _choice(SE_SCALES)),

@@ -56,8 +56,9 @@ With j = 0 every formula is exactly the Breslow one; without ties the two
 methods coincide. No Python loop runs over tied blocks.
 
 Newton iteration keeps a separate beta, log-likelihood, step-halving factor
-and status for each row, solves the stacked (B, p, p) systems, and drops rows
-from the batch as they finish.
+and status for each row, and solves the stacked (B, p, p) systems. Each
+iteration starts by testing the running rows for convergence and the
+iteration cap, then drops every finished row from the batch with one slice.
 
 Batch invariance, which every change must keep: a row's results may not
 depend on the other rows of its batch, so that every batch size and worker
@@ -341,7 +342,8 @@ def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
     """
     if dataset.n_subjects == 0:
         raise DegenerateTestError("empty dataset", 0.0)
-    risk = _Trials(dataset).layout(stratified)
+    trials = _Trials(dataset)
+    risk = trials.stratified if stratified else trials.pooled
     oe, terms = _logrank_terms(risk)
     variance = terms.sum(axis=1)
     observed_minus_expected = float(oe[0])
@@ -378,10 +380,6 @@ class _CoxLikelihood:
         self.j = j
         self.death = risk.death
         self.p = X.shape[1]
-
-    @classmethod
-    def build(cls, risk: _RiskSets, X: np.ndarray, tie_method: str) -> "_CoxLikelihood":
-        return cls(risk, X, risk.efron_weights if tie_method == "efron" else None)
 
     def take(self, rows: np.ndarray) -> "_CoxLikelihood":
         return _CoxLikelihood(self.risk.take(rows), self.X[rows],
@@ -421,7 +419,8 @@ class _CoxLikelihood:
 
 class _TreatmentLikelihood:
     """Partial log-likelihood of B datasets whose one covariate is the arm,
-    read from a layout's arm counts (see "Arm counts" above).
+    read from a layout's arm counts (see "Arm counts" above), with the Efron
+    tie weights ``j`` or None, as in ``_CoxLikelihood``.
 
     ``c0`` and ``c1`` are n - j d of each arm at a death, so that its sums
     are S0 = c0 w0 + c1 w1 and S1 = c1 w1. Off the deaths both are 1, which
@@ -431,29 +430,23 @@ class _TreatmentLikelihood:
 
     p = 1
 
-    def __init__(self, event: np.ndarray, c0: np.ndarray, c1: np.ndarray,
-                 treated: np.ndarray):
-        self.event = event
-        self.death = event > 0.0
-        self.c0 = c0
-        self.c1 = c1
-        self.treated = treated
-        self.deaths = event.sum(axis=1)
-
-    @classmethod
-    def build(cls, risk: _RiskSets, tie_method: str) -> "_TreatmentLikelihood":
+    def __init__(self, risk: _RiskSets, j: np.ndarray | None):
         n0, n1, d0, d1 = risk.counts
-        c0 = np.where(risk.death, n0, 1.0)
-        c1 = np.where(risk.death, n1, 1.0)
-        j = risk.efron_weights if tie_method == "efron" else None
+        self.c0 = np.where(risk.death, n0, 1.0)
+        self.c1 = np.where(risk.death, n1, 1.0)
         if j is not None:  # j is 0 off the deaths
-            c0 -= j * d0
-            c1 -= j * d1
-        return cls(risk.event, c0, c1, (risk.arm * risk.event).sum(axis=1))
+            self.c0 -= j * d0
+            self.c1 -= j * d1
+        self.event = risk.event
+        self.death = risk.death
+        self.treated = (risk.arm * risk.event).sum(axis=1)
+        self.deaths = risk.event.sum(axis=1)
 
     def take(self, rows: np.ndarray) -> "_TreatmentLikelihood":
-        return _TreatmentLikelihood(self.event[rows], self.c0[rows], self.c1[rows],
-                                    self.treated[rows])
+        # every attribute is an array with one entry per row
+        out = object.__new__(_TreatmentLikelihood)
+        vars(out).update((name, values[rows]) for name, values in vars(self).items())
+        return out
 
     def evaluate(self, beta: np.ndarray):
         """Log-likelihood (B,), gradient (B, 1) and Hessian (B, 1, 1) at beta (B, 1)."""
@@ -552,14 +545,6 @@ class _CoxFits(NamedTuple):
         )
 
 
-def _running(active, lik, status):
-    """Drop the rows of ``active``, and of its likelihood, that have finished."""
-    keep = status[active] == _RUNNING
-    if keep.all():
-        return active, lik
-    return active[keep], lik.take(keep)
-
-
 def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
     """Fit every row by Newton iteration from beta = 0, each on its own path.
 
@@ -578,23 +563,28 @@ def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
     # (a sum of within-risk-set covariate covariances) is positive definite.
     _, full_rank = _stacked(np.linalg.cholesky, -hess[has_events])
     status[has_events[~full_rank]] = _RANK_DEFICIENT
-    active, lik = _running(np.arange(rows), lik, status)
-    while active.size:
-        gnorm = np.abs(grad[active]).max(axis=1)
-        small = gnorm < GRADIENT_TOL
-        status[active[small]] = _CONVERGED
-        status[active[~small & (iterations[active] >= MAX_ITERATIONS)]] = _MAX_ITER
-        active, lik = _running(active, lik, status)
-        if not active.size:
+    active = np.arange(rows)
+    while True:
+        running = status[active] == _RUNNING
+        small = np.abs(grad[active]).max(axis=1) < GRADIENT_TOL
+        status[active[running & small]] = _CONVERGED
+        status[active[running & ~small & (iterations[active] >= MAX_ITERATIONS)]] = _MAX_ITER
+        # the one point where finished rows, whatever their outcome, leave
+        keep = status[active] == _RUNNING
+        if not keep.any():
             break
+        if not keep.all():
+            active, lik = active[keep], lik.take(keep)
         step, solved = _stacked(np.linalg.solve, -hess[active], grad[active][..., None])
         failed = active[~solved]
         status[failed] = np.where(iterations[failed] == 0, _SINGULAR_AT_ZERO, _SINGULAR)
-        active, lik = _running(active, lik, status)
-        step = step[solved, :, 0]
+        # step, slack and pending index positions in active
+        pending = np.flatnonzero(solved)
+        if not pending.size:
+            continue
+        step = step[..., 0]
         slack = 1e-10 * (np.abs(ll[active]) + 1.0)
-        pending = np.arange(active.size)
-        trial = lik
+        trial = lik if solved.all() else lik.take(solved)
         factor = 1.0
         for _ in range(MAX_HALVINGS + 1):
             at = active[pending]
@@ -616,7 +606,6 @@ def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
             trial = trial.take(~ok)
             factor *= 0.5
         status[active[pending]] = _HALVING_FAILED
-        active, lik = _running(active, lik, status)
 
     started = status < _NO_EVENTS
     covariance = np.full((rows, p, p), np.nan)
@@ -640,7 +629,8 @@ _CELL_DESIGN = np.vstack((np.tile([0.0, 1.0], STRATUM_COUNT),
 class _Trials:
     """Analyzed subject arrays of B same-size datasets as (B, N), from the rows
     of a ``TrialBatch`` or a 1-row view of a ``TrialDataset``, with the two
-    layouts built once and shared by the analyses.
+    layouts, ``pooled`` and ``stratified``, built on first use and shared by
+    the analyses. ``likelihood`` decides each Cox fit's layout and tie rule.
 
     Both layouts start from one stable sort of each row by time
     (``stable_argsort``). The stratified order re-sorts it by stratum, stably,
@@ -655,36 +645,33 @@ class _Trials:
         # cell = 2 * stratum + arm, in time order
         cells = 2 * strata.astype(np.int8) + self.arm.astype(np.int8)
         self.cells = np.take_along_axis(cells, self.order, 1)
-        self._layouts: dict[bool, _RiskSets] = {}
 
-    def layout(self, stratified: bool) -> _RiskSets:
-        """The risk sets of a layout; built on first use."""
-        key = bool(stratified)
-        if key not in self._layouts:
-            order, strata = self.order, None
-            if key:
-                strata = self.cells >> 1
-                by_stratum = np.argsort(strata, axis=1, kind="stable")
-                order = np.take_along_axis(order, by_stratum, 1)
-                strata = np.take_along_axis(strata, by_stratum, 1)
-            time, event, arm = (np.take_along_axis(a, order, 1)
-                                for a in (self.time, self.event, self.arm))
-            self._layouts[key] = _RiskSets.of(time, event, arm.astype(float), strata)
-        return self._layouts[key]
+    def _layout(self, order: np.ndarray, strata: np.ndarray | None) -> _RiskSets:
+        time, event, arm = (np.take_along_axis(a, order, 1)
+                            for a in (self.time, self.event, self.arm))
+        return _RiskSets.of(time, event, arm.astype(float), strata)
 
-    def logrank_z(self, stratified: bool) -> np.ndarray:
-        oe, terms = _logrank_terms(self.layout(stratified))
-        return _z(oe, terms.sum(axis=1))
+    @cached_property
+    def pooled(self) -> _RiskSets:
+        return self._layout(self.order, None)
+
+    @cached_property
+    def stratified(self) -> _RiskSets:
+        strata = self.cells >> 1
+        by_stratum = np.argsort(strata, axis=1, kind="stable")
+        return self._layout(np.take_along_axis(self.order, by_stratum, 1),
+                            np.take_along_axis(strata, by_stratum, 1))
 
     def likelihood(self, method: Method, tie_method: str
                    ) -> _CoxLikelihood | _TreatmentLikelihood:
+        if method not in COX_METHODS:
+            raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
+        risk = self.stratified if method is Method.COX_STRATIFIED else self.pooled
+        j = risk.efron_weights if tie_method == "efron" else None
         if method is Method.COX_MULTIVARIATE:
             X = _CELL_DESIGN[:, self.cells].transpose(1, 0, 2).copy()
-            return _CoxLikelihood.build(self.layout(False), X, tie_method)
-        if method in (Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED):
-            risk = self.layout(method is Method.COX_STRATIFIED)
-            return _TreatmentLikelihood.build(risk, tie_method)
-        raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
+            return _CoxLikelihood(risk, X, j)
+        return _TreatmentLikelihood(risk, j)
 
 
 class TrialAnalyses(NamedTuple):
@@ -699,6 +686,11 @@ class TrialAnalyses(NamedTuple):
     fits: tuple[_CoxFits, ...]
 
 
+def _logrank_z(risk: _RiskSets) -> np.ndarray:
+    oe, terms = _logrank_terms(risk)
+    return _z(oe, terms.sum(axis=1))
+
+
 def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyses:
     """Run the five analyses on every row of a batch of same-size trials."""
     trials = _Trials(batch)
@@ -710,8 +702,8 @@ def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyse
     # layouts hold their arm counts.
     multivariate = fit(Method.COX_MULTIVARIATE)
     return TrialAnalyses(
-        logrank_z=trials.logrank_z(False),
-        stratified_logrank_z=trials.logrank_z(True),
+        logrank_z=_logrank_z(trials.pooled),
+        stratified_logrank_z=_logrank_z(trials.stratified),
         fits=(fit(Method.COX_UNSTRATIFIED), multivariate, fit(Method.COX_STRATIFIED)),
     )
 

@@ -21,9 +21,11 @@ import numpy as np
 from .datagen import TrialDataset
 from .errors import DataFormatError
 from .simulate import COX_KEYS, TEST_KEYS, StudyRow
-from .trial import STRATUM_COUNT
+from .trial import FACTOR_LEVELS, STRATUM_COUNT, stratum_index
 
 _BASE_COLUMNS = ("id", "arm", "time", "event")
+#: The columns of the factor triple, in FACTOR_LEVELS order.
+_FACTORS = ("x1", "x2", "x3")
 _INT64 = np.iinfo(np.int64)
 #: Suffixes by which ``np.loadtxt`` decompresses a path (numpy's DataSource).
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
@@ -79,7 +81,7 @@ def read_subject_records(path: str) -> TrialDataset:
         table = None
     if table is None or not _rows_valid(table, triple):
         return _read_rows(path)
-    strata = table["x1"] * 6 + table["x2"] * 2 + table["x3"] if triple else table["stratum"]
+    strata = stratum_index(*(table[name] for name in _FACTORS)) if triple else table["stratum"]
     return TrialDataset(
         subject_id=table["id"],
         stratum_index=strata,
@@ -108,7 +110,8 @@ def _dataset_text(path: str):
 def _rows_valid(table: np.ndarray, triple: bool) -> bool:
     """The row parser's checks as masks: rows exist, levels in range, times > 0 and finite."""
     time = table["time"]
-    tops = {"x1": 1, "x2": 2, "x3": 1} if triple else {"stratum": STRATUM_COUNT - 1}
+    levels = zip(_FACTORS, FACTOR_LEVELS) if triple else [("stratum", STRATUM_COUNT)]
+    tops = {name: count - 1 for name, count in levels}
     tops.update(arm=1, event=1)
     return (table.size > 0 and bool(np.all((time > 0) & np.isfinite(time)))
             and all(np.all((table[name] >= 0) & (table[name] <= top))
@@ -123,7 +126,7 @@ def _read_header(reader) -> tuple[list[str], bool]:
         raise DataFormatError("dataset file is empty (header row required)")
     columns = [c.strip().lower() for c in header]
     triple = "stratum" not in columns
-    expected = set(_BASE_COLUMNS) | ({"x1", "x2", "x3"} if triple else {"stratum"})
+    expected = set(_BASE_COLUMNS) | (set(_FACTORS) if triple else {"stratum"})
     if set(columns) != expected:
         raise DataFormatError(
             f"header must contain exactly {sorted(expected)}, got {columns}", row=1)
@@ -163,13 +166,12 @@ def _read_rows(path: str) -> TrialDataset:
                 raise DataFormatError(f"event must be 0 or 1, got {event}", row=rownum)
             events.append(bool(event))
             if triple:
-                x1 = _int_cell(row[index["x1"]], "x1", rownum)
-                x2 = _int_cell(row[index["x2"]], "x2", rownum)
-                x3 = _int_cell(row[index["x3"]], "x3", rownum)
-                if x1 not in (0, 1) or x2 not in (0, 1, 2) or x3 not in (0, 1):
+                levels = [_int_cell(row[index[name]], name, rownum) for name in _FACTORS]
+                if not all(0 <= x < count for x, count in zip(levels, FACTOR_LEVELS)):
+                    x1, x2, x3 = levels
                     raise DataFormatError(
                         f"factor levels out of range: x1={x1} x2={x2} x3={x3}", row=rownum)
-                strata.append(x1 * 6 + x2 * 2 + x3)
+                strata.append(stratum_index(*levels))
             else:
                 stratum = _int_cell(row[index["stratum"]], "stratum", rownum)
                 if not 0 <= stratum < STRATUM_COUNT:

@@ -54,6 +54,11 @@ SE_SCALES = ("log", "hr")
 #: larger batches run no faster.
 BATCH_SUBJECT_ROWS = 2 ** 14
 
+#: Largest replicate count of a study row. A row's columns take 58 bytes per
+#: replicate, so this bounds them to about 0.6 GB, twice that while they are
+#: concatenated.
+MAX_REPLICATES = 10_000_000
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -69,6 +74,9 @@ class SimConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise InvalidParameterError("replicates must be at least 1")
+        if self.replicates > MAX_REPLICATES:
+            raise InvalidParameterError(
+                f"replicates {self.replicates} exceeds the maximum of {MAX_REPLICATES}")
         if self.tie_method not in TIE_METHODS:
             raise InvalidParameterError(f"tie_method must be one of {TIE_METHODS}")
         if self.se_scale not in SE_SCALES:

@@ -17,11 +17,20 @@ import numpy as np
 from .design import sample_size
 from .errors import InvalidParameterError
 
-STRATUM_COUNT = 12
+#: Levels of the stratification factors x1, x2 and x3. A stratum's index
+#: runs over them in row-major order: ``stratum_index``.
+FACTOR_LEVELS = (2, 3, 2)
+STRATUM_COUNT = math.prod(FACTOR_LEVELS)
 
 #: Within-stratum covariate columns in model order: treatment is prepended by
 #: the fitting code, then x1, the two x2-level indicators, and x3.
 COVARIATE_NAMES = ("x1", "x2_level1", "x2_level2", "x3")
+
+
+def stratum_index(x1, x2, x3):
+    """The stratum index 6*x1 + 2*x2 + x3 of factor levels, numbers or arrays."""
+    _, n2, n3 = FACTOR_LEVELS
+    return (x1 * n2 + x2) * n3 + x3
 
 
 def stratum_covariates(index: np.ndarray) -> np.ndarray:
@@ -30,8 +39,7 @@ def stratum_covariates(index: np.ndarray) -> np.ndarray:
     Returns a float array of shape (n, 4) with columns x1, x2==1, x2==2, x3.
     """
     idx = np.asarray(index)
-    x1, rest = np.divmod(idx, 6)
-    x2, x3 = np.divmod(rest, 2)
+    x1, x2, x3 = np.unravel_index(idx, FACTOR_LEVELS)
     out = np.empty((idx.shape[0], 4), dtype=float)
     out[:, 0] = x1
     out[:, 1] = x2 == 1

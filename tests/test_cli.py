@@ -209,6 +209,32 @@ events = 20
                 in capsys.readouterr().err)
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_replicates_above_the_bound_start_no_replicate(self, tmp_path, monkeypatch,
+                                                           capsys, source):
+        import stratsurv.simulate as sim
+        from stratsurv.cli import main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a replicate was started")
+
+        monkeypatch.setattr(sim, "_replicate_range", refuse)
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+        count = str(sim.MAX_REPLICATES + 1)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("replicates = 6", f"replicates = {count}")
+                       if source == "config" else CONFIG_TEXT)
+        out = tmp_path / "results.csv"
+        flags = ["--replicates", count] if source == "flag" else []
+        assert main(["simulate", str(cfg), "-o", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if source == "config":
+            assert f"{cfg}:11: replicates must be at most 10000000, got {count}" in err
+        else:
+            assert f"replicates {count} exceeds the maximum of 10000000" in err
+        assert not out.exists() and not (tmp_path / "results.csv.json").exists()
+
     def test_true_hr_out_of_range_names_its_line(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
@@ -437,7 +463,7 @@ class TestUnreadableInputs:
 
     def _assert_refused_before_the_study(self, tmp_path, monkeypatch, capsys, path, *flags):
         """``simulate`` with ``flags`` exits 2 naming ``path``, starts no study
-        and leaves ``tmp_path`` as it was."""
+        and leaves ``tmp_path`` as it was; returns the error line."""
         import stratsurv.cli as cli
 
         def refuse(*args, **kwargs):
@@ -451,6 +477,7 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
         assert sorted(tmp_path.iterdir()) == before
+        return err
 
     @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
     def test_simulate_output_directory_checked_before_the_study(self, tmp_path, monkeypatch,
@@ -459,6 +486,24 @@ class TestUnreadableInputs:
         out = missing if flag == "-o" else tmp_path / "r.csv"
         self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, missing,
                                               "-o", str(out), flag, str(missing))
+
+    @pytest.mark.parametrize("case", ["same_text", "through_a_link", "a_dumped_dataset"])
+    def test_simulate_outputs_on_one_path_refused_before_the_study(self, tmp_path, monkeypatch,
+                                                                   capsys, case):
+        out = tmp_path / "r.csv"
+        if case == "same_text":
+            other, flags = out, ("--sidecar", str(out))
+        elif case == "through_a_link":
+            (tmp_path / "link").symlink_to(tmp_path)
+            other = tmp_path / "link" / "r.csv"
+            flags = ("--sidecar", str(other))
+        else:  # the CSV would be overwritten by the first row's dataset
+            (tmp_path / "d").mkdir()
+            out = other = tmp_path / "d" / "row00_replicate0.csv"
+            flags = ("--dump-datasets", str(tmp_path / "d"))
+        err = self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, out,
+                                                    "-o", str(out), *flags)
+        assert str(other) in err and "same file" in err
 
     @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
     def test_simulate_output_that_is_a_directory_checked_before_the_study(

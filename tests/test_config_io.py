@@ -8,7 +8,7 @@ import pytest
 
 from stratsurv.config import StudyConfig, load_study_config, parse_study_config
 from stratsurv.datagen import RngStream, generate_trial
-from stratsurv.errors import ConfigError, DataFormatError
+from stratsurv.errors import ConfigError, DataFormatError, InvalidParameterError
 from stratsurv.inference import AnalysisSpec, Method, cox_fit, logrank
 from stratsurv.io import (
     RESULT_COLUMNS,
@@ -17,7 +17,7 @@ from stratsurv.io import (
     write_sidecar_json,
     write_subject_records,
 )
-from stratsurv.simulate import run_study
+from stratsurv.simulate import MAX_REPLICATES, run_study
 from stratsurv.trial import ScenarioKind, ScenarioSpec, TrialDesign
 
 MINIMAL = """
@@ -106,6 +106,39 @@ events = 66
         assert study.scenario.kind is ScenarioKind.STRATUM_BASELINES
         assert study.scenario.stratum_medians == (16.0,) * 6 + (50.0,) * 6
 
+    @pytest.mark.parametrize("medians,message", [
+        ("16, " * 10 + "16", "stratum_medians must hold exactly 12 values"),
+        ("16, " * 11 + "0", "stratum_medians must be positive, got 0"),
+        ("16, " * 11 + "-5", "stratum_medians must be positive, got -5"),
+        ("16, " * 11 + "inf", "stratum_medians must be a finite number, got inf"),
+    ])
+    def test_bad_stratum_medians_name_their_line(self, medians, message):
+        # the kind is on line 3 and stratum_medians on line 5
+        text = f"""
+[scenario]
+kind = stratum_baselines
+# twelve medians, by stratum index
+stratum_medians = {medians}
+
+[design]
+true_hr = 0.5
+events = 66
+"""
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(text, "s.cfg")
+        assert str(err.value) == f"s.cfg:5: {message}"
+
+    def test_replicates_bounded(self):
+        study = parse_study_config(MINIMAL + f"\n[run]\nreplicates = {MAX_REPLICATES}\n")
+        assert study.replicates == MAX_REPLICATES == 10_000_000
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(MINIMAL + f"\n[run]\nreplicates = {MAX_REPLICATES + 1}\n")
+        assert err.value.line == 11
+        assert "replicates must be at most 10000000, got 10000001" in str(err.value)
+        # a library caller's override is refused when the rows are built
+        with pytest.raises(InvalidParameterError, match="exceeds the maximum of 10000000"):
+            parse_study_config(MINIMAL).with_overrides(replicates=10**12).sim_configs()
+
     def test_missing_sections_rejected(self):
         with pytest.raises(ConfigError, match="scenario"):
             parse_study_config("[design]\ntrue_hr = 0.5\nevents = 66\n")
@@ -160,6 +193,10 @@ class TestStudyConfigMapping:
          "accrual_months must be a finite number, got inf"),
         ("design", "allocation", [1.0] * 11 + [float("inf")],
          "allocation must be a finite number, got inf"),
+        ("scenario", "stratum_medians", [16] * 11,
+         "stratum_medians must hold exactly 12 values"),
+        ("scenario", "stratum_medians", [16] * 11 + [0], "stratum_medians must be positive, got 0"),
+        ("run", "replicates", 10**7 + 1, "replicates must be at most 10000000, got 10000001"),
     ])
     def test_replay_rejects_what_a_config_file_rejects(self, section, key, value, message):
         echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))

@@ -10,6 +10,7 @@ import re
 import numpy as np
 import pytest
 
+from stratsurv import inference
 from stratsurv.datagen import RngStream, TrialBatch, TrialDataset, generate_trial
 from stratsurv.errors import DegenerateTestError, InvalidModelError, InvalidParameterError
 from stratsurv.inference import (
@@ -52,7 +53,8 @@ def _likelihood(times, events, X, strata, ties):
     order = np.lexsort((times, strata))
     X = np.asarray(X, float)[order].T[None]
     times, events, strata = (np.asarray(a)[order][None] for a in (times, events, strata))
-    return _CoxLikelihood.build(_RiskSets.of(times, events, X[:, 0], strata), X, ties)
+    risk = _RiskSets.of(times, events, X[:, 0], strata)
+    return _CoxLikelihood(risk, X, risk.efron_weights if ties == "efron" else None)
 
 
 def _engine_terms(times, events, X, strata, ties, beta):
@@ -101,6 +103,18 @@ class TestDegenerateInputs:
         ds = _dataset([1.0, 2.0], [True, True], [1, 0])
         with pytest.raises(InvalidParameterError):
             cox_fit(ds, AnalysisSpec(Method.LOG_RANK))
+
+    @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
+    def test_empty_dataset_rejected(self, method):
+        ds = _dataset(np.zeros(0), np.zeros(0, bool), np.zeros(0, int))
+        if method in COX_METHODS:
+            for call in (lambda spec: cox_fit(ds, spec),
+                         lambda spec: partial_likelihood_terms(ds, spec, np.zeros(5))):
+                with pytest.raises(InvalidModelError):
+                    call(AnalysisSpec(method))
+        else:
+            with pytest.raises(DegenerateTestError):
+                logrank(ds, stratified=method is Method.STRATIFIED_LOG_RANK)
 
     def test_separation_flagged_not_raised(self):
         # likelihood increases monotonically in beta: no finite maximizer
@@ -362,6 +376,49 @@ class TestHeavyTies:
                 assert row.diagnostic == one.diagnostic
         assert np.isnan(batch.logrank_z[1])
         assert np.all(batch.fits[2].converged[[0, 2, 3]])
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_rows_ending_every_way_equal_single_row_batches(self, monkeypatch, ties):
+        # One batch whose unstratified fits end in each outcome that data and
+        # the Newton constants can force, several of them in one iteration.
+        monkeypatch.setattr(inference, "MAX_ITERATIONS", 2)
+        monkeypatch.setattr(inference, "MAX_HALVINGS", 0)
+        n = 20
+        i = np.arange(n)
+        arm = np.tile(i % 2, (6, 1))
+        time = np.full((6, n), 10.0)
+        event = np.zeros((6, n), dtype=bool)
+        # 0, converged at beta = 0: pairs tied at each time, one death per arm
+        time[0], event[0] = 1 + i // 2, i < 12
+        # 1, no events: every subject censored
+        time[1] = 1 + i
+        # 2, rank deficient: every subject treated
+        arm[2], time[2], event[2] = 1, 1 + i, i % 3 == 0
+        # 3, separation: the one treated subject dies first; a first step of
+        # about 1 / (share treated) = 20 lands beyond the coefficient bound
+        arm[3] = i == 1
+        time[3, 1], event[3, 1] = 1.0, True
+        # 4, halving failed: the first step (about 6) overshoots the maximum
+        # (about 2.5) to a lower log-likelihood, and no halving is allowed
+        arm[4] = i < 2
+        time[4, 0], event[4, 0] = 1.0, True
+        time[4, 2], event[4, 2] = 2.0, True
+        # 5, maximum iterations: an ordinary fit needs more than two steps
+        time[5], event[5] = 1 + i + 7 * arm[5], i % 4 != 3
+        trials = TrialBatch(stratum_index=np.tile((i // 2) % 12, (6, 1)),
+                            arm=arm.astype(np.int8), enroll_time=np.zeros((6, n)),
+                            latent_event_time=time, observed_time=time, event=event,
+                            cutoff_calendar_time=np.full(6, np.inf))
+        batch = analyze_trials(trials, ties)
+        assert batch.fits[0].status.tolist() == [
+            inference._CONVERGED, inference._NO_EVENTS, inference._RANK_DEFICIENT,
+            inference._SEPARATION, inference._HALVING_FAILED, inference._MAX_ITER]
+        for row in range(6):
+            one = analyze_trials(TrialBatch(*(a[row:row + 1] for a in trials)), ties)
+            for fits, single in zip(batch.fits, one.fits):
+                for field, values in fits._asdict().items():
+                    assert np.array_equal(values[row:row + 1], getattr(single, field),
+                                          equal_nan=True), (row, field)
 
     def test_breslow_is_efron_with_zero_weights(self, tied):
         times, events, X, strata = tied

@@ -107,10 +107,13 @@ class TestBatchedStreams:
             assert np.array_equal(stream_states(seed, index, index + 1), [want])
 
     def test_chunk_across_2_32_equals_its_replay(self):
-        # replicates on both sides of the spawn key's second word
+        # replicates on both sides of the spawn key's second word; no row may
+        # hold that many (MAX_REPLICATES), but a range runs the indices it is
+        # given, as their one-trial replay does
         design = TrialDesign.from_event_target(0.6, 12)
         config = sim.SimConfig(scenario=ScenarioSpec.multiplicative_covariates(),
-                               design=design, replicates=2**32 + 2, master_seed=2**63 + 7)
+                               design=design, replicates=sim.MAX_REPLICATES,
+                               master_seed=2**63 + 7)
         lo, hi = 2**32 - 2, 2**32 + 2
         assert_same(sim._replicate_range(config, lo, hi), replay_replicates(config, lo, hi))
 

@@ -471,6 +471,13 @@ class TestSimConfigValidation:
         with pytest.raises(InvalidParameterError):
             _config(replicates=0)
 
+    def test_replicates_bounded(self):
+        # only constructed: no replicate is ever run at this count
+        assert _config(replicates=sim.MAX_REPLICATES).replicates == 10_000_000
+        with pytest.raises(InvalidParameterError,
+                           match="replicates 10000001 exceeds the maximum of 10000000"):
+            _config(replicates=sim.MAX_REPLICATES + 1)
+
     def test_tie_method_checked(self):
         with pytest.raises(InvalidParameterError):
             _config(tie_method="exact")
