@@ -130,6 +130,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                  replicates=args.replicates)
     configs = study.sim_configs()
     sidecar = args.sidecar if args.sidecar is not None else args.output + ".json"
+    for flag, path in (("-o", args.output), ("--sidecar", args.sidecar)):
+        if path == "":
+            raise InvalidParameterError(f"{flag} must name a file, not an empty path")
     for path in (args.output, sidecar):
         directory = os.path.dirname(os.path.abspath(path))
         if not os.path.isdir(directory):
@@ -139,13 +142,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     dumps = [] if args.dump_datasets is None else [
         os.path.join(args.dump_datasets, f"row{i:02d}_replicate0.csv")
         for i in range(len(configs))]
-    written: dict[str, str] = {}
+    written: dict[object, str] = {}
     for path in (args.output, sidecar, *dumps):
-        real = os.path.realpath(path)
-        if real in written:
-            raise InvalidParameterError(f"cannot write both {written[real]} and {path}: "
+        try:  # a file that exists is known by its inode, so hard links meet
+            stat = os.stat(path)
+            key: object = (stat.st_dev, stat.st_ino)
+        except OSError:
+            key = os.path.realpath(path)
+        if key in written:
+            raise InvalidParameterError(f"cannot write both {written[key]} and {path}: "
                                         "they are the same file")
-        written[real] = path
+        written[key] = path
     if args.dump_datasets is not None:
         try:
             os.makedirs(args.dump_datasets, exist_ok=True)

@@ -105,6 +105,8 @@ class StudyConfig:
     def from_mapping(cls, mapping: dict[str, Any]) -> "StudyConfig":
         """Rebuild a StudyConfig from a ``to_mapping`` echo (e.g. a sidecar),
         checked like a config file; its errors carry no line."""
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"the config echo must be a JSON object, got {mapping!r}")
         entries = {}
         for section, keys in mapping.items():
             if not isinstance(keys, dict):
@@ -224,6 +226,8 @@ def _float_scalar(value, key, path, line):
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {value!r}", path, line)
+    except OverflowError:  # a JSON integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{key} must be a finite number, got {value}", path, line)
     return out

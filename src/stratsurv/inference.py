@@ -586,7 +586,7 @@ def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
         slack = 1e-10 * (np.abs(ll[active]) + 1.0)
         trial = lik if solved.all() else lik.take(solved)
         factor = 1.0
-        for _ in range(MAX_HALVINGS + 1):
+        for halving in range(MAX_HALVINGS + 1):
             at = active[pending]
             candidate = beta[at] + factor * step[pending]
             cll, cgrad, chess = trial.evaluate(candidate)
@@ -601,7 +601,7 @@ def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
             flat = np.abs(ll[done] - prev) <= LOGLIK_REL_TOL * np.maximum(1.0, np.abs(prev))
             status[done[~separated & flat]] = _CONVERGED
             pending = pending[~ok]
-            if not pending.size:
+            if not pending.size or halving == MAX_HALVINGS:
                 break
             trial = trial.take(~ok)
             factor *= 0.5
@@ -631,6 +631,7 @@ class _Trials:
     of a ``TrialBatch`` or a 1-row view of a ``TrialDataset``, with the two
     layouts, ``pooled`` and ``stratified``, built on first use and shared by
     the analyses. ``likelihood`` decides each Cox fit's layout and tie rule.
+    Each layout reads a subject's arm and stratum from its cell.
 
     Both layouts start from one stable sort of each row by time
     (``stable_argsort``). The stratified order re-sorts it by stratum, stably,
@@ -638,29 +639,28 @@ class _Trials:
     """
 
     def __init__(self, trials: TrialBatch | TrialDataset):
-        self.time, self.event, self.arm, strata = (
+        self.time, self.event, arm, strata = (
             np.atleast_2d(a) for a in
             (trials.observed_time, trials.event, trials.arm, trials.stratum_index))
         self.order = stable_argsort(self.time)
         # cell = 2 * stratum + arm, in time order
-        cells = 2 * strata.astype(np.int8) + self.arm.astype(np.int8)
+        cells = 2 * strata.astype(np.int8) + arm.astype(np.int8)
         self.cells = np.take_along_axis(cells, self.order, 1)
 
-    def _layout(self, order: np.ndarray, strata: np.ndarray | None) -> _RiskSets:
-        time, event, arm = (np.take_along_axis(a, order, 1)
-                            for a in (self.time, self.event, self.arm))
-        return _RiskSets.of(time, event, arm.astype(float), strata)
+    def _layout(self, order: np.ndarray, cells: np.ndarray, stratified: bool) -> _RiskSets:
+        time, event = (np.take_along_axis(a, order, 1) for a in (self.time, self.event))
+        return _RiskSets.of(time, event, (cells & 1).astype(float),
+                            cells >> 1 if stratified else None)
 
     @cached_property
     def pooled(self) -> _RiskSets:
-        return self._layout(self.order, None)
+        return self._layout(self.order, self.cells, False)
 
     @cached_property
     def stratified(self) -> _RiskSets:
-        strata = self.cells >> 1
-        by_stratum = np.argsort(strata, axis=1, kind="stable")
+        by_stratum = np.argsort(self.cells >> 1, axis=1, kind="stable")
         return self._layout(np.take_along_axis(self.order, by_stratum, 1),
-                            np.take_along_axis(strata, by_stratum, 1))
+                            np.take_along_axis(self.cells, by_stratum, 1), True)
 
     def likelihood(self, method: Method, tie_method: str
                    ) -> _CoxLikelihood | _TreatmentLikelihood:

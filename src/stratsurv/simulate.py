@@ -44,15 +44,17 @@ COX_KEYS = ("unstrat_cox", "mult_cox", "strat_cox")
 #: one-sided Wald tests of the three Cox fits.
 TEST_KEYS = ("lr", "strat_lr", "mult_cox", "strat_cox", "unstrat_cox")
 
-#: TEST_KEYS column of each Cox method's Wald test, in COX_KEYS order.
-_WALD_COLUMNS = tuple(TEST_KEYS.index(key) for key in COX_KEYS)
-
 SE_SCALES = ("log", "hr")
 
 #: Subject rows analyzed together: a batch holds max(1, BATCH_SUBJECT_ROWS // N)
 #: replicates of N subjects. This bounds the engine's working set to a few MB;
 #: larger batches run no faster.
 BATCH_SUBJECT_ROWS = 2 ** 14
+
+#: Replicates whose stream states are hashed together: as many whole batches
+#: as fit in this, at least one. The hash's working set, about 100 bytes per
+#: replicate, stays near 0.4 MB whatever the row's size.
+SLAB_REPLICATES = 4096
 
 #: Largest replicate count of a study row. A row's columns take 58 bytes per
 #: replicate, so this bounds them to about 0.6 GB, twice that while they are
@@ -134,41 +136,39 @@ class StudyRow:
 def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
     """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index).
 
-    The chunk's stream states are hashed at once; replicates are then drawn,
-    generated and analyzed in batches of at most BATCH_SUBJECT_ROWS subject
-    rows. The results do not depend on the batching.
+    The stream states are hashed a slab of whole batches at a time; replicates
+    are then drawn, generated and analyzed in batches of at most
+    BATCH_SUBJECT_ROWS subject rows. The results do not depend on the batching.
     """
     zcrit = NormalDist().inv_cdf(config.design.alpha_one_sided)
     n = config.design.sample_size
     size = max(1, BATCH_SUBJECT_ROWS // n)
-    states = stream_states(config.master_seed, lo, hi)
+    slab = size * max(1, SLAB_REPLICATES // size)
     batches = []
-    for start in range(0, hi - lo, size):
-        trials = generate_trials(config.design, config.scenario,
-                                 stream_uniforms(states[start:start + size], n))
-        batches.append(_replicate_columns(
-            analyze_trials(trials, config.tie_method), zcrit))
+    for first in range(lo, hi, slab):
+        states = stream_states(config.master_seed, first, min(first + slab, hi))
+        for start in range(0, len(states), size):
+            trials = generate_trials(config.design, config.scenario,
+                                     stream_uniforms(states[start:start + size], n))
+            batches.append(_replicate_columns(
+                analyze_trials(trials, config.tie_method), zcrit))
     return _concatenate(batches)
 
 
 def _replicate_columns(analyses: TrialAnalyses, zcrit: float) -> Replicates:
-    """One batch's analyses as replicate columns under the documented rules."""
-    rows = len(analyses.logrank_z)
-    hr = np.full((rows, len(COX_KEYS)), np.nan)
-    se = np.full((rows, len(COX_KEYS)), np.nan)
-    reject = np.zeros((rows, len(TEST_KEYS)), dtype=bool)
-    degenerate = np.zeros((rows, len(TEST_KEYS)), dtype=bool)
-    for col, z in enumerate((analyses.logrank_z, analyses.stratified_logrank_z)):
-        degenerate[:, col] = np.isnan(z)
-        reject[:, col] = z < zcrit
-    for k, (fit, col) in enumerate(zip(analyses.fits, _WALD_COLUMNS)):
-        usable = fit.converged & np.isfinite(fit.treatment_se)
-        log_hr = fit.beta[usable, 0]
-        hr[usable, k] = np.exp(log_hr)
-        se[usable, k] = fit.treatment_se[usable]
-        reject[usable, col] = log_hr / fit.treatment_se[usable] < zcrit
-        degenerate[~usable, col] = True
-    return Replicates(hr, se, reject, degenerate)
+    """One batch's analyses as replicate columns under the documented rules.
+
+    Every test is a z column in TEST_KEYS order, NaN where it is degenerate.
+    A fit's log-HR and SE are set to NaN where it is unusable, and its Wald z
+    is their ratio; a usable fit has a finite SE above 0, so its z is not NaN.
+    """
+    fits = analyses.fits
+    usable = np.column_stack([fit.converged & np.isfinite(fit.treatment_se) for fit in fits])
+    log_hr = np.where(usable, np.column_stack([fit.beta[:, 0] for fit in fits]), np.nan)
+    se = np.where(usable, np.column_stack([fit.treatment_se for fit in fits]), np.nan)
+    wald = (log_hr / se)[:, [COX_KEYS.index(key) for key in TEST_KEYS[2:]]]
+    z = np.column_stack((analyses.logrank_z, analyses.stratified_logrank_z, wald))
+    return Replicates(np.exp(log_hr), se, z < zcrit, np.isnan(z))
 
 
 def _concatenate(parts: list[Replicates]) -> Replicates:

@@ -77,6 +77,11 @@ class TestDesignCommand:
         proc = run_cli("design", "--hr", "0.5", "--power", "1.5")
         assert proc.returncode == 2
 
+    def test_zero_event_fraction_is_validation_error(self, capsys):
+        from stratsurv.cli import main
+        assert main(["design", "--hr", "0.7", "--event-fraction", "0"]) == 2
+        assert capsys.readouterr().err == "error: event_fraction must be in (0, 1], got 0.0\n"
+
 
 class TestFitCommand:
     def test_cox_analytic_dataset(self, tmp_path):
@@ -487,7 +492,15 @@ class TestUnreadableInputs:
         self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, missing,
                                               "-o", str(out), flag, str(missing))
 
-    @pytest.mark.parametrize("case", ["same_text", "through_a_link", "a_dumped_dataset"])
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    def test_simulate_empty_output_path_refused_before_the_study(self, tmp_path, monkeypatch,
+                                                                 capsys, flag):
+        flags = ("-o", "") if flag == "-o" else ("-o", str(tmp_path / "r.csv"), flag, "")
+        err = self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, flag, *flags)
+        assert f"{flag} must name a file, not an empty path" in err
+
+    @pytest.mark.parametrize("case", ["same_text", "through_a_link", "through_a_hard_link",
+                                      "a_dumped_dataset"])
     def test_simulate_outputs_on_one_path_refused_before_the_study(self, tmp_path, monkeypatch,
                                                                    capsys, case):
         out = tmp_path / "r.csv"
@@ -496,6 +509,11 @@ class TestUnreadableInputs:
         elif case == "through_a_link":
             (tmp_path / "link").symlink_to(tmp_path)
             other = tmp_path / "link" / "r.csv"
+            flags = ("--sidecar", str(other))
+        elif case == "through_a_hard_link":  # two names of one existing file
+            out.touch()
+            other = tmp_path / "b.json"
+            other.hardlink_to(out)
             flags = ("--sidecar", str(other))
         else:  # the CSV would be overwritten by the first row's dataset
             (tmp_path / "d").mkdir()

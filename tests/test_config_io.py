@@ -128,6 +128,44 @@ events = 66
             parse_study_config(text, "s.cfg")
         assert str(err.value) == f"s.cfg:5: {message}"
 
+    @pytest.mark.parametrize("text,message", [
+        pytest.param(MINIMAL + "\n[run]\nseed 3\n",
+                     "11: expected key = value, got 'seed 3'", id="no_equals"),
+        pytest.param("seed = 3\n" + MINIMAL, "1: key outside of any [section]", id="no_section"),
+        # ScenarioSpec's cross-field errors name the kind's line
+        pytest.param(MINIMAL.replace("no_prognostic", "multiplicative_covariates"),
+                     "3: hr_x1 must be a positive finite number, got None", id="missing_hr_x1"),
+        pytest.param(MINIMAL.replace("base_median = 16", "base_median = 16\nhr_x1 = 2"),
+                     "3: covariate hazard ratios are not used by no_prognostic",
+                     id="unused_hr_x1"),
+        pytest.param(MINIMAL.replace("base_median = 16",
+                                     "base_median = 16\nstratum_medians = " + "16, " * 11 + "16"),
+                     "3: stratum_medians is not used by no_prognostic",
+                     id="unused_stratum_medians"),
+        pytest.param(MINIMAL.replace("0.5, 0.75\nevents = 66, 380", "0.5, 1\nevents = auto"),
+                     "8: cannot derive events for true_hr=1.0: hr must differ from 1 "
+                     "(no effect means no finite event target)", id="auto_events_at_hr_1"),
+        pytest.param(MINIMAL.replace("base_median = 16", "base_median = abc"),
+                     "4: base_median must be a number, got 'abc'", id="not_a_number"),
+        pytest.param(MINIMAL + "\n[run]\nseed = 1.5\n",
+                     "11: seed must be an integer, got '1.5'", id="not_an_integer"),
+        pytest.param(MINIMAL.replace("true_hr = 0.5, 0.75", "true_hr = ,"),
+                     "7: true_hr must hold at least one number", id="empty_list"),
+        pytest.param(MINIMAL + "allocation = " + "0:" * 11 + "0\n",
+                     "9: allocation weights must be nonnegative, not all zero", id="zero_weights"),
+        pytest.param(MINIMAL + "\n[run]\ntie_method = exact\n",
+                     "11: tie_method must be one of ('efron', 'breslow'), got 'exact'",
+                     id="not_a_choice"),
+    ])
+    def test_errors_name_their_line(self, text, message):
+        with pytest.raises(ConfigError) as err:
+            parse_study_config(text, "s.cfg")
+        assert str(err.value) == f"s.cfg:{message}"
+
+    def test_empty_hazard_ratio_list_refused(self):
+        with pytest.raises(InvalidParameterError, match="true_hr list must not be empty"):
+            StudyConfig(scenario=ScenarioSpec.no_prognostic(), true_hrs=(), events=())
+
     def test_replicates_bounded(self):
         study = parse_study_config(MINIMAL + f"\n[run]\nreplicates = {MAX_REPLICATES}\n")
         assert study.replicates == MAX_REPLICATES == 10_000_000
@@ -197,20 +235,31 @@ class TestStudyConfigMapping:
          "stratum_medians must hold exactly 12 values"),
         ("scenario", "stratum_medians", [16] * 11 + [0], "stratum_medians must be positive, got 0"),
         ("run", "replicates", 10**7 + 1, "replicates must be at most 10000000, got 10000001"),
+        ("design", "true_hr", 0.5, "true_hr must be a list, got 0.5"),
+        ("extras", "x", 1, "unknown section [extras]"),
+        # a JSON integer beyond the float range; a file's digits read as inf
+        pytest.param("scenario", "base_median", 10**400,
+                     "base_median must be a finite number, got 1000", id="base_median-10**400"),
+        pytest.param("design", "allocation", [1] * 11 + [10**400],
+                     "allocation must be a finite number", id="allocation-10**400"),
     ])
     def test_replay_rejects_what_a_config_file_rejects(self, section, key, value, message):
         echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))
-        echo[section][key] = value
+        echo.setdefault(section, {})[key] = value
         with pytest.raises(ConfigError) as err:
             StudyConfig.from_mapping(echo)
         assert message in str(err.value)
         assert err.value.line is None
 
-    @pytest.mark.parametrize("section,value", [("scenario", 5), ("design", [1])])
+    @pytest.mark.parametrize("section,value", [("scenario", 5), ("design", [1]),
+                                               (None, None), (None, [1])])
     def test_replay_rejects_a_section_that_is_not_an_object(self, section, value):
         echo = json.loads(json.dumps(parse_study_config(MINIMAL).to_mapping()))
-        echo[section] = value
-        with pytest.raises(ConfigError, match=rf"\[{section}\] must be a JSON object"):
+        if section is None:  # the whole echo
+            echo, what = value, "the config echo"
+        else:
+            echo[section], what = value, rf"\[{section}\]"
+        with pytest.raises(ConfigError, match=rf"{what} must be a JSON object"):
             StudyConfig.from_mapping(echo)
 
 

@@ -104,6 +104,14 @@ class TestDegenerateInputs:
         with pytest.raises(InvalidParameterError):
             cox_fit(ds, AnalysisSpec(Method.LOG_RANK))
 
+    @pytest.mark.parametrize("setting,message", [
+        ({"tie_method": "exact"}, "tie_method must be one of ('efron', 'breslow'), got 'exact'"),
+        ({"alpha_one_sided": 1.0}, "alpha_one_sided must be in (0, 1)"),
+    ])
+    def test_bad_spec_rejected(self, setting, message):
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            AnalysisSpec(Method.COX_STRATIFIED, **setting)
+
     @pytest.mark.parametrize("method", list(Method), ids=lambda m: m.value)
     def test_empty_dataset_rejected(self, method):
         ds = _dataset(np.zeros(0), np.zeros(0, bool), np.zeros(0, int))
@@ -419,6 +427,19 @@ class TestHeavyTies:
                 for field, values in fits._asdict().items():
                     assert np.array_equal(values[row:row + 1], getattr(single, field),
                                           equal_nan=True), (row, field)
+        # row 4 alone: the step from beta = 0 fails and no halving is left, so
+        # the fit is retired without copying the row it will not evaluate again
+        calls = []
+        for name in ("evaluate", "take"):
+            real = getattr(inference._TreatmentLikelihood, name)
+            monkeypatch.setattr(inference._TreatmentLikelihood, name,
+                                lambda self, *args, name=name, real=real:
+                                calls.append(name) or real(self, *args))
+        row4 = inference._Trials(TrialBatch(*(a[4:5] for a in trials)))
+        fits = inference._newton(row4.likelihood(Method.COX_UNSTRATIFIED, ties))
+        assert calls == ["evaluate", "evaluate"]
+        for field, values in fits._asdict().items():
+            assert np.array_equal(values, getattr(batch.fits[0], field)[4:5], equal_nan=True)
 
     def test_breslow_is_efron_with_zero_weights(self, tied):
         times, events, X, strata = tied

@@ -426,6 +426,11 @@ class TestTrialDataset:
             TrialDataset(subject_id=[0], stratum_index=[12], arm=[0],
                          enroll_time=[0.0], observed_time=[1.0], event=[True])
 
+    def test_field_lengths_checked(self):
+        with pytest.raises(InvalidParameterError, match="observed_time must have length 2"):
+            TrialDataset(subject_id=[0, 1], stratum_index=[0, 1], arm=[0, 1],
+                         enroll_time=[0.0, 0.0], observed_time=[1.0], event=[0, 1])
+
     @pytest.mark.parametrize("arm", [-1, 2])
     def test_arm_values_checked(self, arm):
         with pytest.raises(InvalidParameterError, match="arm values must be 0 or 1"):

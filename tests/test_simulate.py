@@ -12,7 +12,7 @@ import pytest
 
 import stratsurv.simulate as sim
 from _replay import assert_same, replay_replicates
-from stratsurv.datagen import TrialDataset
+from stratsurv.datagen import TrialDataset, stream_states
 from stratsurv.errors import InvalidParameterError
 from stratsurv.simulate import (
     COX_KEYS,
@@ -119,6 +119,16 @@ class TestReferenceColumns:
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * cfg.design.sample_size)
         assert_same(sim._replicate_range(cfg, 3, 20), Replicates(*(c[3:20] for c in whole)))
         assert_same(sim._replicate_range(cfg, 0, 37), whole)
+        # stream states hashed a slab of two whole batches at a time
+        monkeypatch.setattr(sim, "SLAB_REPLICATES", 12)
+        calls = []
+
+        def spy(seed, lo, hi):
+            calls.append((lo, hi))
+            return stream_states(seed, lo, hi)
+        monkeypatch.setattr(sim, "stream_states", spy)
+        assert_same(sim._replicate_range(cfg, 3, 37), Replicates(*(c[3:37] for c in whole)))
+        assert calls == [(3, 13), (13, 23), (23, 33), (33, 37)]
 
 
 def _rows(*replicates):
@@ -417,6 +427,10 @@ class TestAggregate:
         with pytest.raises(InvalidParameterError):
             aggregate(Replicates(np.empty((0, 3)), np.empty((0, 3)),
                                  np.empty((0, 5), bool), np.empty((0, 5), bool)), true_hr=0.5)
+
+    def test_bad_se_scale_rejected(self):
+        with pytest.raises(InvalidParameterError, match="se_scale must be one of"):
+            aggregate(_result(hr=(0.5,) * 3, se=(0.2,) * 3), 0.5, se_scale="linear")
 
     def test_se_scale_hr_multiplies(self):
         results = _result(hr=(0.5,) * 3, se=(0.2,) * 3)

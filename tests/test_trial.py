@@ -125,6 +125,10 @@ class TestScenarioSpecValidation:
         with pytest.raises(InvalidParameterError):
             ScenarioSpec(kind=ScenarioSpec.stratum_baselines().kind,
                          base_median=16.0, stratum_medians=(16.0,) * 12)
+        with pytest.raises(InvalidParameterError,
+                           match="stratum_medians is not used by no_prognostic"):
+            ScenarioSpec(kind=ScenarioSpec.no_prognostic(16.0).kind,
+                         base_median=16.0, stratum_medians=(16.0,) * 12)
 
     def test_nonpositive_median_rejected(self):
         with pytest.raises(InvalidParameterError):
