@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 
 from .config import load_study_config
@@ -48,12 +49,12 @@ def _keep_freed_memory() -> None:
 
     glibc's malloc hands a freed block back to the kernel once its dynamic
     thresholds allow, so each replicate batch page-faults its numpy
-    temporaries (0.1-0.8 MB each) in again. Here arrays under 32 MiB (the
-    largest mmap threshold on 64-bit) come from the heap, and up to 64 MiB
-    of freed heap stays mapped. Setting one threshold stops glibc adjusting
-    the other, so the trim threshold is set only once the mmap threshold
-    took. Pool workers forked later inherit both. No result changes. A C
-    library without ``mallopt`` is left as it is.
+    temporaries (about 0.25-1.3 MB each) in again. Here arrays under 32 MiB
+    (the largest mmap threshold on 64-bit) come from the heap, and up to
+    64 MiB of freed heap stays mapped. Setting one threshold stops glibc
+    adjusting the other, so the trim threshold is set only once the mmap
+    threshold took. Pool workers forked later inherit both. No result
+    changes. A C library without ``mallopt`` is left as it is.
     """
     import ctypes  # ~2 ms, kept off ``import stratsurv.cli``
 
@@ -144,11 +145,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         for i in range(len(configs))]
     written: dict[object, str] = {}
     for path in (args.output, sidecar, *dumps):
-        try:  # a file that exists is known by its inode, so hard links meet
-            stat = os.stat(path)
-            key: object = (stat.st_dev, stat.st_ino)
+        try:
+            info = os.stat(path)
         except OSError:
-            key = os.path.realpath(path)
+            key: object = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(info.st_mode):
+                continue  # a pipe, terminal or device: writes append, none overwrites
+            key = (info.st_dev, info.st_ino)  # by inode, so hard links meet
         if key in written:
             raise InvalidParameterError(f"cannot write both {written[key]} and {path}: "
                                         "they are the same file")

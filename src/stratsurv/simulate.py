@@ -47,9 +47,15 @@ TEST_KEYS = ("lr", "strat_lr", "mult_cox", "strat_cox", "unstrat_cox")
 SE_SCALES = ("log", "hr")
 
 #: Subject rows analyzed together: a batch holds max(1, BATCH_SUBJECT_ROWS // N)
-#: replicates of N subjects. This bounds the engine's working set to a few MB;
-#: larger batches run no faster.
-BATCH_SUBJECT_ROWS = 2 ** 14
+#: replicates of N subjects. Each Newton step runs the same numpy calls
+#: however many replicates a batch holds, so a larger batch spreads that fixed
+#: cost thinner, while its working set grows by 230-270 traced bytes per
+#: subject row, about 8 MB here. Measured on 2 CPUs with numpy 2.4.6 under the
+#: command's allocator settings, in us per replicate at 2^14, 2^15 and 2^16
+#: rows: 144, 134 and 127 at N = 95; 665, 611 and 581 at N = 543. 2^16 was
+#: faster still but lifted the peak resident memory of a six-row 2-worker
+#: study by 12%, against 4% for 2^15.
+BATCH_SUBJECT_ROWS = 2 ** 15
 
 #: Replicates whose stream states are hashed together: as many whole batches
 #: as fit in this, at least one. The hash's working set, about 100 bytes per

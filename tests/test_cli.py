@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -522,6 +523,22 @@ class TestUnreadableInputs:
         err = self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, out,
                                                     "-o", str(out), *flags)
         assert str(other) in err and "same file" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_simulate_outputs_sharing_one_pipe_are_both_written(self, tmp_path):
+        # stdout and stderr are one pipe: writes to it append, so neither
+        # output can overwrite the other and both are written
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        proc = subprocess.run([sys.executable, "-m", "stratsurv", "simulate", str(cfg),
+                               "--replicates", "2", "-o", "/dev/stdout",
+                               "--sidecar", "/dev/stderr"],
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+        assert proc.returncode == 0, proc.stdout
+        header = proc.stdout.splitlines()[0].split(",")
+        assert header[:3] == ["true_hr", "events", "n"]
+        sidecar, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index("\n{") + 1)
+        assert sidecar["rows"][0]["replicates"] == 2
 
     @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
     def test_simulate_output_that_is_a_directory_checked_before_the_study(

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -129,6 +130,54 @@ class TestReferenceColumns:
         monkeypatch.setattr(sim, "stream_states", spy)
         assert_same(sim._replicate_range(cfg, 3, 37), Replicates(*(c[3:37] for c in whole)))
         assert calls == [(3, 13), (13, 23), (23, 33), (33, 37)]
+
+
+def _unequal_row(events, replicates=1):
+    """One row of the 7:1 unequal-strata study (scenario 2, poor prognosis)."""
+    design = TrialDesign.from_event_target(true_hr=0.5, target_events=events,
+                                           allocation_weights=(7,) * 6 + (1,) * 6)
+    return SimConfig(scenario=ScenarioSpec.multiplicative_covariates(), design=design,
+                     replicates=replicates, master_seed=20260813)
+
+
+class TestBatchSizes:
+    """The shipped batch size and the one before it give the replayed record."""
+
+    @pytest.fixture(scope="class", params=[(66, 350), (380, 64)], ids=["N95", "N543"])
+    def unequal_row(self, request):
+        # three batches at 2^14 subject rows and two at 2^15: 172 and 344
+        # replicates of N = 95, 30 and 60 of N = 543
+        cfg = _unequal_row(*request.param)
+        return cfg, replay_replicates(cfg)
+
+    @pytest.mark.parametrize("rows", [2 ** 14, 2 ** 15])
+    def test_batch_size(self, unequal_row, monkeypatch, rows):
+        cfg, ref = unequal_row
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", rows)
+        assert_same(sim._replicate_range(cfg, 0, cfg.replicates), ref)
+
+    def test_two_worker_chunks_smaller_than_a_batch(self, unequal_row, monkeypatch):
+        cfg, ref = unequal_row
+        assert math.ceil(cfg.replicates / 2) < sim.BATCH_SUBJECT_ROWS // cfg.design.sample_size
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert_same(run_replicates(cfg, workers=2), ref)
+
+
+@pytest.mark.parametrize("events", [66, 380], ids=["N95", "N543"])
+def test_batch_working_set(events):
+    # One full batch, from its stream states to its replicate columns, peaks
+    # at 230-270 traced bytes per subject row; a footprint grown past 320
+    # fails here instead of surfacing as the resident memory of a run.
+    cfg = _unequal_row(events)
+    size = sim.BATCH_SUBJECT_ROWS // cfg.design.sample_size
+    sim._replicate_range(cfg, 0, size)  # lazy set-up is not the batch's
+    tracemalloc.start()
+    try:
+        sim._replicate_range(cfg, 0, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 320 * sim.BATCH_SUBJECT_ROWS + 2 ** 20
 
 
 def _rows(*replicates):
