@@ -131,25 +131,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                  replicates=args.replicates)
     configs = study.sim_configs()
     sidecar = args.sidecar if args.sidecar is not None else args.output + ".json"
-    for flag, path in (("-o", args.output), ("--sidecar", args.sidecar)):
-        if path == "":
-            raise InvalidParameterError(f"{flag} must name a file, not an empty path")
-    for path in (args.output, sidecar):
-        directory = os.path.dirname(os.path.abspath(path))
-        if not os.path.isdir(directory):
-            raise InvalidParameterError(f"cannot write {path}: no directory {directory}")
-        if os.path.isdir(path):
-            raise InvalidParameterError(f"cannot write {path}: it is a directory")
     dumps = [] if args.dump_datasets is None else [
         os.path.join(args.dump_datasets, f"row{i:02d}_replicate0.csv")
         for i in range(len(configs))]
     written: dict[object, str] = {}
-    for path in (args.output, sidecar, *dumps):
+    # a dump has no flag: its directory is made only after these checks pass
+    for flag, path in (("-o", args.output), ("--sidecar", sidecar),
+                       *((None, name) for name in dumps)):
+        if path == "":
+            raise InvalidParameterError(f"{flag} must name a file, not an empty path")
         try:
             info = os.stat(path)
         except OSError:
+            directory = os.path.dirname(os.path.abspath(path))
+            if flag is not None and not os.path.isdir(directory):
+                raise InvalidParameterError(f"cannot write {path}: no directory {directory}")
             key: object = os.path.realpath(path)
         else:
+            if stat.S_ISDIR(info.st_mode):
+                raise InvalidParameterError(f"cannot write {path}: it is a directory")
             if not stat.S_ISREG(info.st_mode):
                 continue  # a pipe, terminal or device: writes append, none overwrites
             key = (info.st_dev, info.st_ino)  # by inode, so hard links meet
@@ -166,24 +166,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"{exc.strerror or exc}") from None
     rows = run_study(configs, workers=study.workers)
 
-    write_results_csv(args.output, rows)
-    write_sidecar_json(sidecar, study.to_mapping(), rows)
+    path = args.output  # the file being written, named if a write fails
+    try:
+        write_results_csv(path, rows)
+        path = sidecar
+        write_sidecar_json(path, study.to_mapping(), rows)
+        for cfg, path in zip(configs, dumps):
+            dataset = generate_trial(cfg.design, cfg.scenario, RngStream(cfg.master_seed, 0))
+            write_subject_records(path, dataset)
+    except OSError as exc:  # ENOSPC may surface at close, with no filename
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
-    for cfg, name in zip(configs, dumps):
-        dataset = generate_trial(cfg.design, cfg.scenario, RngStream(cfg.master_seed, 0))
-        write_subject_records(name, dataset)
-
-    failed = [row for row in rows if row.error is not None]
-    if args.json:
-        print(json.dumps(results_to_records(rows), indent=2))
-    else:
-        for row in rows:
-            label = (f"true_hr={row.config.design.true_hr:g} "
-                     f"events={row.config.design.target_events}")
-            print(f"{label}: {'failed: ' + row.error if row.error else 'ok'}")
-        print(f"wrote {args.output} and {sidecar}")
+    text = [f"true_hr={row.config.design.true_hr:g} "
+            f"events={row.config.design.target_events}: "
+            f"{'failed: ' + row.error if row.error else 'ok'}" for row in rows]
+    text.append(f"wrote {args.output} and {sidecar}")
+    print(json.dumps(results_to_records(rows), indent=2) if args.json else "\n".join(text))
+    failed = sum(row.error is not None for row in rows)
     if failed:
-        print(f"{len(failed)} of {len(rows)} rows failed", file=sys.stderr)
+        print(f"{failed} of {len(rows)} rows failed", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -193,30 +195,25 @@ def cmd_fit(args: argparse.Namespace) -> int:
     method = _METHOD_FLAGS[args.method]
     if method in (Method.LOG_RANK, Method.STRATIFIED_LOG_RANK):
         result = logrank(dataset, stratified=method is Method.STRATIFIED_LOG_RANK)
-        if args.json:
-            print(json.dumps({
-                "method": method.value,
-                "observed_minus_expected": result.observed_minus_expected,
-                "variance": result.variance,
-                "z": result.z,
-                "p_one_sided": result.p_one_sided,
-                "strata_used": result.strata_used,
-            }, indent=2))
-        else:
-            print(f"method: {method.value}")
-            print(f"O-E: {result.observed_minus_expected:.6g}  "
-                  f"variance: {result.variance:.6g}")
-            print(f"z: {result.z:.6g}  one-sided p: {result.p_one_sided:.6g}  "
-                  f"strata used: {result.strata_used}")
-        return EXIT_OK
-
-    fit = cox_fit(dataset, AnalysisSpec(method, tie_method=args.ties))
-    if not fit.converged:
-        print(f"error: fit did not converge: {fit.diagnostic}", file=sys.stderr)
-        return EXIT_RUNTIME
-    p_value = _normal_cdf(fit.wald_z)
-    if args.json:
-        print(json.dumps({
+        record = {
+            "method": method.value,
+            "observed_minus_expected": result.observed_minus_expected,
+            "variance": result.variance,
+            "z": result.z,
+            "p_one_sided": result.p_one_sided,
+            "strata_used": result.strata_used,
+        }
+        text = [f"method: {method.value}",
+                f"O-E: {result.observed_minus_expected:.6g}  "
+                f"variance: {result.variance:.6g}",
+                f"z: {result.z:.6g}  one-sided p: {result.p_one_sided:.6g}  "
+                f"strata used: {result.strata_used}"]
+    else:
+        fit = cox_fit(dataset, AnalysisSpec(method, tie_method=args.ties))
+        if not fit.converged:
+            raise InvalidModelError(f"fit did not converge: {fit.diagnostic}")
+        p_value = _normal_cdf(fit.wald_z)
+        record = {
             "method": method.value,
             "tie_method": args.ties,
             "hr": fit.treatment_hr,
@@ -226,16 +223,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
             "p_one_sided": p_value,
             "coefficients": dict(zip(fit.covariate_names, fit.beta.tolist())),
             "iterations": fit.iterations,
-        }, indent=2))
-    else:
-        print(f"method: {method.value} ({args.ties} ties)")
-        print(f"HR estimate: {fit.treatment_hr:.6g}")
-        print(f"log-HR: {fit.treatment_log_hr:.6g}  SE: {fit.treatment_se:.6g}")
-        print(f"Wald z: {fit.wald_z:.6g}  one-sided p: {p_value:.6g}")
+        }
+        text = [f"method: {method.value} ({args.ties} ties)",
+                f"HR estimate: {fit.treatment_hr:.6g}",
+                f"log-HR: {fit.treatment_log_hr:.6g}  SE: {fit.treatment_se:.6g}",
+                f"Wald z: {fit.wald_z:.6g}  one-sided p: {p_value:.6g}"]
         if len(fit.covariate_names) > 1:
-            coefs = "  ".join(f"{name}={value:.6g}"
-                              for name, value in zip(fit.covariate_names, fit.beta))
-            print(f"coefficients: {coefs}")
+            text.append("coefficients: " + "  ".join(
+                f"{name}={value:.6g}" for name, value in zip(fit.covariate_names, fit.beta)))
+    print(json.dumps(record, indent=2) if args.json else "\n".join(text))
     return EXIT_OK
 
 
@@ -244,11 +240,9 @@ def cmd_design(args: argparse.Namespace) -> int:
                           allocation=args.allocation, event_fraction=args.event_fraction)
     events = schoenfeld_events(inputs)
     subjects = sample_size(events, args.event_fraction)
-    if args.json:
-        print(json.dumps({"hr": args.hr, "events": events, "sample_size": subjects}))
-    else:
-        print(f"events (D): {events}")
-        print(f"sample size (N): {subjects}")
+    record = {"hr": args.hr, "events": events, "sample_size": subjects}
+    text = [f"events (D): {events}", f"sample size (N): {subjects}"]
+    print(json.dumps(record) if args.json else "\n".join(text))
     return EXIT_OK
 
 

@@ -10,6 +10,7 @@ reproduce the run.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import os
 import warnings
@@ -282,16 +283,8 @@ def results_to_records(rows: list[StudyRow]) -> list[dict[str, Any]]:
         if row.metrics is None:
             record["error"] = row.error
         else:
-            record["methods"] = {
-                key: {
-                    "avg_bias": mm.avg_bias,
-                    "avg_se": mm.avg_se,
-                    "mse": mm.mse,
-                    "replicates_used": mm.replicates_used,
-                    "replicates_excluded": mm.replicates_excluded,
-                }
-                for key, mm in row.metrics.methods.items()
-            }
+            record["methods"] = {key: dataclasses.asdict(mm)
+                                 for key, mm in row.metrics.methods.items()}
             record["power"] = dict(row.metrics.power)
             record["degenerate_tests"] = dict(row.metrics.degenerate_counts)
             record["replicates"] = row.metrics.replicates

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,16 @@ class TestDesignCommand:
         proc = run_cli("design", "--hr", "0.5", "--power", "1.5")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("hr", ["0.5", "0.6", "0.75"])
+    def test_text_renders_the_json_record(self, capsys, hr):
+        from stratsurv.cli import main
+
+        assert main(["design", "--hr", hr, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert main(["design", "--hr", hr]) == 0
+        assert capsys.readouterr().out == (f"events (D): {record['events']}\n"
+                                           f"sample size (N): {record['sample_size']}\n")
+
     def test_zero_event_fraction_is_validation_error(self, capsys):
         from stratsurv.cli import main
         assert main(["design", "--hr", "0.7", "--event-fraction", "0"]) == 2
@@ -145,6 +156,56 @@ class TestFitCommand:
         assert efron.returncode == breslow.returncode == 0
         assert (json.loads(efron.stdout)["log_hr"]
                 != json.loads(breslow.stdout)["log_hr"])
+
+
+def _fit_text(record):
+    """``fit``'s text lines for its ``--json`` record: the documented labels,
+    each number as ``%.6g``."""
+    g = "{:.6g}".format
+    if "tie_method" not in record:
+        return [f"method: {record['method']}",
+                f"O-E: {g(record['observed_minus_expected'])}  "
+                f"variance: {g(record['variance'])}",
+                f"z: {g(record['z'])}  one-sided p: {g(record['p_one_sided'])}  "
+                f"strata used: {record['strata_used']}"]
+    lines = [f"method: {record['method']} ({record['tie_method']} ties)",
+             f"HR estimate: {g(record['hr'])}",
+             f"log-HR: {g(record['log_hr'])}  SE: {g(record['se'])}",
+             f"Wald z: {g(record['wald_z'])}  one-sided p: {g(record['p_one_sided'])}"]
+    if len(record["coefficients"]) > 1:
+        lines.append("coefficients: " + "  ".join(
+            f"{name}={g(value)}" for name, value in record["coefficients"].items()))
+    return lines
+
+
+class TestFitText:
+    """``fit``'s text output is its ``--json`` record under the documented labels."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        # 12 strata, times on a half-month grid so that many are tied
+        rng = random.Random(7)
+        path = tmp_path_factory.mktemp("fit") / "tied.csv"
+        path.write_text("id,stratum,arm,time,event\n" + "".join(
+            f"{i},{i % 12},{i // 12 % 2},{rng.randint(1, 48) / 2},{int(rng.random() < 0.7)}\n"
+            for i in range(480)))
+        return path
+
+    @pytest.mark.parametrize("method, ties", [
+        ("logrank", None), ("logrank-stratified", None),
+        *((m, t) for m in ("cox-unstratified", "cox-multivariate", "cox-stratified")
+          for t in ("efron", "breslow"))])
+    def test_text_renders_the_json_record(self, dataset, capsys, method, ties):
+        from stratsurv.cli import main
+
+        argv = ["fit", str(dataset), "--method", method,
+                *([] if ties is None else ["--ties", ties])]
+        assert main([*argv, "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        assert text == "\n".join(_fit_text(record)) + "\n"
+        assert ("coefficients:" in text) == (method == "cox-multivariate")
 
 
 class TestSimulateCommand:
@@ -367,7 +428,12 @@ class TestSimulateOutputPaths:
         code, lines, sidecar = simulate_in_process(cfg, tmp_path / "failed.csv",
                                                    "--workers", "1")
         assert code == 3
-        assert capsys.readouterr().err == "1 of 2 rows failed\n"
+        captured = capsys.readouterr()
+        assert captured.out == ("true_hr=0.5 events=20: ok\n"
+                                "true_hr=0.7 events=20: failed: RuntimeError: boom\n"
+                                f"wrote {tmp_path / 'failed.csv'} and "
+                                f"{tmp_path / 'failed.csv'}.json\n")
+        assert captured.err == "1 of 2 rows failed\n"
         failed = lines[2].split(",")
         assert failed[:3] == ["0.7", "20", clean_csv[2].split(",")[2]]
         assert failed[3:-1] == ["nan"] * 17
@@ -540,14 +606,23 @@ class TestUnreadableInputs:
         sidecar, _ = json.JSONDecoder().raw_decode(proc.stdout, proc.stdout.index("\n{") + 1)
         assert sidecar["rows"][0]["replicates"] == 2
 
-    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar", "--dump-datasets"])
     def test_simulate_output_that_is_a_directory_checked_before_the_study(
             self, tmp_path, monkeypatch, capsys, flag):
         directory = tmp_path / "a_directory"
         directory.mkdir()
         out = directory if flag == "-o" else tmp_path / "r.csv"
-        self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, directory,
-                                              "-o", str(out), flag, str(directory))
+        if flag == "--dump-datasets":  # the first row's dataset name is taken
+            directory = directory / "row00_replicate0.csv"
+            directory.mkdir()
+            flags = ("--dump-datasets", str(directory.parent))
+        else:
+            flags = (flag, str(directory))
+        inside = sorted((tmp_path / "a_directory").rglob("*"))
+        err = self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, directory,
+                                                    "-o", str(out), *flags)
+        assert err == f"error: cannot write {directory}: it is a directory\n"
+        assert sorted((tmp_path / "a_directory").rglob("*")) == inside
 
     @pytest.mark.parametrize("case", ["under_a_file", "a_file"])
     def test_simulate_dump_directory_created_before_the_study(self, tmp_path, monkeypatch,
@@ -559,6 +634,43 @@ class TestUnreadableInputs:
                                               "-o", str(tmp_path / "r.csv"),
                                               "--dump-datasets", str(dump))
         assert a_file.read_text() == "a regular file\n"
+
+
+class TestFailedWrites:
+    """An OSError while writing an output after the study is one ``error:``
+    line naming the file being written, and exit 3."""
+
+    @pytest.mark.parametrize("writer, name", [
+        ("write_results_csv", "r.csv"), ("write_sidecar_json", "r.csv.json"),
+        ("write_subject_records", "d/row00_replicate0.csv")])
+    def test_write_error_names_the_file(self, tmp_path, monkeypatch, capsys, writer, name):
+        import errno
+
+        import stratsurv.cli as cli
+
+        def no_space(*args):  # as at close: an errno and no filename
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(cli, writer, no_space)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        assert cli.main(["simulate", str(cfg), "--replicates", "2", "-o",
+                         str(tmp_path / "r.csv"), "--dump-datasets", str(tmp_path / "d")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: cannot write {tmp_path / name}: "
+                                f"{os.strerror(errno.ENOSPC)}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    def test_full_device(self, tmp_path, flag):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        proc = run_cli("simulate", str(cfg), "--replicates", "2",
+                       "-o", "/dev/full" if flag == "-o" else str(tmp_path / "r.csv"),
+                       *(["--sidecar", "/dev/full"] if flag == "--sidecar" else []))
+        assert proc.returncode == 3
+        assert proc.stderr == "error: cannot write /dev/full: No space left on device\n"
 
 
 def _has_mallopt() -> bool:

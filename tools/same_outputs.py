@@ -1,16 +1,19 @@
-"""Check that this tree's simulate and fit output is byte-identical to a git revision's.
+"""Check that this tree's simulate, fit and design output is byte-identical to a git revision's.
 
 Usage: python tools/same_outputs.py REV
 
 Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
-runs every ``configs/*.cfg`` at ``--replicates 200`` with ``--workers 1`` and
+runs every ``configs/*.cfg`` at ``--replicates 690`` with ``--workers 1`` and
 ``--workers 2``, at the config's seed and at ``--seed 2**64 + 12345`` (a seed
 of three uint32 words), through both REV's package and this working tree's,
-with ``--dump-datasets``. It also writes a seeded dataset of 20,000 subjects
-over 12 strata with times rounded up to whole months, so that nearly every
-event time is tied, and runs ``fit --json`` on it for every method, under
-both tie rules for the Cox methods. Prints each result CSV, sidecar, dumped
-dataset or fit output that differs and exits 1 if any does, else 0.
+with ``--dump-datasets`` and relative output names, keeping each run's stdout
+(text at the config's seed, ``--json`` at the other). It also writes a seeded
+dataset of 20,000 subjects over 12 strata with times rounded up to whole
+months, so that nearly every event time is tied, and runs ``fit`` on it, as
+text and with ``--json``, for every method, under both tie rules for the Cox
+methods; and ``design``, as text and with ``--json``, at three hazard ratios.
+Prints each result CSV, sidecar, dumped dataset or stdout that differs and
+exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-REPLICATES = 200
+#: Above twice 2**15 // 95 = 344, the most replicates one batch holds at the
+#: smallest N (95), so every row of every config spans at least two batches
+#: at both worker counts.
+REPLICATES = 690
 WORKERS = (1, 2)
 #: None runs the config's own seed.
 SEEDS = (None, 2**64 + 12345)
@@ -38,6 +44,8 @@ FIT_SEED = 20261019
 LOGRANK_METHODS = ("logrank", "logrank-stratified")
 COX_METHODS = ("cox-unstratified", "cox-multivariate", "cox-stratified")
 TIES = ("efron", "breslow")
+DESIGN_HRS = ("0.5", "0.6", "0.75")
+FORMATS = ((), ("--json",))
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -49,22 +57,30 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
+def stratsurv(src: Path, args: list[str], out: Path) -> Path:
+    """Run ``stratsurv ARGS`` from the package under ``src`` in ``out``'s
+    directory, which it makes; writes its stdout to ``out`` and returns it."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stdout = subprocess.run([sys.executable, "-m", "stratsurv", *args], check=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            capture_output=True, cwd=out.parent).stdout
+    out.write_bytes(stdout)
+    return out
+
+
 def simulate(src: Path, config: Path, workers: int, seed: int | None,
              out_dir: Path) -> tuple[Path, ...]:
     """Run one config through the package under ``src``; the paths of the CSV,
-    the sidecar and the dumped datasets, in name order."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    the sidecar, the stdout and the dumped datasets, in name order."""
     stem = f"{config.stem}_w{workers}" + ("" if seed is None else f"_s{seed}")
-    csv_path, sidecar = out_dir / f"{stem}.csv", out_dir / f"{stem}.json"
-    dumps = out_dir / f"{stem}_datasets"
-    seed_args = [] if seed is None else ["--seed", str(seed)]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    subprocess.run([sys.executable, "-m", "stratsurv", "simulate", str(config),
-                    "-o", str(csv_path), "--sidecar", str(sidecar),
-                    "--replicates", str(REPLICATES), "--workers", str(workers), *seed_args,
-                    "--dump-datasets", str(dumps)],
-                   check=True, env=env, stdout=subprocess.DEVNULL, cwd=out_dir)
-    return (csv_path, sidecar, *sorted(dumps.iterdir()))
+    extra = [] if seed is None else ["--seed", str(seed), "--json"]
+    stdout = stratsurv(src, ["simulate", str(config), "-o", f"{stem}.csv",
+                             "--sidecar", f"{stem}.json", "--replicates", str(REPLICATES),
+                             "--workers", str(workers), *extra,
+                             "--dump-datasets", f"{stem}_datasets"],
+                       out_dir / f"{stem}.stdout")
+    return (out_dir / f"{stem}.csv", out_dir / f"{stem}.json", stdout,
+            *sorted((out_dir / f"{stem}_datasets").iterdir()))
 
 
 def write_tied_dataset(path: Path) -> None:
@@ -83,26 +99,14 @@ def write_tied_dataset(path: Path) -> None:
         f"{i},{s},{a},{t},{int(e)}\n" for i, (s, a, t, e) in enumerate(rows)))
 
 
-def fit(src: Path, dataset: Path, method: str, ties: str | None, out_dir: Path) -> Path:
-    """``fit --json`` of one method through the package under ``src``; its stdout's path."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ties_args = [] if ties is None else ["--ties", ties]
-    out = out_dir / (f"fit_{method}" + ("" if ties is None else f"_{ties}") + ".json")
-    env = dict(os.environ, PYTHONPATH=str(src))
-    stdout = subprocess.run([sys.executable, "-m", "stratsurv", "fit", str(dataset),
-                             "--method", method, "--json", *ties_args],
-                            check=True, env=env, capture_output=True).stdout
-    out.write_bytes(stdout)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
     args = parser.parse_args(argv)
 
     configs = sorted((ROOT / "configs").glob("*.cfg"))
-    fits = [(m, None) for m in LOGRANK_METHODS] + list(itertools.product(COX_METHODS, TIES))
+    fits = [(m, []) for m in LOGRANK_METHODS] + [
+        (m, ["--ties", ties]) for m, ties in itertools.product(COX_METHODS, TIES)]
     differ = compared = 0
 
     def compare(outputs: dict[str, tuple[Path, ...]]) -> None:
@@ -125,12 +129,18 @@ def main(argv: list[str] | None = None) -> int:
                      for name, src in trees.items()})
         dataset = tmp / "tied.csv"
         write_tied_dataset(dataset)
-        for method, ties in fits:
-            compare({name: (fit(src, dataset, method, ties, tmp / "out" / name),)
+        commands = [["fit", str(dataset), "--method", method, *ties, *fmt]
+                    for (method, ties), fmt in itertools.product(fits, FORMATS)]
+        commands += [["design", "--hr", hr, *fmt]
+                     for hr, fmt in itertools.product(DESIGN_HRS, FORMATS)]
+        for command in commands:
+            stem = "_".join(arg.lstrip("-") for arg in command if arg != str(dataset))
+            compare({name: (stratsurv(src, command, tmp / "out" / name / f"{stem}.stdout"),)
                      for name, src in trees.items()})
     print(f"{differ} of {compared} files differ from {args.rev} "
           f"({len(configs)} configs, workers {WORKERS}, seeds {SEEDS}, "
-          f"{REPLICATES} replicates; {len(fits)} fits of {FIT_ROWS} tied rows)")
+          f"{REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of {FIT_ROWS} tied rows; "
+          f"{len(DESIGN_HRS) * len(FORMATS)} designs)")
     return 1 if differ else 0
 
 
