@@ -135,16 +135,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         os.path.join(args.dump_datasets, f"row{i:02d}_replicate0.csv")
         for i in range(len(configs))]
     written: dict[object, str] = {}
-    # a dump has no flag: its directory is made only after these checks pass
-    for flag, path in (("-o", args.output), ("--sidecar", sidecar),
-                       *((None, name) for name in dumps)):
-        if path == "":
-            raise InvalidParameterError(f"{flag} must name a file, not an empty path")
+    # each output: its flag, the flag's value and the file it writes; the
+    # dump directory is made only after these checks pass
+    for flag, value, path in (("-o", args.output, args.output),
+                              ("--sidecar", sidecar, sidecar),
+                              *(("--dump-datasets", args.dump_datasets, name)
+                                for name in dumps)):
+        if value == "":
+            kind = "directory" if flag == "--dump-datasets" else "file"
+            raise InvalidParameterError(f"{flag} must name a {kind}, not an empty path")
         try:
             info = os.stat(path)
         except OSError:
             directory = os.path.dirname(os.path.abspath(path))
-            if flag is not None and not os.path.isdir(directory):
+            if flag != "--dump-datasets" and not os.path.isdir(directory):
                 raise InvalidParameterError(f"cannot write {path}: no directory {directory}")
             key: object = os.path.realpath(path)
         else:

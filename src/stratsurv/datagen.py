@@ -267,17 +267,24 @@ def _censor_at_event(enroll: np.ndarray, latent: np.ndarray, target_events: int)
     """Censor each row's follow-up at the calendar time of its D-th event.
 
     A row's cutoff is its D-th smallest enroll + latent time, ties broken by
-    subject position so that exactly D events result: ``stable_argsort``
-    gives the order of ``np.argsort(kind="stable")`` from numpy's faster
-    default sort. Later events become censored at cutoff - enroll; subjects
-    enrolled after the cutoff keep zero follow-up. Returns the (B, N)
+    subject position so that exactly D events result, as in the order of
+    ``np.argsort(kind="stable")``. ``np.partition`` finds the cutoff, and
+    every time at or before it is an event. Only a row whose cutoff value is
+    tied (or NaN) needs the order itself: it takes its first D subjects in
+    ``stable_argsort`` order. Later events become censored at cutoff - enroll;
+    subjects enrolled after the cutoff keep zero follow-up. Returns the (B, N)
     observed times and event flags and the (B,) cutoffs.
     """
     calendar = enroll + latent
-    first = stable_argsort(calendar)[:, :target_events]
-    cutoff = np.take_along_axis(calendar, first[:, -1:], axis=1)
-    event = np.zeros(calendar.shape, dtype=bool)
-    np.put_along_axis(event, first, True, axis=1)
+    d = target_events - 1
+    cutoff = np.partition(calendar, d, axis=1)[:, d:d + 1]
+    event = calendar <= cutoff
+    tied = np.flatnonzero(np.count_nonzero(calendar == cutoff, axis=1) != 1)
+    if tied.size:
+        first = stable_argsort(calendar[tied])[:, :target_events]
+        cutoff[tied] = calendar[tied[:, None], first[:, -1:]]
+        event[tied] = False
+        event[tied[:, None], first] = True
     observed = np.where(event, latent, np.maximum(cutoff - enroll, 0.0))
     return observed, event, cutoff[:, 0]
 

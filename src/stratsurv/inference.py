@@ -42,10 +42,14 @@ Risk-set sums. The multivariate likelihood sums over risk sets directly.
 Suffix sums run along each row, with a trailing zero, so the sum over a risk
 set is ``R[block_start] - R[stratum_end]``. The partial likelihood takes
 suffix sums of w = exp(eta) and of wX only. The information sum over deaths
-of S2/denom equals sum_i w_i c_i x_i x_i', where c_i is the within-stratum
-running (prefix) sum of 1/denom over the deaths whose risk set holds subject
-i. The gradient is then sum_i (delta_i - w_i c_i) x_i and the information one
-stacked (B, p, N) @ (B, N, p) product, with no N x p^2 array.
+of S2/denom equals sum_i v_i x_i x_i', v_i = w_i c_i, where c_i is the
+within-stratum running (prefix) sum of 1/denom over the deaths whose risk set
+holds subject i. A subject's covariates depend on its cell only, so both
+sum_i v_i x_i and sum_i v_i x_i x_i' come from the per-cell sums of v: one
+``bincount`` over the cell index offset by K times the row gives them as
+(B, K), and one stacked product with the fixed (K, p + p^2) table of each
+cell's x and x x' gives both sums, with no (B, p, N) product. The gradient is
+the fixed sum of x over the deaths less sum_i v_i x_i.
 
 Ties. Efron and Breslow are one rule. Each death carries a weight
 j = (rank of the death in its tied block) / (deaths in the block) under
@@ -64,15 +68,19 @@ Batch invariance, which every change must keep: a row's results may not
 depend on the other rows of its batch, so that every batch size and worker
 count gives the same bits. Only per-row operations are allowed: cumulative
 sums along a row, reductions along the fixed-length subject axis,
-``reduceat`` over segments that never cross a row, and stacked
-``matmul``/``solve``/``inv``/``cholesky`` (one BLAS or LAPACK call per
-matrix). A sum over the concatenated batch would let neighbouring rows'
-rounding leak into each row. When a stacked factorization raises, it is
+``reduceat`` over segments that never cross a row, a ``bincount`` whose bins
+never hold two rows' entries (it adds each bin's entries in position order),
+and stacked ``matmul``/``solve``/``inv``/``cholesky`` (one BLAS or LAPACK
+call per matrix, such as the (B, 1, K) @ (K, p + p^2) contraction of the cell
+sums). A sum over the concatenated batch would let neighbouring rows'
+rounding leak into each row, and so may one 2-D product of the whole batch,
+whose blocking depends on B. When a stacked factorization raises, it is
 repeated one matrix at a time, so only the offending rows are flagged.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -369,25 +377,57 @@ def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
 class _CoxLikelihood:
     """Stratified partial log-likelihood of B datasets, with derivatives.
 
-    ``X`` holds the covariates as (B, p, N) in layout order. ``j`` holds the
-    Efron tie weights, or is None when every weight is 0 (Breslow, or no
-    block with two deaths).
+    ``design`` (p, K) holds one covariate column per cell, and ``cells``
+    (B, N) the cell of each position in layout order, so that subject i's
+    covariates are ``design[:, cells[i]]``; the multivariate fit has K = 24
+    cells 2 * stratum + arm, and free covariates take one cell per subject.
+    ``j`` holds the Efron tie weights, or is None when every weight is 0
+    (Breslow, or no block with two deaths).
     """
 
-    def __init__(self, risk: _RiskSets, X: np.ndarray, j: np.ndarray | None):
+    def __init__(self, risk: _RiskSets, cells: np.ndarray, design: np.ndarray,
+                 j: np.ndarray | None):
         self.risk = risk
-        self.X = X
+        self.cells = cells
         self.j = j
         self.death = risk.death
-        self.p = X.shape[1]
+        self.p, k = design.shape
+        self.X = np.take(design, cells, axis=1).transpose(1, 0, 2).copy()
+        # per cell: its covariates x, then x x' flattened, in C order whatever
+        # design's order, as the product's rounding depends on the layout
+        x = np.ascontiguousarray(design.T)
+        self.table = np.hstack((x, (x[:, :, None] * x[:, None, :]).reshape(k, -1)))
+        self.index = self._cell_index()
+        self.death_sums = self._cell_sums(risk.event)[:, :self.p]
 
     def take(self, rows: np.ndarray) -> "_CoxLikelihood":
-        return _CoxLikelihood(self.risk.take(rows), self.X[rows],
-                              None if self.j is None else self.j[rows])
+        # the rows keep their covariates and death sums, and share the table
+        out = copy.copy(self)
+        out.risk = self.risk.take(rows)
+        out.death = out.risk.death
+        out.j = None if self.j is None else self.j[rows]
+        out.cells, out.X, out.death_sums = self.cells[rows], self.X[rows], self.death_sums[rows]
+        out.index = out._cell_index()
+        return out
+
+    def _cell_index(self) -> np.ndarray:
+        """Each position's cell offset by K times its row, flat, so that one
+        bincount sums per row and cell."""
+        k = len(self.table)
+        return (self.cells + k * np.arange(len(self.cells))[:, None]).ravel()
+
+    def _cell_sums(self, values: np.ndarray) -> np.ndarray:
+        """(B, p + p^2): per row, the sums of values x and values x x' over its
+        subjects, from the per-cell sums of values."""
+        rows, k = len(values), len(self.table)
+        s = np.bincount(self.index, weights=values.ravel(), minlength=rows * k)
+        # a stacked (1, K) @ (K, p + p^2) product per row: one 2-D product of
+        # the whole batch would let the batch size change a row's rounding
+        return np.matmul(s.reshape(rows, 1, k), self.table)[:, 0]
 
     def evaluate(self, beta: np.ndarray):
         """Log-likelihood (B,), gradient (B, p) and Hessian (B, p, p) at beta (B, p)."""
-        risk, X, j, e = self.risk, self.X, self.j, self.risk.event
+        risk, X, j, e, p = self.risk, self.X, self.j, self.risk.event, self.p
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eta = np.matmul(beta[:, None, :], X)[:, 0]
             # every risk set lies within one row, so shifting a row's eta by
@@ -409,11 +449,11 @@ class _CoxLikelihood:
             c = risk.running_sums(inv)
             if j is not None:
                 c -= e * risk.block_sums(j * inv)
-            v = w * c
+            sums = self._cell_sums(w * c)
             r = np.multiply(num, inv[:, None], out=num)
-            grad = np.matmul(X, (e - v)[..., None])[..., 0]
+            grad = self.death_sums - sums[:, :p]
             hess = (np.matmul(r, r.transpose(0, 2, 1))
-                    - np.matmul(X * v[:, None], X.transpose(0, 2, 1)))
+                    - sums[:, p:].reshape(len(beta), p, p))
         return ll, grad, hess
 
 
@@ -668,9 +708,8 @@ class _Trials:
             raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
         risk = self.stratified if method is Method.COX_STRATIFIED else self.pooled
         j = risk.efron_weights if tie_method == "efron" else None
-        if method is Method.COX_MULTIVARIATE:
-            X = _CELL_DESIGN[:, self.cells].transpose(1, 0, 2).copy()
-            return _CoxLikelihood(risk, X, j)
+        if method is Method.COX_MULTIVARIATE:  # on the pooled layout, in self.cells order
+            return _CoxLikelihood(risk, self.cells, _CELL_DESIGN, j)
         return _TreatmentLikelihood(risk, j)
 
 

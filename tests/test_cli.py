@@ -559,12 +559,13 @@ class TestUnreadableInputs:
         self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, missing,
                                               "-o", str(out), flag, str(missing))
 
-    @pytest.mark.parametrize("flag", ["-o", "--sidecar"])
+    @pytest.mark.parametrize("flag", ["-o", "--sidecar", "--dump-datasets"])
     def test_simulate_empty_output_path_refused_before_the_study(self, tmp_path, monkeypatch,
                                                                  capsys, flag):
         flags = ("-o", "") if flag == "-o" else ("-o", str(tmp_path / "r.csv"), flag, "")
         err = self._assert_refused_before_the_study(tmp_path, monkeypatch, capsys, flag, *flags)
-        assert f"{flag} must name a file, not an empty path" in err
+        kind = "directory" if flag == "--dump-datasets" else "file"
+        assert f"{flag} must name a {kind}, not an empty path" in err
 
     @pytest.mark.parametrize("case", ["same_text", "through_a_link", "through_a_hard_link",
                                       "a_dumped_dataset"])

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from stratsurv import inference
-from stratsurv.datagen import RngStream, TrialBatch, TrialDataset, generate_trial
+from stratsurv.datagen import (
+    RngStream,
+    TrialBatch,
+    TrialDataset,
+    generate_trial,
+    generate_trials,
+    stream_states,
+    stream_uniforms,
+)
 from stratsurv.errors import DegenerateTestError, InvalidModelError, InvalidParameterError
 from stratsurv.inference import (
     COX_METHODS,
@@ -51,10 +59,12 @@ def _trial(seed, d=40, scenario=None):
 def _likelihood(times, events, X, strata, ties):
     """The batched engine's likelihood of one dataset with free covariates X."""
     order = np.lexsort((times, strata))
-    X = np.asarray(X, float)[order].T[None]
+    design = np.asarray(X, float)[order].T
     times, events, strata = (np.asarray(a)[order][None] for a in (times, events, strata))
-    risk = _RiskSets.of(times, events, X[:, 0], strata)
-    return _CoxLikelihood(risk, X, risk.efron_weights if ties == "efron" else None)
+    risk = _RiskSets.of(times, events, design[None, 0], strata)
+    # one cell per subject: subject i's covariates are design[:, i]
+    return _CoxLikelihood(risk, np.arange(len(order))[None], design,
+                          risk.efron_weights if ties == "efron" else None)
 
 
 def _engine_terms(times, events, X, strata, ties, beta):
@@ -446,7 +456,7 @@ class TestHeavyTies:
         efron = _likelihood(times, events, X, strata, "efron")
         breslow = _likelihood(times, events, X, strata, "breslow")
         assert breslow.j is None and efron.j.max() > 0
-        zeroed = _CoxLikelihood(efron.risk, efron.X, np.zeros_like(efron.j))
+        zeroed = _CoxLikelihood(efron.risk, efron.cells, efron.X[0], np.zeros_like(efron.j))
         beta = np.array([[0.4, 0.1]])
         for got, want in zip(zeroed.evaluate(beta), breslow.evaluate(beta)):
             assert np.array_equal(got, want)
@@ -479,6 +489,49 @@ class TestHeavyTies:
                 assert np.array_equal(fits.beta[i], one.beta)
                 assert fits.treatment_se[i] == one.treatment_se
                 assert fits.iterations[i] == one.iterations
+
+
+class TestPerCellSums:
+    """The multivariate likelihood sums v x and v x x' over its 24 cells."""
+
+    @staticmethod
+    def _subject_sums(lik, values):
+        """What ``_cell_sums`` returns, summed over each row's subjects."""
+        X = lik.X
+        outer = np.einsum("bpn,bqn,bn->bpq", X, X, values)
+        return np.hstack((np.einsum("bpn,bn->bp", X, values), outer.reshape(len(X), -1)))
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_rows_equal_single_row_calls_and_subject_sums(self, monkeypatch, rows, ties):
+        design = TrialDesign.from_event_target(0.6, 30)
+        trials = generate_trials(design, ScenarioSpec.multiplicative_covariates(),
+                                 stream_uniforms(stream_states(41, 0, rows),
+                                                 design.sample_size))
+        # month-rounded times, so that Efron weights are in play
+        trials = trials._replace(observed_time=np.ceil(trials.observed_time))
+        beta = np.random.default_rng(rows).normal(0.0, 0.3, (rows, 5))
+
+        def likelihood(batch):
+            return inference._Trials(batch).likelihood(Method.COX_MULTIVARIATE, ties)
+
+        lik = likelihood(trials)
+        assert (lik.j is None) == (ties == "breslow")
+        got = lik.evaluate(beta)
+        for row in range(rows):
+            one = likelihood(TrialBatch(*(a[row:row + 1] for a in trials)))
+            for values, single in zip(got, one.evaluate(beta[row:row + 1])):
+                assert np.array_equal(values[row:row + 1], single), row
+        # the same likelihood with every sum taken over the subjects directly
+        monkeypatch.setattr(inference._CoxLikelihood, "_cell_sums", self._subject_sums)
+        direct = likelihood(trials).evaluate(beta)
+        assert np.array_equal(got[0], direct[0])
+        # an entry is a difference of sums of terms up to the size of the
+        # deaths' x and x x': it is held to 1e-12 of the larger of the two
+        scale = self._subject_sums(lik, lik.risk.event).max(axis=1)[:, None]
+        for values, want in zip(got[1:], direct[1:]):
+            err = np.abs(values - want).reshape(rows, -1)
+            assert np.all(err <= 1e-12 * np.maximum(np.abs(want).reshape(rows, -1), scale))
 
 
 class TestFitDiagnostics:

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import kstest
 
 import stratsurv.simulate as sim
+from stratsurv import datagen
 from _oracles import naive_trial
 from _replay import assert_same, replay_replicates
 from stratsurv.datagen import (
@@ -281,6 +282,38 @@ class TestApplyCutoff:
         latent = np.tile([2.0, 1.0, 3.0], 10)
         _, event, _ = self._cut([np.zeros(30)], [latent], d=15)
         assert np.array_equal(np.flatnonzero(event[0] & (latent == 2.0)), [0, 3, 6, 9, 12])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tied_cutoffs_repaired_to_the_stable_order(self, monkeypatch, seed):
+        # Whole-unit calendar times tie at the cutoff in most rows; the rows
+        # whose cutoff is tied (or NaN), and only those, take the stable order,
+        # and every row equals the stable-argsort reference bit for bit.
+        rng = np.random.default_rng(seed)
+        rows, n, d = 40, 60, 25
+        enroll = np.floor(rng.uniform(0.0, 4.0, (rows, n)))
+        latent = np.ceil(rng.exponential(6.0, (rows, n)))
+        latent[:5] = rng.exponential(6.0, (5, n))  # untied rows
+        latent[5, :] = np.nan                      # a NaN cutoff
+        zeros = np.where(rng.random((4, n)) < 0.5, -0.0, 0.0)
+        enroll[6:10], latent[6:10] = zeros, zeros  # -0.0 and 0.0 tie
+        latent[6:10, ::3] = 1.0
+        repaired = []
+        monkeypatch.setattr(datagen, "stable_argsort",
+                            lambda values: repaired.append(values) or stable_argsort(values))
+        got = _censor_at_event(enroll, latent, d)
+        calendar = enroll + latent
+        first = np.argsort(calendar, axis=1, kind="stable")[:, :d]
+        cutoff = np.take_along_axis(calendar, first[:, -1:], axis=1)
+        event = np.zeros((rows, n), dtype=bool)
+        np.put_along_axis(event, first, True, axis=1)
+        with np.errstate(invalid="ignore"):
+            observed = np.where(event, latent, np.maximum(cutoff - enroll, 0.0))
+        for values, want in zip(got, (observed, event, cutoff[:, 0])):
+            assert values.dtype == want.dtype and values.tobytes() == want.tobytes()
+        tied = np.count_nonzero(calendar == cutoff, axis=1) != 1
+        assert not tied[:5].any() and tied[5:10].all() and tied.sum() > 20
+        assert len(repaired) == 1
+        assert np.array_equal(repaired[0], calendar[tied], equal_nan=True)
 
     def test_d_out_of_range(self):
         # the design validates D against N, so no out-of-range D reaches the cutoff
