@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 validation error (flags, config, dataset format),
 3 runtime or degeneracy error (non-converged fit, zero-variance test,
-failed study row).
+failed study row), 130 interrupted (SIGINT, as from Ctrl-C).
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import stat
 import sys
 
@@ -262,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InvalidModelError, DegenerateTestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 128 + signal.SIGINT  # the status a shell gives a process SIGINT ended
 
 
 if __name__ == "__main__":

@@ -59,10 +59,13 @@ and c_i of a death loses its block's sum of j/denom (the Efron S2d term).
 With j = 0 every formula is exactly the Breslow one; without ties the two
 methods coincide. No Python loop runs over tied blocks.
 
-Newton iteration keeps a separate beta, log-likelihood, step-halving factor
-and status for each row, and solves the stacked (B, p, p) systems. Each
-iteration starts by testing the running rows for convergence and the
-iteration cap, then drops every finished row from the batch with one slice.
+Newton iteration keeps a separate beta, log-likelihood, step, halving count
+h and status for each row, and solves the stacked (B, p, p) systems. Each
+pass of its one loop lets the rows at an accepted point (h = 0) test for
+convergence and the iteration cap and solve for a new step, drops every
+finished row from the batch with one slice, and evaluates every running row
+once, at beta + step / 2^h. A rejected step is retried at half its length on
+the next pass, so rows needing different numbers of halvings share passes.
 
 Batch invariance, which every change must keep: a row's results may not
 depend on the other rows of its batch, so that every batch size and worker
@@ -588,10 +591,11 @@ class _CoxFits(NamedTuple):
 def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
     """Fit every row by Newton iteration from beta = 0, each on its own path.
 
-    A step is halved (up to 20 times) whenever it would decrease the
-    log-likelihood beyond float noise. Convergence requires the largest
-    gradient component below 1e-9 or a relative log-likelihood change below
-    1e-12. Any coefficient beyond +-15 flags likely separation.
+    A step that would decrease the log-likelihood beyond float noise is
+    retried at half its length on the next pass, up to 20 times, while the
+    other rows go on. Convergence requires the largest gradient component
+    below 1e-9 or a relative log-likelihood change below 1e-12. Any
+    coefficient beyond +-15 flags likely separation.
     """
     rows, p = len(lik.death), lik.p
     beta = np.zeros((rows, p))
@@ -603,49 +607,42 @@ def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
     # (a sum of within-risk-set covariate covariances) is positive definite.
     _, full_rank = _stacked(np.linalg.cholesky, -hess[has_events])
     status[has_events[~full_rank]] = _RANK_DEFICIENT
+    step = np.zeros((rows, p))
+    halvings = np.zeros(rows, dtype=np.int64)
     active = np.arange(rows)
     while True:
-        running = status[active] == _RUNNING
-        small = np.abs(grad[active]).max(axis=1) < GRADIENT_TOL
-        status[active[running & small]] = _CONVERGED
-        status[active[running & ~small & (iterations[active] >= MAX_ITERATIONS)]] = _MAX_ITER
+        # rows at an accepted point test for convergence and the iteration
+        # cap, then solve for their next step
+        fresh = active[(status[active] == _RUNNING) & (halvings[active] == 0)]
+        small = np.abs(grad[fresh]).max(axis=1) < GRADIENT_TOL
+        status[fresh[small]] = _CONVERGED
+        status[fresh[~small & (iterations[fresh] >= MAX_ITERATIONS)]] = _MAX_ITER
+        fresh = fresh[status[fresh] == _RUNNING]
+        solution, solved = _stacked(np.linalg.solve, -hess[fresh], grad[fresh][..., None])
+        step[fresh] = solution[..., 0]
+        failed = fresh[~solved]
+        status[failed] = np.where(iterations[failed] == 0, _SINGULAR_AT_ZERO, _SINGULAR)
         # the one point where finished rows, whatever their outcome, leave
         keep = status[active] == _RUNNING
         if not keep.any():
             break
         if not keep.all():
             active, lik = active[keep], lik.take(keep)
-        step, solved = _stacked(np.linalg.solve, -hess[active], grad[active][..., None])
-        failed = active[~solved]
-        status[failed] = np.where(iterations[failed] == 0, _SINGULAR_AT_ZERO, _SINGULAR)
-        # step, slack and pending index positions in active
-        pending = np.flatnonzero(solved)
-        if not pending.size:
-            continue
-        step = step[..., 0]
-        slack = 1e-10 * (np.abs(ll[active]) + 1.0)
-        trial = lik if solved.all() else lik.take(solved)
-        factor = 1.0
-        for halving in range(MAX_HALVINGS + 1):
-            at = active[pending]
-            candidate = beta[at] + factor * step[pending]
-            cll, cgrad, chess = trial.evaluate(candidate)
-            ok = np.isfinite(cll) & (cll >= ll[at] - slack[pending])
-            done = at[ok]
-            prev = ll[done]
-            beta[done], ll[done] = candidate[ok], cll[ok]
-            grad[done], hess[done] = cgrad[ok], chess[ok]
-            iterations[done] += 1
-            separated = np.abs(beta[done]).max(axis=1) > COEFFICIENT_BOUND
-            status[done[separated]] = _SEPARATION
-            flat = np.abs(ll[done] - prev) <= LOGLIK_REL_TOL * np.maximum(1.0, np.abs(prev))
-            status[done[~separated & flat]] = _CONVERGED
-            pending = pending[~ok]
-            if not pending.size or halving == MAX_HALVINGS:
-                break
-            trial = trial.take(~ok)
-            factor *= 0.5
-        status[active[pending]] = _HALVING_FAILED
+        # every running row tries its step, halved once per earlier rejection
+        candidate = beta[active] + 0.5 ** halvings[active][:, None] * step[active]
+        cll, cgrad, chess = lik.evaluate(candidate)
+        ok = np.isfinite(cll) & (cll >= ll[active] - 1e-10 * (np.abs(ll[active]) + 1.0))
+        done = active[ok]
+        prev = ll[done]
+        beta[done], ll[done] = candidate[ok], cll[ok]
+        grad[done], hess[done] = cgrad[ok], chess[ok]
+        iterations[done] += 1
+        separated = np.abs(beta[done]).max(axis=1) > COEFFICIENT_BOUND
+        status[done[separated]] = _SEPARATION
+        flat = np.abs(ll[done] - prev) <= LOGLIK_REL_TOL * np.maximum(1.0, np.abs(prev))
+        status[done[~separated & flat]] = _CONVERGED
+        halvings[active] = np.where(ok, 0, halvings[active] + 1)
+        status[active[halvings[active] > MAX_HALVINGS]] = _HALVING_FAILED
 
     started = status < _NO_EVENTS
     covariance = np.full((rows, p, p), np.nan)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -272,7 +273,10 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
     """Append the rows' outcomes from one pool of w workers, which is shut down
     before this returns or raises; a row that finds it broken raises
     BrokenProcessPool."""
-    pool = ProcessPoolExecutor(max_workers=w)
+    # the workers ignore SIGINT, so a Ctrl-C sent to the whole process group
+    # interrupts this process alone, which drops the pending chunks below
+    pool = ProcessPoolExecutor(max_workers=w, initializer=signal.signal,
+                               initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
         for futures in [_submit(pool, config, w) for config in configs]:
             try:

@@ -4,8 +4,10 @@ import json
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -398,6 +400,49 @@ TWO_ROW_CONFIG = CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
                                      "true_hr = 0.5, 0.7\nevents = 20, 20")
 
 
+class TestInterrupt:
+    """A SIGINT during ``simulate`` is one ``error: interrupted`` line and exit 130."""
+
+    @pytest.mark.parametrize("workers, to_group", [(1, False), (2, False), (2, True)],
+                             ids=["w1-process", "w2-process", "w2-group"])
+    def test_one_line_no_output_no_process_left(self, tmp_path, workers, to_group):
+        # 24 rows of 3,000 replicates run for seconds, in chunks of 1,500 or less
+        rows = "true_hr = " + ", ".join(["0.6"] * 24) + "\nevents = " + ", ".join(["60"] * 24)
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20", rows)
+                       .replace("replicates = 6", "replicates = 3000"))
+        out, dumps = tmp_path / "r.csv", tmp_path / "d"
+        # a new session, so that the run's processes form a group of their own
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "stratsurv", "simulate", str(cfg), "-o", str(out),
+             "--workers", str(workers), "--dump-datasets", str(dumps)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not dumps.exists():  # made just before the study starts
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(1.0)  # well into the study, its pool started
+            (os.killpg if to_group else os.kill)(proc.pid, signal.SIGINT)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert (proc.returncode, stdout, stderr) == (130, "", "error: interrupted\n")
+        assert not out.exists() and not Path(f"{out}.json").exists()
+        assert list(dumps.iterdir()) == []
+        deadline = time.monotonic() + 10
+        while True:  # until no process of the group is left, workers included
+            try:
+                os.killpg(proc.pid, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, "a process of the run is still running"
+            time.sleep(0.05)
+
+
 def simulate_in_process(config, out, *flags):
     """``simulate`` through ``cli.main``: the exit code, the CSV's lines and the sidecar."""
     from stratsurv.cli import main
@@ -474,9 +519,9 @@ class TestWidthsAboveHostCpus:
         real = sim.ProcessPoolExecutor
         widths = []
 
-        def counting(max_workers):
+        def counting(max_workers, **kwargs):
             widths.append(max_workers)
-            return real(max_workers=max_workers)
+            return real(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
         cfg = tmp_path / "study.cfg"

@@ -548,3 +548,126 @@ class TestFitDiagnostics:
             assert fit.converged
             assert fit.final_gradient_norm < 1e-6
             assert fit.iterations >= 1
+
+
+class _FakeLikelihood:
+    """What ``_newton`` reads of a likelihood, for B rows of p parameters:
+    ``death``, ``p``, ``evaluate`` and ``take``. Subclasses give ``evaluate``
+    from per-row parameter arrays, which ``take`` subsets."""
+
+    def __init__(self, **params):
+        self.params = params
+        first = next(iter(params.values()))
+        self.p = first.shape[1]
+        self.death = np.ones((len(first), 1), dtype=bool)
+
+    def take(self, rows):
+        return type(self)(**{name: values[rows] for name, values in self.params.items()})
+
+
+class _Quadratic(_FakeLikelihood):
+    """ll = g.b - b'Hb/2 per row, with information H0 at b = 0 and H1 elsewhere."""
+
+    def evaluate(self, beta):
+        g, H0, H1 = self.params["g"], self.params["H0"], self.params["H1"]
+        H = np.where((beta == 0).all(axis=1)[:, None, None], H0, H1)
+        Hb = np.matmul(H, beta[..., None])[..., 0]
+        return (g * beta).sum(axis=1) - 0.5 * (beta * Hb).sum(axis=1), g - Hb, -H
+
+
+class _Hyperbola(_FakeLikelihood):
+    """ll = -sqrt(1 + (b - c)^2) per row: from b a Newton step lands at
+    c - (b - c)^3, so it overshoots the maximum c whenever |b - c| > 1."""
+
+    def evaluate(self, beta):
+        x = beta - self.params["c"]
+        s = np.sqrt(1.0 + x * x)
+        return -s[:, 0], -x / s, -(1.0 / (s * s * s))[..., None]
+
+
+def _fits_equal(batch, row, single):
+    for field, values in batch._asdict().items():
+        assert np.array_equal(values[row:row + 1], getattr(single, field),
+                              equal_nan=True), (row, field)
+
+
+class TestNewtonOutcomes:
+    """Fit outcomes of ``_newton`` on fake likelihoods, batched and alone."""
+
+    # LU meets an exact zero pivot (0.2 - 1/5 * 1), Cholesky does not
+    SINGULAR = np.array([[5.0, 1.0], [1.0, 0.2]])
+
+    def _quadratic_rows(self):
+        ordinary = np.array([[2.0, 0.5], [0.5, 1.0]])
+        return _Quadratic(g=np.array([[1.0, 2.0], [1.0, 0.0], [1.0, 0.0]]),
+                          H0=np.stack((ordinary, self.SINGULAR, 10.0 * np.eye(2))),
+                          H1=np.stack((ordinary, self.SINGULAR, self.SINGULAR)))
+
+    def test_singular_information_outcomes(self):
+        lik = self._quadratic_rows()
+        fits = inference._newton(lik)
+        assert fits.status.tolist() == [
+            inference._CONVERGED, inference._SINGULAR_AT_ZERO, inference._SINGULAR]
+        assert fits.iterations.tolist() == [1, 0, 1]
+        with pytest.raises(InvalidModelError, match="information matrix is singular at beta = 0"):
+            fits.fit(1, ("a", "b"))
+        # the step from 0 (H0 = 10 I) is accepted, then H1 cannot be solved
+        became = fits.fit(2, ("a", "b"))
+        assert not became.converged
+        assert became.diagnostic == "information matrix became singular"
+        assert became.beta.tolist() == [0.1, 0.0]
+        for row in range(3):
+            _fits_equal(fits, row, inference._newton(lik.take([row])))
+
+    @staticmethod
+    def _reference(c):
+        """Status, iterations, beta and first-step halvings of the fit of
+        ll = -sqrt(1 + (b - c)^2), one scalar Newton step at a time."""
+        def evaluate(b):
+            x = b - c
+            s = math.sqrt(1.0 + x * x)
+            return -s, -x / s, 1.0 / (s * s * s)
+
+        b, iterations, halvings = 0.0, 0, []
+        ll, grad, info = evaluate(b)
+        while True:
+            if abs(grad) < inference.GRADIENT_TOL:
+                return inference._CONVERGED, iterations, b, halvings
+            if iterations >= inference.MAX_ITERATIONS:
+                return inference._MAX_ITER, iterations, b, halvings
+            step = grad / info
+            for h in range(inference.MAX_HALVINGS + 1):
+                candidate = b + 0.5 ** h * step
+                cll, cgrad, cinfo = evaluate(candidate)
+                if cll >= ll - 1e-10 * (abs(ll) + 1.0):
+                    break
+            else:
+                return inference._HALVING_FAILED, iterations, b, halvings
+            halvings.append(h)
+            prev = ll
+            b, ll, grad, info = candidate, cll, cgrad, cinfo
+            iterations += 1
+            if abs(b) > inference.COEFFICIENT_BOUND:
+                return inference._SEPARATION, iterations, b, halvings
+            if abs(ll - prev) <= inference.LOGLIK_REL_TOL * max(1.0, abs(prev)):
+                return inference._CONVERGED, iterations, b, halvings
+
+    @pytest.mark.parametrize("max_halvings", [20, 4])
+    def test_rows_halving_different_times_share_passes(self, monkeypatch, max_halvings):
+        # from 0 the first steps of 0.625, 10, 30, 68 and 520 need 0, 2, 3,
+        # 4 and 6 halvings; with at most 4 the last row fails
+        monkeypatch.setattr(inference, "MAX_HALVINGS", max_halvings)
+        c = np.array([[0.5], [2.0], [3.0], [4.0], [8.0]])
+        lik = _Hyperbola(c=c)
+        fits = inference._newton(lik)
+        references = [self._reference(float(ci)) for ci in c[:, 0]]
+        assert [r[3][:1] for r in references] == (
+            [[0], [2], [3], [4], [6]] if max_halvings == 20 else [[0], [2], [3], [4], []])
+        for row, (status, iterations, beta, _) in enumerate(references):
+            assert fits.status[row] == status
+            assert fits.iterations[row] == iterations
+            # LAPACK may divide by the pivot through its reciprocal
+            assert fits.beta[row, 0] == pytest.approx(beta, rel=1e-12, abs=1e-15)
+            _fits_equal(fits, row, inference._newton(lik.take([row])))
+        assert fits.status[-1] == (inference._CONVERGED if max_halvings == 20
+                                   else inference._HALVING_FAILED)

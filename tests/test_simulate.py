@@ -253,7 +253,7 @@ def _use_pools(monkeypatch, *pools):
     """The scheduler's n-th executor is pools[n]; returns the sizes asked for."""
     sizes = []
 
-    def make(max_workers):
+    def make(max_workers, **kwargs):
         sizes.append(max_workers)
         return pools[len(sizes) - 1]
 
@@ -342,9 +342,9 @@ class TestOnePoolPerCall:
         real = sim.ProcessPoolExecutor
         sizes = []
 
-        def counting(max_workers):
+        def counting(max_workers, **kwargs):
             sizes.append(max_workers)
-            return real(max_workers=max_workers)
+            return real(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
         return sizes

@@ -12,8 +12,13 @@ dataset of 20,000 subjects over 12 strata with times rounded up to whole
 months, so that nearly every event time is tied, and runs ``fit`` on it, as
 text and with ``--json``, for every method, under both tie rules for the Cox
 methods; and ``design``, as text and with ``--json``, at three hazard ratios.
-Prints each result CSV, sidecar, dumped dataset or stdout that differs and
-exits 1 if any does, else 0.
+Those outputs do not show a fit taking one more Newton iteration or a
+replicate excluded for another reason, so for each config row and tie rule
+it also analyzes one batch of ``BATCH_SUBJECT_ROWS // N`` replicates with
+``inference.analyze_trials`` in a subprocess per package, saves both log-rank
+z columns and every array of each Cox fit with ``np.savez``, and compares
+them bit for bit, NaN equal to NaN. Prints each result CSV, sidecar, dumped
+dataset, stdout or fit record that differs and exits 1 if any does, else 0.
 """
 
 from __future__ import annotations
@@ -83,6 +88,52 @@ def simulate(src: Path, config: Path, workers: int, seed: int | None,
             *sorted((out_dir / f"{stem}_datasets").iterdir()))
 
 
+def write_fit_records(config: str, out: str) -> None:
+    """Save into ``out`` (``np.savez``) the analyses of one batch of each row
+    of ``config`` under each tie rule, by the ``stratsurv`` package on the
+    import path; run in a subprocess per package."""
+    from stratsurv.config import load_study_config
+    from stratsurv.datagen import generate_trials, stream_states, stream_uniforms
+    from stratsurv.inference import analyze_trials
+    from stratsurv.simulate import BATCH_SUBJECT_ROWS
+
+    arrays = {}
+    for row, cfg in enumerate(load_study_config(config).sim_configs()):
+        n = cfg.design.sample_size
+        states = stream_states(cfg.master_seed, 0, max(1, BATCH_SUBJECT_ROWS // n))
+        trials = generate_trials(cfg.design, cfg.scenario, stream_uniforms(states, n))
+        for ties in TIES:
+            analyses = analyze_trials(trials, ties)
+            arrays[f"row{row}_{ties}_logrank_z"] = analyses.logrank_z
+            arrays[f"row{row}_{ties}_stratified_logrank_z"] = analyses.stratified_logrank_z
+            for method, fits in zip(COX_METHODS, analyses.fits):
+                arrays.update((f"row{row}_{ties}_{method}_{field}", values)
+                              for field, values in fits._asdict().items())
+    np.savez(out, **arrays)
+
+
+def fit_records(src: Path, config: Path, out: Path) -> dict[str, np.ndarray]:
+    """The arrays ``write_fit_records`` saves of ``config`` by the package
+    under ``src``, through the file ``out``."""
+    out.parent.mkdir(parents=True, exist_ok=True)
+    code = ("import sys, same_outputs; "
+            "same_outputs.write_fit_records(sys.argv[1], sys.argv[2])")
+    path = os.pathsep.join((str(src), str(Path(__file__).resolve().parent)))
+    subprocess.run([sys.executable, "-c", code, str(config), str(out)], check=True,
+                   env=dict(os.environ, PYTHONPATH=path))
+    with np.load(out) as saved:
+        return dict(saved)
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two arrays have the same dtype, shape and bits, NaN equal to NaN."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype.kind == "f":
+        a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
+    return a.tobytes() == b.tobytes()
+
+
 def write_tied_dataset(path: Path) -> None:
     """A month-tied subject CSV: exponential times (stratum medians 6 to 36
     months, treatment HR 0.8) censored 12 to 36 months after entry, then
@@ -137,10 +188,20 @@ def main(argv: list[str] | None = None) -> int:
             stem = "_".join(arg.lstrip("-") for arg in command if arg != str(dataset))
             compare({name: (stratsurv(src, command, tmp / "out" / name / f"{stem}.stdout"),)
                      for name, src in trees.items()})
+        for config in configs:
+            theirs, ours = (fit_records(src, config, tmp / "fits" / name / f"{config.stem}.npz")
+                            for name, src in trees.items())
+            compared += 1
+            different = sorted(theirs.keys() ^ ours.keys()) or [
+                key for key in ours if not same_bits(theirs[key], ours[key])]
+            if different:
+                differ += 1
+                print(f"differs: fits/{config.stem}.npz: {', '.join(different)}")
     print(f"{differ} of {compared} files differ from {args.rev} "
           f"({len(configs)} configs, workers {WORKERS}, seeds {SEEDS}, "
           f"{REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of {FIT_ROWS} tied rows; "
-          f"{len(DESIGN_HRS) * len(FORMATS)} designs)")
+          f"{len(DESIGN_HRS) * len(FORMATS)} designs; one batch of each config row's fits "
+          f"under ties {TIES})")
     return 1 if differ else 0
 
 
