@@ -252,7 +252,13 @@ def generate_trials(
     u_stratum, u_arm, u_enroll, u_event = uniforms
 
     cdf = np.cumsum(design.allocation_weights)
-    strata = np.searchsorted(cdf, u_stratum * cdf[-1], side="right").astype(np.int64)
+    # a stratum is the count of cdf entries at or below u * total, which is
+    # np.searchsorted(side="right"), summed in int8 over the 12 entries
+    draw = u_stratum * cdf[-1]
+    strata = np.zeros(draw.shape, dtype=np.int8)
+    for edge in cdf:
+        strata += edge <= draw
+    strata = strata.astype(np.int64)
     arm = (u_arm < design.randomization_prob).astype(np.int8)
     enroll = design.accrual_months * u_enroll
     rates = control_rate_table(scenario)[strata]

@@ -5,50 +5,42 @@ subject arrays; ``logrank``, ``cox_fit`` and ``partial_likelihood_terms`` are
 its B = 1 case, on a 1-row view of their dataset, so a replay of a Monte Carlo
 run through them reproduces it exactly.
 
-Layout. Each row (one dataset) is sorted by time, ties in subject order:
-``datagen.stable_argsort`` starts from numpy's default (SIMD) argsort and
-puts each run of tied times back in subject order, which gives exactly the
-permutation of ``np.argsort(kind="stable")``
-(``tests/test_datagen.py::TestStableArgsort`` holds it to that oracle). The
-unstratified layout pools the row into one stratum, and the stratified
-layout re-sorts that order by stratum with one stable sort on int8 strata
-(numpy's linear radix sort), which sorts by (stratum, time) with ties in
-subject order. Subjects run along the last axis: event indicators are (B, N)
-and covariates (B, p, N). Every position knows the first and one-past-last
-position of its tied (stratum, time) block and of its stratum, and the risk
-set of a block is the rest of its stratum from the block's start. The
-multivariate design is one gather from a coding table of the 24 cells
-2 * stratum + arm.
+Layout. Each row (one dataset) is sorted by time, ties in subject order, by
+``datagen.stable_argsort``, which gives exactly ``np.argsort(kind="stable")``.
+The unstratified layout pools the row into one stratum; the stratified layout
+re-sorts that order by stratum with one stable (radix) sort on int8 strata.
+Subjects run along the last axis: event indicators are (B, N), covariates
+(B, p, N). A position's risk set runs from the start of its tied (stratum,
+time) block to the end of its stratum. Every row gather is one ``np.take`` of
+the flattened batch. The multivariate design is one gather from a coding
+table of the 24 cells 2 * stratum + arm.
 
-Arm counts. Each layout computes once, per position, n0 and n1, the control
-and treated subjects in its risk set, and d0 and d1, the control and treated
-deaths in its tied block. The log-rank test reads them, and so does the Cox
-likelihood whose one covariate is the binary arm a (the unstratified and the
-stratified fit). With a^2 = a, a death's Efron sums (see Ties) are
-S0 = (n0 - j d0) w0 + (n1 - j d1) w1 and S1 = S2 = (n1 - j d1) w1, where
-w0 = e^-m, w1 = e^(beta - m) and m = max(beta, 0). With r = S1/S0 the death
-adds beta a - m - log S0 to the log-likelihood, a - r to the score and
-r(1 - r) to the information, so each evaluation is a few elementwise (B, N)
-operations and row sums, with no cumulative sum or gather. At beta = 0 under
-Breslow r = n1/n, so the score is the log-rank O - E: the log-rank test is
-this likelihood's score test at beta = 0. Its information sums f(1 - f),
-f = n1/n, over the deaths, and the log-rank variance sums
-f(1 - f)(n - d)/(n - 1), the exact hypergeometric variance of a tied block;
-the two agree where no block holds two deaths. A batch returns each row's
-log-rank z only; ``logrank`` also reports its one dataset's O - E, variance
-and strata used, the strata with a positive variance term.
+Arm counts. Each layout computes once, at each of its D deaths, as (B, D)
+arrays: the dying subject's arm a, the control and treated subjects in its
+risk set (n0, n1) and the control and treated deaths in its tied block
+(d0, d1). The log-rank test reads them, and so does the Cox likelihood whose
+one covariate is the arm (the unstratified and the stratified fit). With
+a^2 = a, a death's Efron sums (see Ties) are S0 = (n0 - j d0) w0 +
+(n1 - j d1) w1 and S1 = S2 = (n1 - j d1) w1, where w0 = e^-m,
+w1 = e^(beta - m) and m = max(beta, 0). With r = S1/S0 the death adds
+beta a - m - log S0 to the log-likelihood, a - r to the score and r(1 - r) to
+the information, so an evaluation is a few elementwise (B, D) operations and
+row sums. At beta = 0 under Breslow r = n1/n, so the score is the log-rank
+O - E: the log-rank test is this likelihood's score test at beta = 0. Its
+information sums f(1 - f), f = n1/n, over the deaths, and the log-rank
+variance sums f(1 - f)(n - d)/(n - 1), the exact hypergeometric variance of a
+tied block; the two agree where no block holds two deaths.
 
 Risk-set sums. The multivariate likelihood sums over risk sets directly.
 Suffix sums run along each row, with a trailing zero, so the sum over a risk
-set is ``R[block_start] - R[stratum_end]``. The partial likelihood takes
-suffix sums of w = exp(eta) and of wX only. The information sum over deaths
-of S2/denom equals sum_i v_i x_i x_i', v_i = w_i c_i, where c_i is the
-within-stratum running (prefix) sum of 1/denom over the deaths whose risk set
-holds subject i. A subject's covariates depend on its cell only, so both
-sum_i v_i x_i and sum_i v_i x_i x_i' come from the per-cell sums of v: one
-``bincount`` over the cell index offset by K times the row gives them as
+set is ``R[block_start] - R[stratum_end]``; it takes suffix sums of
+w = exp(eta) and of wX only. The information sum over deaths of S2/denom
+equals sum_i v_i x_i x_i', v_i = w_i c_i, where c_i is the within-stratum
+running (prefix) sum of 1/denom over the deaths whose risk set holds subject
+i. A subject's covariates depend on its cell only, so one ``bincount`` over
+the cell index offset by K times the row gives the per-cell sums of v as
 (B, K), and one stacked product with the fixed (K, p + p^2) table of each
-cell's x and x x' gives both sums, with no (B, p, N) product. The gradient is
+cell's x and x x' gives sum_i v_i x_i and sum_i v_i x_i x_i'. The gradient is
 the fixed sum of x over the deaths less sum_i v_i x_i.
 
 Ties. Efron and Breslow are one rule. Each death carries a weight
@@ -59,26 +51,19 @@ and c_i of a death loses its block's sum of j/denom (the Efron S2d term).
 With j = 0 every formula is exactly the Breslow one; without ties the two
 methods coincide. No Python loop runs over tied blocks.
 
-Newton iteration keeps a separate beta, log-likelihood, step, halving count
-h and status for each row, and solves the stacked (B, p, p) systems. Each
-pass of its one loop lets the rows at an accepted point (h = 0) test for
-convergence and the iteration cap and solve for a new step, drops every
-finished row from the batch with one slice, and evaluates every running row
-once, at beta + step / 2^h. A rejected step is retried at half its length on
-the next pass, so rows needing different numbers of halvings share passes.
-
 Batch invariance, which every change must keep: a row's results may not
 depend on the other rows of its batch, so that every batch size and worker
 count gives the same bits. Only per-row operations are allowed: cumulative
-sums along a row, reductions along the fixed-length subject axis,
-``reduceat`` over segments that never cross a row, a ``bincount`` whose bins
-never hold two rows' entries (it adds each bin's entries in position order),
-and stacked ``matmul``/``solve``/``inv``/``cholesky`` (one BLAS or LAPACK
-call per matrix, such as the (B, 1, K) @ (K, p + p^2) contraction of the cell
-sums). A sum over the concatenated batch would let neighbouring rows'
-rounding leak into each row, and so may one 2-D product of the whole batch,
-whose blocking depends on B. When a stacked factorization raises, it is
-repeated one matrix at a time, so only the offending rows are flagged.
+sums along a row, reductions along the subject or death axis, ``reduceat``
+over segments that never cross a row, a ``bincount`` whose bins never hold
+two rows' entries (it adds each bin's entries in position order), and stacked
+``matmul``/``solve``/``inv``/``cholesky`` (one BLAS or LAPACK call per matrix,
+such as the (B, 1, K) @ (K, p + p^2) contraction of the cell sums; a 1 x 1
+system is an elementwise division with LAPACK's bits). A sum over the
+concatenated batch would let neighbouring rows' rounding leak into each row,
+and so may one 2-D product of the whole batch, whose blocking depends on B.
+The rows of a batch share their death count D, as padding a row would change
+its pairwise sum.
 """
 
 from __future__ import annotations
@@ -188,33 +173,34 @@ def _suffix_sums(values: np.ndarray) -> np.ndarray:
 
 
 def _at(sums: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row sums (B[, p], N + 1) at row-local (B, N) positions."""
-    if sums.ndim == 3:
-        index = index[:, None, :]
-    return np.take_along_axis(sums, index, axis=-1)
+    """Row sums (B[, p], N + 1) at flat positions of their (B, N + 1) rows."""
+    if sums.ndim == 3:  # each covariate's row at the same row-local positions
+        return np.take_along_axis(sums, (index % sums.shape[-1])[:, None, :], axis=-1)
+    return np.take(sums, index)
 
 
 class _Runs:
     """Runs of a (B, N) layout that begin where ``new`` is set: the flat
-    ``reduceat`` starts and lengths of the runs (a run never crosses a row),
-    and, built on first use, each position's row-local run start and
-    one-past-end."""
+    ``reduceat`` starts and lengths of the runs (a run never crosses a row);
+    their starts and one-past-ends as flat positions in (B, N + 1) rows, the
+    rows of a sum with a trailing zero (``head``, ``tail``); and, built on
+    first use, each position's run start and end there."""
 
     def __init__(self, new: np.ndarray):
         self.shape = new.shape
         self.first = np.flatnonzero(new)
         self.length = np.diff(self.first, append=new.size)
-
-    def _spread_index(self, index: np.ndarray) -> np.ndarray:
-        return np.repeat(index, self.length).reshape(self.shape)
+        # position k of row b is b N + k, and b (N + 1) + k in rows of N + 1
+        self.head = self.first + self.first // new.shape[1]
+        self.tail = self.head + self.length
 
     @cached_property
     def start(self) -> np.ndarray:
-        return self._spread_index(self.first % self.shape[1])
+        return np.repeat(self.head, self.length).reshape(self.shape)
 
     @cached_property
     def end(self) -> np.ndarray:
-        return self._spread_index(self.first % self.shape[1] + self.length)
+        return np.repeat(self.tail, self.length).reshape(self.shape)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Sum of (B[, p], N) values over each run, at every position."""
@@ -224,25 +210,25 @@ class _Runs:
 
 
 class _ArmCounts(NamedTuple):
-    """Per position of a layout: the control and treated subjects in its risk
-    set (n0, n1), and the control and treated deaths in its tied block (d0, d1)."""
+    """Per death of a layout, (B, D): the counts of "Arm counts" above, and
+    its Efron weight j, None when no block holds two deaths (every j is 0)."""
 
+    arm: np.ndarray
     n0: np.ndarray
     n1: np.ndarray
     d0: np.ndarray
     d1: np.ndarray
+    j: np.ndarray | None
 
 
 class _RiskSets:
     """B datasets of N subjects, each row sorted by (stratum, time).
 
-    Subjects run along the last axis of every array. ``new_stratum`` and
-    ``new_block`` flag the first position of each stratum and of each tied
-    (stratum, time) block; a position's risk set runs from its block's start
-    to its stratum's end. The runs are indexed on first use, and two common
-    shapes skip the gathers they feed without changing a value: an untied
-    layout, where every block is one position, and a pooled one, with one
-    stratum per row.
+    ``new_stratum`` and ``new_block`` flag the first position of each stratum
+    and of each tied (stratum, time) block. The runs are indexed on first use,
+    and two common shapes skip the gathers they feed without changing a value:
+    an untied layout, where every block is one position, and a pooled one,
+    with one stratum per row.
     """
 
     def __init__(self, event: np.ndarray, arm: np.ndarray, new_stratum: np.ndarray,
@@ -297,51 +283,66 @@ class _RiskSets:
         return values if self.untied else self._blocks.spread(values)
 
     @cached_property
+    def deaths(self) -> np.ndarray:
+        """(B, D) flat positions of the deaths; every row has the same D."""
+        return np.flatnonzero(self.death).reshape(len(self.death),
+                                                  np.count_nonzero(self.death[:1]))
+
+    @cached_property
     def counts(self) -> _ArmCounts:
-        """The arm counts of every position, as exact integers in floats."""
-        n = self.death.shape[1]
-        # a risk set runs from its block's start to its stratum's end
-        start = np.arange(n) if self.untied else self._blocks.start
-        at_risk = (n if self.pooled else self._strata.end) - start
-        n1 = self.risk_sums(self.arm)
-        d1 = self.block_sums(self.arm * self.event)
-        return _ArmCounts(at_risk - n1, n1, self.block_sums(self.event) - d1, d1)
+        """The counts at the deaths, exact integers in floats, and j."""
+        at, n = self.deaths, self.death.shape[1]
+        row = np.arange(len(at))[:, None]
+        # a risk set runs from its block's start to its stratum's end, here
+        # as flat positions in (B, N + 1) rows, like _Runs
+        start = at + row
+        end = row * (n + 1) + n if self.pooled else np.take(self._strata.end, at)
+        arm = d1 = np.take(self.arm, at)
+        d, j = 1.0, None
+        if not self.untied:
+            blocks = self._blocks
+            deaths = np.add.reduceat(self.death.ravel(), blocks.first, dtype=int)
+            treated = np.add.reduceat((self.arm * self.event).ravel(), blocks.first)
+            # each block's values at its deaths, consecutive in at; a death's
+            # rank in its block: its place in at less the block's first (exact)
+            d, start, d1, first = (np.repeat(v, deaths).reshape(at.shape) for v in
+                                   (deaths, blocks.head, treated, np.cumsum(deaths) - deaths))
+            j = (np.arange(at.size).reshape(at.shape) - first) / d
+        R = _suffix_sums(self.arm)
+        n1 = np.take(R, start)
+        if not self.pooled:
+            n1 -= np.take(R, end)
+        return _ArmCounts(arm, end - start - n1, n1, d - d1, d1, j if np.any(j) else None)
 
     @cached_property
     def efron_weights(self) -> np.ndarray | None:
-        """Per death, j = (rank in its tied block) / (deaths in the block);
-        None when no block holds two deaths, so that every j is 0."""
-        if self.untied:
+        """Per position, a death's Efron weight j and 0 elsewhere; None as in ``counts``."""
+        if self.untied or self.counts.j is None:
             return None
-        before = _prefix_sums(self.event)
-        rank = np.subtract(before[:, :-1], _at(before, self._blocks.start), out=before[:, :-1])
-        j = np.divide(rank, self.counts.d0 + self.counts.d1, out=np.zeros_like(rank),
-                      where=self.death)
-        return j if j.any() else None
+        j = np.zeros(self.death.shape)
+        np.put(j, self.deaths, self.counts.j)
+        return j
 
 
 # ---------------------------------------------------------------------------
 # Log-rank
 
 
-def _logrank_terms(risk: _RiskSets) -> tuple[np.ndarray, np.ndarray]:
-    """O - E per row, and each death's term of the hypergeometric variance.
+def _logrank(risk: _RiskSets) -> tuple[np.ndarray, ...]:
+    """Per row O - E, the variance and the signed z, NaN where the variance
+    is zero (degenerate); and each death's variance term, (B, D).
 
     A death in a block with d deaths among n at risk, n1 of them treated,
     adds arm - n1/n to O - E and f(1 - f)(n - d)/(n - 1) with f = n1/n to the
     variance; summed over the block's deaths these are the usual block terms.
     """
-    e = risk.event
-    n0, n1, d0, d1 = risk.counts
+    arm, n0, n1, d0, d1, _ = risk.counts
     n = n0 + n1
     frac = n1 / n
-    oe = ((risk.arm - frac) * e).sum(axis=1)
-    return oe, frac * (1.0 - frac) * (n - (d0 + d1)) / np.maximum(n - 1.0, 1.0) * e
-
-
-def _z(oe: np.ndarray, variance: np.ndarray) -> np.ndarray:
-    """Signed z statistic per row, NaN where the variance is zero (degenerate)."""
-    return oe / np.sqrt(np.where(variance > 0.0, variance, np.nan))
+    oe = (arm - frac).sum(axis=1)
+    terms = frac * (1.0 - frac) * (n - (d0 + d1)) / np.maximum(n - 1.0, 1.0)
+    variance = terms.sum(axis=1)
+    return oe, variance, oe / np.sqrt(np.where(variance > 0.0, variance, np.nan)), terms
 
 
 def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
@@ -355,21 +356,18 @@ def logrank(dataset: TrialDataset, stratified: bool = False) -> LogRankResult:
         raise DegenerateTestError("empty dataset", 0.0)
     trials = _Trials(dataset)
     risk = trials.stratified if stratified else trials.pooled
-    oe, terms = _logrank_terms(risk)
-    variance = terms.sum(axis=1)
-    observed_minus_expected = float(oe[0])
+    oe, variance, z, terms = _logrank(risk)
     if variance[0] <= 0.0:
         raise DegenerateTestError(
-            "log-rank variance is zero (no within-stratum arm contrast)",
-            observed_minus_expected)
-    z = float(_z(oe, variance)[0])
-    per_stratum = np.add.reduceat(terms[0] > 0.0, np.flatnonzero(risk.new_stratum[0]))
+            "log-rank variance is zero (no within-stratum arm contrast)", float(oe[0]))
+    # the strata, numbered in layout order, of the deaths with a positive term
+    stratum = np.cumsum(risk.new_stratum[0])[risk.deaths[0]]
     return LogRankResult(
-        observed_minus_expected=observed_minus_expected,
+        observed_minus_expected=float(oe[0]),
         variance=float(variance[0]),
-        z=z,
-        p_one_sided=_normal_cdf(z),
-        strata_used=int(np.count_nonzero(per_stratum)),
+        z=float(z[0]),
+        p_one_sided=_normal_cdf(float(z[0])),
+        strata_used=int(np.count_nonzero(np.bincount(stratum, terms[0] > 0.0))),
     )
 
 
@@ -390,10 +388,8 @@ class _CoxLikelihood:
 
     def __init__(self, risk: _RiskSets, cells: np.ndarray, design: np.ndarray,
                  j: np.ndarray | None):
-        self.risk = risk
-        self.cells = cells
-        self.j = j
-        self.death = risk.death
+        self.risk, self.cells, self.j = risk, cells, j
+        self.deaths = np.count_nonzero(risk.death, axis=1)
         self.p, k = design.shape
         self.X = np.take(design, cells, axis=1).transpose(1, 0, 2).copy()
         # per cell: its covariates x, then x x' flattened, in C order whatever
@@ -407,9 +403,9 @@ class _CoxLikelihood:
         # the rows keep their covariates and death sums, and share the table
         out = copy.copy(self)
         out.risk = self.risk.take(rows)
-        out.death = out.risk.death
         out.j = None if self.j is None else self.j[rows]
-        out.cells, out.X, out.death_sums = self.cells[rows], self.X[rows], self.death_sums[rows]
+        out.cells, out.X, out.deaths = self.cells[rows], self.X[rows], self.deaths[rows]
+        out.death_sums = self.death_sums[rows]
         out.index = out._cell_index()
         return out
 
@@ -462,28 +458,20 @@ class _CoxLikelihood:
 
 class _TreatmentLikelihood:
     """Partial log-likelihood of B datasets whose one covariate is the arm,
-    read from a layout's arm counts (see "Arm counts" above), with the Efron
-    tie weights ``j`` or None, as in ``_CoxLikelihood``.
+    read from a layout's arm counts at its D deaths (see "Arm counts" above),
+    under Efron (``efron``, with the counts' j) or Breslow (j = 0).
 
-    ``c0`` and ``c1`` are n - j d of each arm at a death, so that its sums
-    are S0 = c0 w0 + c1 w1 and S1 = c1 w1. Off the deaths both are 1, which
-    keeps S0 there finite and at least 1 for any beta; the row sums mask those
-    positions out.
+    ``c0`` and ``c1`` (B, D) are n - j d of each arm at each death, so that
+    its sums are S0 = c0 w0 + c1 w1 and S1 = c1 w1.
     """
 
     p = 1
 
-    def __init__(self, risk: _RiskSets, j: np.ndarray | None):
-        n0, n1, d0, d1 = risk.counts
-        self.c0 = np.where(risk.death, n0, 1.0)
-        self.c1 = np.where(risk.death, n1, 1.0)
-        if j is not None:  # j is 0 off the deaths
-            self.c0 -= j * d0
-            self.c1 -= j * d1
-        self.event = risk.event
-        self.death = risk.death
-        self.treated = (risk.arm * risk.event).sum(axis=1)
-        self.deaths = risk.event.sum(axis=1)
+    def __init__(self, risk: _RiskSets, efron: bool):
+        arm, n0, n1, d0, d1, j = risk.counts
+        self.c0, self.c1 = (n0 - j * d0, n1 - j * d1) if efron and j is not None else (n0, n1)
+        self.treated = arm.sum(axis=1)
+        self.deaths = np.full(len(arm), float(arm.shape[1]))
 
     def take(self, rows: np.ndarray) -> "_TreatmentLikelihood":
         # every attribute is an array with one entry per row
@@ -493,14 +481,12 @@ class _TreatmentLikelihood:
 
     def evaluate(self, beta: np.ndarray):
         """Log-likelihood (B,), gradient (B, 1) and Hessian (B, 1, 1) at beta (B, 1)."""
-        e = self.event
         m = np.maximum(beta, 0.0)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             s1 = self.c1 * np.exp(beta - m)
             s0 = self.c0 * np.exp(-m) + s1
-            ll = (beta[:, 0] * self.treated - m[:, 0] * self.deaths
-                  - (np.log(s0) * e).sum(axis=1))
-            r = s1 / s0 * e
+            ll = beta[:, 0] * self.treated - m[:, 0] * self.deaths - np.log(s0).sum(axis=1)
+            r = s1 / s0
             grad = self.treated - r.sum(axis=1)
             info = (r * (1.0 - r)).sum(axis=1)
         return ll, grad[:, None], -info[:, None, None]
@@ -527,13 +513,26 @@ _DIAGNOSTICS = {
 }
 
 
+#: Per solver, where LAPACK succeeds on a stack of 1 x 1 matrices a and what
+#: it returns, elementwise with the same bits; this Cholesky passes a NaN.
+_ONE_BY_ONE = {np.linalg.cholesky: (lambda a: ~(a <= 0.0), np.sqrt),
+               np.linalg.solve: (lambda a: a != 0.0, lambda a, b: b / a),
+               np.linalg.inv: (lambda a: a != 0.0, lambda a: 1.0 / a)}
+
+
 def _stacked(solver, *matrices):
     """``solver`` on stacked arrays, and which rows succeeded.
 
-    If the stacked call raises, it is repeated one matrix at a time, so only
-    the offending rows fail; their results are NaN.
+    1 x 1 systems take the elementwise path of ``_ONE_BY_ONE``. Otherwise, if
+    the stacked call raises, it is repeated one matrix at a time, so only the
+    offending rows fail; their results are NaN.
     """
     rows = len(matrices[0])
+    if matrices[0].shape[-1] == 1:
+        succeeds, value = _ONE_BY_ONE[solver]
+        ok = succeeds(matrices[0][:, 0, 0])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            return np.where(ok[:, None, None], value(*matrices), np.nan), ok
     try:
         return solver(*matrices), np.ones(rows, dtype=bool)
     except np.linalg.LinAlgError:
@@ -589,18 +588,15 @@ class _CoxFits(NamedTuple):
 
 
 def _newton(lik: _CoxLikelihood | _TreatmentLikelihood) -> _CoxFits:
-    """Fit every row by Newton iteration from beta = 0, each on its own path.
-
-    A step that would decrease the log-likelihood beyond float noise is
-    retried at half its length on the next pass, up to 20 times, while the
-    other rows go on. Convergence requires the largest gradient component
-    below 1e-9 or a relative log-likelihood change below 1e-12. Any
-    coefficient beyond +-15 flags likely separation.
-    """
-    rows, p = len(lik.death), lik.p
+    """Fit every row by Newton iteration from beta = 0, each on its own path,
+    under the rules of ``cox_fit``. Each row keeps its beta, log-likelihood,
+    step, halving count h and status; each pass evaluates every running row
+    once, at beta + step / 2^h, so a rejected step is retried at half its
+    length on the next pass while the other rows go on."""
+    rows, p = len(lik.deaths), lik.p
     beta = np.zeros((rows, p))
     ll, grad, hess = lik.evaluate(beta)
-    status = np.where(lik.death.any(axis=1), _RUNNING, _NO_EVENTS)
+    status = np.where(lik.deaths > 0, _RUNNING, _NO_EVENTS)
     iterations = np.zeros(rows, dtype=np.int64)
     has_events = np.flatnonzero(status == _RUNNING)
     # Full column rank on the event risk sets <=> the information at beta = 0
@@ -666,26 +662,23 @@ _CELL_DESIGN = np.vstack((np.tile([0.0, 1.0], STRATUM_COUNT),
 class _Trials:
     """Analyzed subject arrays of B same-size datasets as (B, N), from the rows
     of a ``TrialBatch`` or a 1-row view of a ``TrialDataset``, with the two
-    layouts, ``pooled`` and ``stratified``, built on first use and shared by
-    the analyses. ``likelihood`` decides each Cox fit's layout and tie rule.
-    Each layout reads a subject's arm and stratum from its cell.
-
-    Both layouts start from one stable sort of each row by time
-    (``stable_argsort``). The stratified order re-sorts it by stratum, stably,
-    so ties keep subject order within a (stratum, time) block.
-    """
+    layouts of "Layout" above, ``pooled`` and ``stratified``, built on first
+    use and shared by the analyses. ``likelihood`` decides each Cox fit's
+    layout and tie rule. Each layout reads a subject's arm and stratum from
+    its cell."""
 
     def __init__(self, trials: TrialBatch | TrialDataset):
         self.time, self.event, arm, strata = (
             np.atleast_2d(a) for a in
             (trials.observed_time, trials.event, trials.arm, trials.stratum_index))
-        self.order = stable_argsort(self.time)
+        # each row's flat offset, so that every row gather is one np.take
+        self.offset = np.arange(len(self.time))[:, None] * self.time.shape[1]
+        self.order = stable_argsort(self.time) + self.offset
         # cell = 2 * stratum + arm, in time order
-        cells = 2 * strata.astype(np.int8) + arm.astype(np.int8)
-        self.cells = np.take_along_axis(cells, self.order, 1)
+        self.cells = np.take(2 * strata.astype(np.int8) + arm.astype(np.int8), self.order)
 
     def _layout(self, order: np.ndarray, cells: np.ndarray, stratified: bool) -> _RiskSets:
-        time, event = (np.take_along_axis(a, order, 1) for a in (self.time, self.event))
+        time, event = np.take(self.time, order), np.take(self.event, order)
         return _RiskSets.of(time, event, (cells & 1).astype(float),
                             cells >> 1 if stratified else None)
 
@@ -695,19 +688,18 @@ class _Trials:
 
     @cached_property
     def stratified(self) -> _RiskSets:
-        by_stratum = np.argsort(self.cells >> 1, axis=1, kind="stable")
-        return self._layout(np.take_along_axis(self.order, by_stratum, 1),
-                            np.take_along_axis(self.cells, by_stratum, 1), True)
+        by_stratum = np.argsort(self.cells >> 1, axis=1, kind="stable") + self.offset
+        return self._layout(np.take(self.order, by_stratum), np.take(self.cells, by_stratum), True)
 
     def likelihood(self, method: Method, tie_method: str
                    ) -> _CoxLikelihood | _TreatmentLikelihood:
         if method not in COX_METHODS:
             raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
         risk = self.stratified if method is Method.COX_STRATIFIED else self.pooled
-        j = risk.efron_weights if tie_method == "efron" else None
         if method is Method.COX_MULTIVARIATE:  # on the pooled layout, in self.cells order
-            return _CoxLikelihood(risk, self.cells, _CELL_DESIGN, j)
-        return _TreatmentLikelihood(risk, j)
+            return _CoxLikelihood(risk, self.cells, _CELL_DESIGN,
+                                  risk.efron_weights if tie_method == "efron" else None)
+        return _TreatmentLikelihood(risk, tie_method == "efron")
 
 
 class TrialAnalyses(NamedTuple):
@@ -722,26 +714,34 @@ class TrialAnalyses(NamedTuple):
     fits: tuple[_CoxFits, ...]
 
 
-def _logrank_z(risk: _RiskSets) -> np.ndarray:
-    oe, terms = _logrank_terms(risk)
-    return _z(oe, terms.sum(axis=1))
-
-
 def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyses:
-    """Run the five analyses on every row of a batch of same-size trials."""
-    trials = _Trials(batch)
+    """Run the five analyses on every row of a batch of same-size trials.
 
-    def fit(method: Method) -> _CoxFits:
-        return _newton(trials.likelihood(method, tie_method))
+    The rows of a layout share their death count D, as a generated trial has
+    exactly D. Rows that differ in it, as in a hand-built batch, are analyzed
+    as one batch per count, then put back in order."""
+    deaths = np.count_nonzero(batch.event, axis=1)
+    if np.all(deaths == deaths[:1]):
+        return _analyze(_Trials(batch), tie_method)
+    groups = [np.flatnonzero(deaths == d) for d in np.unique(deaths)]
+    parts = [_analyze(_Trials(TrialBatch(*(a[rows] for a in batch))), tie_method)
+             for rows in groups]
+    where = np.argsort(np.concatenate(groups))
 
-    # The multivariate fit has the largest working set; it runs before the
-    # layouts hold their arm counts.
-    multivariate = fit(Method.COX_MULTIVARIATE)
-    return TrialAnalyses(
-        logrank_z=_logrank_z(trials.pooled),
-        stratified_logrank_z=_logrank_z(trials.stratified),
-        fits=(fit(Method.COX_UNSTRATIFIED), multivariate, fit(Method.COX_STRATIFIED)),
-    )
+    def merged(*columns: np.ndarray) -> np.ndarray:
+        return np.concatenate(columns)[where]
+
+    fits = (_CoxFits(*map(merged, *fits)) for fits in zip(*(part.fits for part in parts)))
+    return TrialAnalyses(*map(merged, *(part[:2] for part in parts)), tuple(fits))
+
+
+def _analyze(trials: _Trials, tie_method: str) -> TrialAnalyses:
+    # the multivariate fit, with the largest working set, runs before the
+    # layouts hold their arm counts
+    order = (Method.COX_MULTIVARIATE, Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED)
+    fits = {method: _newton(trials.likelihood(method, tie_method)) for method in order}
+    return TrialAnalyses(_logrank(trials.pooled)[2], _logrank(trials.stratified)[2],
+                         tuple(fits[method] for method in COX_METHODS))
 
 
 def _one_dataset_likelihood(dataset: TrialDataset, spec: AnalysisSpec):

@@ -35,7 +35,7 @@ from stratsurv.inference import (
 )
 from stratsurv.trial import ScenarioSpec, TrialDesign, stratum_covariates
 
-from _oracles import grid_search_cox, naive_partial_loglik, random_survival_data
+from _oracles import grid_search_cox, hypergeom_logrank, naive_partial_loglik, random_survival_data
 
 
 def _dataset(times, events, arm, strata=None):
@@ -394,6 +394,12 @@ class TestHeavyTies:
                 assert row.diagnostic == one.diagnostic
         assert np.isnan(batch.logrank_z[1])
         assert np.all(batch.fits[2].converged[[0, 2, 3]])
+        # row 2's stratum 0 has no control subject, so it adds no variance
+        contributing = sum(hypergeom_logrank(time[2][s], event[2][s], arm[2][s])[1] > 0
+                           for s in (stratum[2] == k for k in np.unique(stratum[2])))
+        ds = TrialDataset(np.arange(n),
+                          **{field: values[2] for field, values in trials._asdict().items()})
+        assert logrank(ds, True).strata_used == contributing == len(np.unique(stratum[2])) - 1
 
     @pytest.mark.parametrize("ties", TIE_METHODS)
     def test_rows_ending_every_way_equal_single_row_batches(self, monkeypatch, ties):
@@ -491,6 +497,58 @@ class TestHeavyTies:
                 assert fits.iterations[i] == one.iterations
 
 
+class TestDeathCounts:
+    """The rows of one layout share their number of deaths: a batch whose
+    rows differ in it is analyzed as one batch per count."""
+
+    @staticmethod
+    def _batches():
+        """Seven generated trials of D = 30 deaths, and the same batch with
+        hand-built rows of 0 deaths (row 1), 1 death (row 3) and D deaths in
+        tied blocks (row 5)."""
+        design = TrialDesign.from_event_target(0.6, 30)
+        trials = generate_trials(design, ScenarioSpec.multiplicative_covariates(),
+                                 stream_uniforms(stream_states(77, 0, 7), design.sample_size))
+        event, time = trials.event.copy(), trials.observed_time.copy()
+        event[1] = False
+        event[3] = False
+        event[3, 5] = True
+        time[5] = np.ceil(time[5] / 3.0)
+        return trials, trials._replace(event=event, observed_time=time)
+
+    @staticmethod
+    def _record_batches(monkeypatch):
+        """The row counts of the batches ``analyze_trials`` analyzes."""
+        rows, real = [], inference._analyze
+        monkeypatch.setattr(inference, "_analyze", lambda trials, ties:
+                            rows.append(len(trials.time)) or real(trials, ties))
+        return rows
+
+    def test_generated_batch_is_not_split(self, monkeypatch):
+        trials, _ = self._batches()
+        rows = self._record_batches(monkeypatch)
+        analyze_trials(trials)
+        assert rows == [7]
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    def test_mixed_rows_equal_single_row_batches(self, monkeypatch, ties):
+        _, trials = self._batches()
+        rows = self._record_batches(monkeypatch)
+        batch = analyze_trials(trials, ties)
+        assert sorted(rows) == [1, 1, 5]
+        assert np.count_nonzero(trials.event, axis=1).tolist() == [30, 0, 30, 1, 30, 30, 30]
+        assert np.isnan(batch.logrank_z).tolist() == [False, True] + [False] * 5
+        for row in range(7):
+            one = analyze_trials(TrialBatch(*(a[row:row + 1] for a in trials)), ties)
+            for z in ("logrank_z", "stratified_logrank_z"):
+                assert np.array_equal(getattr(batch, z)[row:row + 1], getattr(one, z),
+                                      equal_nan=True), (row, z)
+            for fits, single in zip(batch.fits, one.fits):
+                for field, values in fits._asdict().items():
+                    assert np.array_equal(values[row:row + 1], getattr(single, field),
+                                          equal_nan=True), (row, field)
+
+
 class TestPerCellSums:
     """The multivariate likelihood sums v x and v x x' over its 24 cells."""
 
@@ -552,14 +610,14 @@ class TestFitDiagnostics:
 
 class _FakeLikelihood:
     """What ``_newton`` reads of a likelihood, for B rows of p parameters:
-    ``death``, ``p``, ``evaluate`` and ``take``. Subclasses give ``evaluate``
+    ``deaths``, ``p``, ``evaluate`` and ``take``. Subclasses give ``evaluate``
     from per-row parameter arrays, which ``take`` subsets."""
 
     def __init__(self, **params):
         self.params = params
         first = next(iter(params.values()))
         self.p = first.shape[1]
-        self.death = np.ones((len(first), 1), dtype=bool)
+        self.deaths = np.ones(len(first))
 
     def take(self, rows):
         return type(self)(**{name: values[rows] for name, values in self.params.items()})
@@ -666,8 +724,62 @@ class TestNewtonOutcomes:
         for row, (status, iterations, beta, _) in enumerate(references):
             assert fits.status[row] == status
             assert fits.iterations[row] == iterations
-            # LAPACK may divide by the pivot through its reciprocal
-            assert fits.beta[row, 0] == pytest.approx(beta, rel=1e-12, abs=1e-15)
+            # a 1 x 1 Newton step is the reference's division
+            assert fits.beta[row, 0] == beta
             _fits_equal(fits, row, inference._newton(lik.take([row])))
         assert fits.status[-1] == (inference._CONVERGED if max_halvings == 20
                                    else inference._HALVING_FAILED)
+
+
+class TestOneByOneSystems:
+    """``_stacked`` solves 1 x 1 systems by division, with LAPACK's bits and
+    failures: on random pairs over the whole float range, and on every pair
+    of special values."""
+
+    SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310,
+                        -1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                        1.7976931348623157e308, 1.0, -2.5, 3.0])
+
+    @staticmethod
+    def _lapack(solver, *matrices):
+        """``solver`` on the stack, or one matrix at a time if that raises."""
+        try:
+            return solver(*matrices), np.ones(len(matrices[0]), dtype=bool)
+        except np.linalg.LinAlgError:
+            pass
+        out, ok = np.full_like(matrices[-1], np.nan), np.zeros(len(matrices[0]), dtype=bool)
+        for i in range(len(out)):
+            try:
+                out[i] = solver(*(m[i] for m in matrices))
+                ok[i] = True
+            except np.linalg.LinAlgError:
+                pass
+        return out, ok
+
+    @staticmethod
+    def _random(rng, size):
+        """Signed values with exponents from -320 (subnormal) to 308."""
+        magnitude = rng.random(size) * 10.0 ** rng.uniform(-320, 308, size)
+        return rng.choice([-1.0, 1.0], size) * magnitude
+
+    def _pairs(self):
+        rng = np.random.default_rng(11)
+        a, b = self._random(rng, 200_000), self._random(rng, 200_000)
+        special_a, special_b = np.meshgrid(self.SPECIAL, self.SPECIAL)
+        yield "random", a, b
+        yield "special", special_a.ravel(), special_b.ravel()
+
+    @pytest.mark.parametrize("solver", [np.linalg.cholesky, np.linalg.solve, np.linalg.inv],
+                             ids=lambda f: f.__name__)
+    def test_division_has_lapack_bits(self, solver):
+        for name, a, b in self._pairs():
+            if name == "random" and solver is np.linalg.cholesky:
+                a = np.abs(a)  # one stacked call: a negative matrix makes it raise
+            matrices = (a[:, None, None], b[:, None, None])[:2 if solver is np.linalg.solve else 1]
+            got, got_ok = inference._stacked(solver, *matrices)
+            with np.errstate(all="ignore"):
+                want, want_ok = self._lapack(solver, *matrices)
+            assert np.array_equal(got_ok, want_ok), name
+            assert got.shape == want.shape and got.dtype == want.dtype
+            same = (got.view(np.int64) == want.view(np.int64)) | (np.isnan(got) & np.isnan(want))
+            assert same.all(), (name, a[~same.ravel()][:5], b[~same.ravel()][:5])

@@ -184,6 +184,25 @@ class TestAssignStratum:
         se = math.sqrt((1 / 12) * (11 / 12) / n)
         assert np.all(np.abs(counts / n - 1 / 12) < 4 * se)
 
+    @pytest.mark.parametrize("weights", [
+        (1.0,) * 12,
+        # a total of 16, so that u = k / 64 puts u * total on the cdf entries
+        (1.0, 1.0, 2.0, 0.0, 0.0, 4.0, 1.0, 1.0, 2.0, 0.0, 2.0, 2.0),
+        (0.0,) * 11 + (3.0,),
+        (0.0, 5.0) + (0.0,) * 10,
+    ])
+    def test_draw_equals_searchsorted(self, weights):
+        # zero weights repeat a cdf entry; a draw on an entry takes the next stratum
+        design = TrialDesign(true_hr=0.5, target_events=1, sample_size=80,
+                             allocation_weights=weights)
+        uniforms = np.random.default_rng(8).random((4, 3, 80))
+        uniforms[0, 0, :64] = np.arange(64) / 64
+        cdf = np.cumsum(weights)
+        assert np.isin(uniforms[0] * cdf[-1], cdf).any()
+        got = generate_trials(design, ScenarioSpec.no_prognostic(), uniforms).stratum_index
+        want = np.searchsorted(cdf, uniforms[0] * cdf[-1], side="right")
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_unbalanced_ratio(self):
         weights = (1.0,) * 6 + (7.0,) * 6
         n = 100_000

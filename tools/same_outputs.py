@@ -19,6 +19,10 @@ it also analyzes one batch of ``BATCH_SUBJECT_ROWS // N`` replicates with
 z columns and every array of each Cox fit with ``np.savez``, and compares
 them bit for bit, NaN equal to NaN. Prints each result CSV, sidecar, dumped
 dataset, stdout or fit record that differs and exits 1 if any does, else 0.
+For a differing sidecar, JSON stdout or fit record it also prints how far its
+numbers moved: the largest relative difference |a - b| / max(|a|, |b|) and
+where it occurs, NaN equal to NaN (inf where a value or key is on one side only,
+or a string or NaN changed), for a fit record once per field.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import filecmp
 import io
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -134,6 +139,65 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.tobytes() == b.tobytes()
 
 
+def relative_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b| / max(|a|, |b|) of two arrays of one shape, elementwise: 0
+    where equal, NaN equal to NaN; inf where only one side is NaN."""
+    a, b = (np.asarray(x, dtype=float) for x in (a, b))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rel = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    rel = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, rel)
+    return np.where(np.isnan(rel), np.inf, rel)
+
+
+def json_numbers(value, where: str = "") -> dict[str, object]:
+    """The leaves of a JSON value by their path, such as ``rows[2].power.logrank``."""
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else str(key), v) for key, v in value.items())
+    elif isinstance(value, list):
+        items = ((f"{where}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return {where: value}
+    return {path: leaf for key, v in items for path, leaf in json_numbers(v, key).items()}
+
+
+def largest_difference(theirs: dict, ours: dict) -> str:
+    """Where two records of named numbers (JSON leaves or arrays) differ the
+    most, relatively, and the two values there."""
+    worst = (0.0, "", None, None)
+    for key in sorted(theirs.keys() | ours.keys()):
+        a, b = theirs.get(key), ours.get(key)
+        if a is None or b is None or isinstance(a, str) or isinstance(b, str):
+            found = (0.0 if a == b else np.inf, key, a, b)
+        elif np.shape(a) != np.shape(b):
+            found = (np.inf, key, f"shape {np.shape(a)}", f"shape {np.shape(b)}")
+        elif not np.size(a):
+            continue
+        else:
+            diffs = relative_differences(a, b)
+            index = np.unravel_index(np.argmax(diffs), diffs.shape)
+            found = (float(diffs[index]), key + "".join(f"[{i}]" for i in index),
+                     *(v if np.ndim(v) == 0 else np.asarray(v)[index].item() for v in (a, b)))
+        if found[0] > worst[0]:
+            worst = found
+    rel, where, a, b = worst
+    return f"largest relative difference {rel:.3g}" + (f" at {where}: {a!r} vs {b!r}"
+                                                       if where else "")
+
+
+def fit_field(key: str) -> str:
+    """The field of a fit-record key ``row{r}_{ties}_{field}``."""
+    return key.split("_", 2)[2]
+
+
+def moved(theirs: Path, ours: Path) -> str:
+    """How far the numbers of two differing JSON files moved, or ''."""
+    try:
+        records = [json_numbers(json.loads(path.read_text())) for path in (theirs, ours)]
+    except ValueError:
+        return ""
+    return f" ({largest_difference(*records)})"
+
+
 def write_tied_dataset(path: Path) -> None:
     """A month-tied subject CSV: exponential times (stratum medians 6 to 36
     months, treatment HR 0.8) censored 12 to 36 months after entry, then
@@ -170,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
             compared += 1
             if not filecmp.cmp(theirs, ours, shallow=False):
                 differ += 1
-                print(f"differs: {ours.parent.name}/{ours.name}")
+                print(f"differs: {ours.parent.name}/{ours.name}{moved(theirs, ours)}")
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -196,7 +260,14 @@ def main(argv: list[str] | None = None) -> int:
                 key for key in ours if not same_bits(theirs[key], ours[key])]
             if different:
                 differ += 1
-                print(f"differs: fits/{config.stem}.npz: {', '.join(different)}")
+                print(f"differs: fits/{config.stem}.npz:")
+                # one line per field, over its config rows and tie rules
+                for field, keys in itertools.groupby(sorted(different, key=fit_field),
+                                                     key=fit_field):
+                    keys = list(keys)
+                    records = ({key: saved[key] for key in keys if key in saved}
+                               for saved in (theirs, ours))
+                    print(f"  {field}: {len(keys)} arrays, {largest_difference(*records)}")
     print(f"{differ} of {compared} files differ from {args.rev} "
           f"({len(configs)} configs, workers {WORKERS}, seeds {SEEDS}, "
           f"{REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of {FIT_ROWS} tied rows; "
