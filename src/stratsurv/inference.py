@@ -9,11 +9,10 @@ Layout. Each row (one dataset) is sorted by time, ties in subject order, by
 ``datagen.stable_argsort``, which gives exactly ``np.argsort(kind="stable")``.
 The unstratified layout pools the row into one stratum; the stratified layout
 re-sorts that order by stratum with one stable (radix) sort on int8 strata.
-Subjects run along the last axis: event indicators are (B, N), covariates
-(B, p, N). A position's risk set runs from the start of its tied (stratum,
-time) block to the end of its stratum. Every row gather is one ``np.take`` of
-the flattened batch. The multivariate design is one gather from a coding
-table of the 24 cells 2 * stratum + arm.
+Subjects run along the last axis: event indicators are (B, N). A position's
+risk set runs from the start of its tied (stratum, time) block to the end of
+its stratum. Every row gather is one ``np.take`` of the flattened batch. The
+multivariate design is a coding table of the 24 cells 2 * stratum + arm.
 
 Arm counts. Each layout computes once, at each of its D deaths, as (B, D)
 arrays: the dying subject's arm a, the control and treated subjects in its
@@ -31,32 +30,38 @@ information sums f(1 - f), f = n1/n, over the deaths, and the log-rank
 variance sums f(1 - f)(n - d)/(n - 1), the exact hypergeometric variance of a
 tied block; the two agree where no block holds two deaths.
 
-Risk-set sums. The multivariate likelihood sums over risk sets directly.
-Suffix sums run along each row, with a trailing zero, so the sum over a risk
-set is ``R[block_start] - R[stratum_end]``; it takes suffix sums of
-w = exp(eta) and of wX only. The information sum over deaths of S2/denom
-equals sum_i v_i x_i x_i', v_i = w_i c_i, where c_i is the within-stratum
-running (prefix) sum of 1/denom over the deaths whose risk set holds subject
-i. A subject's covariates depend on its cell only, so one ``bincount`` over
-the cell index offset by K times the row gives the per-cell sums of v as
-(B, K), and one stacked product with the fixed (K, p + p^2) table of each
-cell's x and x x' gives sum_i v_i x_i and sum_i v_i x_i x_i'. The gradient is
-the fixed sum of x over the deaths less sum_i v_i x_i.
+Risk-set sums. The multivariate likelihood works on its K cells and D
+deaths. Per cell it forms w = exp(beta'x), shifted by the row's largest
+beta'x, and [1, x] w as q = p // 2 + 1 complex pairs (an even p pads the
+last). Gathered to the positions, one complex suffix sum along each row (a
+complex add is two real adds, so each part has its own real cumsum's bits)
+gives every risk-set sum; one ``np.take`` reads S0 and S1 at each death's
+block start, less its stratum's end. ll, 1/S0 and r = S1/S0 are then (B, D)
+arrays. The information sum over deaths of S2/S0 equals sum_i v_i x_i x_i',
+v_i = w_i c_i, where c_i, the sum of 1/S0 over the deaths whose risk set
+holds subject i, is a difference of prefix sums over the deaths. A subject's
+covariates depend on its cell only, so one ``bincount`` over the cell index
+offset by K times the row gives the per-cell sums of v as (B, K), and one
+stacked product with the fixed (K, p + p^2) table of each cell's x and x x'
+gives sum_i v_i x_i and sum_i v_i x_i x_i'. The gradient is the fixed sum of
+x over the deaths less sum_i v_i x_i, the Hessian sum_d r r' less
+sum_i v_i x_i x_i'.
 
 Ties. Efron and Breslow are one rule. Each death carries a weight
 j = (rank of the death in its tied block) / (deaths in the block) under
-Efron, and j = 0 under Breslow. A death's denominator is S0 - j S0d and its
-numerator S1 - j S1d, where S0d and S1d sum over the deaths of its block,
-and c_i of a death loses its block's sum of j/denom (the Efron S2d term).
-With j = 0 every formula is exactly the Breslow one; without ties the two
-methods coincide. No Python loop runs over tied blocks.
+Efron, read from the layout's counts, and j = 0 under Breslow. A death's
+denominator is S0 - j S0d and its numerator S1 - j S1d, where S0d and S1d
+sum over the deaths of its block (one ``reduceat`` over the deaths; a block's
+first death has j = 0), and c_i of a death loses its block's sum of j/S0
+(the Efron S2d term). With j = 0 every formula is exactly the Breslow one;
+without ties the two methods coincide. No Python loop runs over tied blocks.
 
 Batch invariance, which every change must keep: a row's results may not
 depend on the other rows of its batch, so that every batch size and worker
 count gives the same bits. Only per-row operations are allowed: cumulative
-sums along a row, reductions along the subject or death axis, ``reduceat``
-over segments that never cross a row, a ``bincount`` whose bins never hold
-two rows' entries (it adds each bin's entries in position order), and stacked
+sums along a row (of complex pairs too), reductions along the subject or
+death axis, ``reduceat`` over segments that never cross a row, a ``bincount``
+whose bins never hold two rows' entries (it adds them in position order), and stacked
 ``matmul``/``solve``/``inv``/``cholesky`` (one BLAS or LAPACK call per matrix,
 such as the (B, 1, K) @ (K, p + p^2) contraction of the cell sums; a 1 x 1
 system is an elementwise division with LAPACK's bits). A sum over the
@@ -167,46 +172,24 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
 
 def _suffix_sums(values: np.ndarray) -> np.ndarray:
     """R with R[..., k] = sum of values[..., k:] along each row (R[..., N] = 0)."""
-    out = np.zeros(values.shape[:-1] + (values.shape[-1] + 1,))
+    out = np.empty(values.shape[:-1] + (values.shape[-1] + 1,), values.dtype)
+    out[..., -1] = 0.0
     np.cumsum(values[..., ::-1], axis=-1, out=out[..., -2::-1])
     return out
-
-
-def _at(sums: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row sums (B[, p], N + 1) at flat positions of their (B, N + 1) rows."""
-    if sums.ndim == 3:  # each covariate's row at the same row-local positions
-        return np.take_along_axis(sums, (index % sums.shape[-1])[:, None, :], axis=-1)
-    return np.take(sums, index)
 
 
 class _Runs:
     """Runs of a (B, N) layout that begin where ``new`` is set: the flat
     ``reduceat`` starts and lengths of the runs (a run never crosses a row);
     their starts and one-past-ends as flat positions in (B, N + 1) rows, the
-    rows of a sum with a trailing zero (``head``, ``tail``); and, built on
-    first use, each position's run start and end there."""
+    rows of a sum with a trailing zero (``head``, ``tail``)."""
 
     def __init__(self, new: np.ndarray):
-        self.shape = new.shape
         self.first = np.flatnonzero(new)
         self.length = np.diff(self.first, append=new.size)
         # position k of row b is b N + k, and b (N + 1) + k in rows of N + 1
         self.head = self.first + self.first // new.shape[1]
         self.tail = self.head + self.length
-
-    @cached_property
-    def start(self) -> np.ndarray:
-        return np.repeat(self.head, self.length).reshape(self.shape)
-
-    @cached_property
-    def end(self) -> np.ndarray:
-        return np.repeat(self.tail, self.length).reshape(self.shape)
-
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Sum of (B[, p], N) values over each run, at every position."""
-        flat = np.moveaxis(values, 0, -2).reshape(values.shape[1:-1] + (-1,))
-        out = np.repeat(np.add.reduceat(flat, self.first, axis=-1), self.length, axis=-1)
-        return np.moveaxis(out.reshape(flat.shape[:-1] + (values.shape[0], -1)), -2, 0)
 
 
 class _ArmCounts(NamedTuple):
@@ -253,10 +236,6 @@ class _RiskSets:
         new_block[:, 1:] |= time[:, 1:] != time[:, :-1]
         return cls(event, arm, new_stratum, new_block)
 
-    def take(self, rows: np.ndarray) -> "_RiskSets":
-        return _RiskSets(self.death[rows], self.arm[rows], self.new_stratum[rows],
-                         self.new_block[rows])
-
     @cached_property
     def _strata(self) -> _Runs:
         return _Runs(self.new_stratum)
@@ -265,22 +244,10 @@ class _RiskSets:
     def _blocks(self) -> _Runs:
         return _Runs(self.new_block)
 
-    def risk_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per row, the sum of values over each position's risk set."""
-        R = _suffix_sums(values)
-        head = R[..., :-1] if self.untied else _at(R, self._blocks.start)
-        return head if self.pooled else head - _at(R, self._strata.end)
-
-    def running_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per row, the sum of values from each position's stratum start
-        through the end of its block."""
-        P = _prefix_sums(values)
-        head = P[..., 1:] if self.untied else _at(P, self._blocks.end)
-        return head if self.pooled else head - _at(P, self._strata.start)
-
-    def block_sums(self, values: np.ndarray) -> np.ndarray:
-        """Sum of values over each position's tied block."""
-        return values if self.untied else self._blocks.spread(values)
+    @cached_property
+    def _block_deaths(self) -> np.ndarray:
+        """Each block's number of deaths, flat, on a tied layout."""
+        return np.add.reduceat(self.death.ravel(), self._blocks.first, dtype=int)
 
     @cached_property
     def deaths(self) -> np.ndarray:
@@ -289,39 +256,38 @@ class _RiskSets:
                                                   np.count_nonzero(self.death[:1]))
 
     @cached_property
-    def counts(self) -> _ArmCounts:
-        """The counts at the deaths, exact integers in floats, and j."""
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per death, (B, D), where its risk set starts (its block's start)
+        and ends (its stratum's end), as flat positions in (B, N + 1) rows like
+        ``_Runs``; on a pooled layout the end is (B, 1), each row's end."""
         at, n = self.deaths, self.death.shape[1]
         row = np.arange(len(at))[:, None]
-        # a risk set runs from its block's start to its stratum's end, here
-        # as flat positions in (B, N + 1) rows, like _Runs
-        start = at + row
-        end = row * (n + 1) + n if self.pooled else np.take(self._strata.end, at)
+        start = (at + row if self.untied else  # a block's deaths are consecutive in at
+                 np.repeat(self._blocks.head, self._block_deaths).reshape(at.shape))
+        end = (row * (n + 1) + n if self.pooled else
+               np.take(np.repeat(self._strata.tail, self._strata.length), at))
+        return start, end
+
+    @cached_property
+    def counts(self) -> _ArmCounts:
+        """The counts at the deaths, exact integers in floats, and j."""
+        at = self.deaths
+        start, end = self.bounds
         arm = d1 = np.take(self.arm, at)
         d, j = 1.0, None
         if not self.untied:
-            blocks = self._blocks
-            deaths = np.add.reduceat(self.death.ravel(), blocks.first, dtype=int)
-            treated = np.add.reduceat((self.arm * self.event).ravel(), blocks.first)
-            # each block's values at its deaths, consecutive in at; a death's
-            # rank in its block: its place in at less the block's first (exact)
-            d, start, d1, first = (np.repeat(v, deaths).reshape(at.shape) for v in
-                                   (deaths, blocks.head, treated, np.cumsum(deaths) - deaths))
+            deaths = self._block_deaths
+            treated = np.add.reduceat((self.arm * self.event).ravel(), self._blocks.first)
+            # each block's values at its deaths; a death's rank in its block:
+            # its place in at less the block's first (exact)
+            d, d1, first = (np.repeat(v, deaths).reshape(at.shape) for v in
+                            (deaths, treated, np.cumsum(deaths) - deaths))
             j = (np.arange(at.size).reshape(at.shape) - first) / d
         R = _suffix_sums(self.arm)
         n1 = np.take(R, start)
         if not self.pooled:
             n1 -= np.take(R, end)
         return _ArmCounts(arm, end - start - n1, n1, d - d1, d1, j if np.any(j) else None)
-
-    @cached_property
-    def efron_weights(self) -> np.ndarray | None:
-        """Per position, a death's Efron weight j and 0 elsewhere; None as in ``counts``."""
-        if self.untied or self.counts.j is None:
-            return None
-        j = np.zeros(self.death.shape)
-        np.put(j, self.deaths, self.counts.j)
-        return j
 
 
 # ---------------------------------------------------------------------------
@@ -382,77 +348,111 @@ class _CoxLikelihood:
     (B, N) the cell of each position in layout order, so that subject i's
     covariates are ``design[:, cells[i]]``; the multivariate fit has K = 24
     cells 2 * stratum + arm, and free covariates take one cell per subject.
-    ``j`` holds the Efron tie weights, or is None when every weight is 0
-    (Breslow, or no block with two deaths).
+    ``j`` (B, D) holds the Efron weights of the layout's deaths, or is None
+    when every weight is 0 (Breslow, or no block with two deaths).
     """
 
     def __init__(self, risk: _RiskSets, cells: np.ndarray, design: np.ndarray,
                  j: np.ndarray | None):
-        self.risk, self.cells, self.j = risk, cells, j
-        self.deaths = np.count_nonzero(risk.death, axis=1)
-        self.p, k = design.shape
-        self.X = np.take(design, cells, axis=1).transpose(1, 0, 2).copy()
+        (rows, n), (self.p, k) = cells.shape, design.shape
+        self.design, self.j = design, j
+        self.deaths = np.full(rows, risk.deaths.shape[1])
+        # each position's cell offset by K times its row, so that one
+        # bincount sums per row and cell
+        self.index = cells + k * np.arange(rows)[:, None]
+        self.present = np.bincount(self.index.ravel(), minlength=rows * k).reshape(rows, k) > 0
         # per cell: its covariates x, then x x' flattened, in C order whatever
         # design's order, as the product's rounding depends on the layout
         x = np.ascontiguousarray(design.T)
         self.table = np.hstack((x, (x[:, :, None] * x[:, None, :]).reshape(k, -1)))
-        self.index = self._cell_index()
+        # per cell, [1, x] as q = p // 2 + 1 complex pairs, (q, 1, K); an
+        # even p pads the last pair with 0
+        pairs = np.hstack((np.ones((k, 1)), x, np.zeros((k, 1 - self.p % 2))))
+        self.pairs = pairs.view(complex).T[:, None, :]
+        self.start, end = risk.bounds
+        self.end = None if risk.pooled else end
+        # a position's c is P[h] - P[l], P a row's prefix sums of 1/S0 over
+        # its deaths, h the deaths up to its block's end and l those before its
+        # stratum: each h (l) spans a gap between deaths' block starts (stratum ends)
+        row = (n + 1) * np.arange(rows)[:, None]
+        self.through, self.before = (None if a is None else
+                                     np.diff(a - row, axis=1, prepend=0, append=n)
+                                     for a in (self.start, self.end))
+        self.death_cells = np.take(self.index, risk.deaths)
         self.death_sums = self._cell_sums(risk.event)[:, :self.p]
+        self.death = None if j is None else risk.deaths
 
-    def take(self, rows: np.ndarray) -> "_CoxLikelihood":
-        # the rows keep their covariates and death sums, and share the table
+    def take(self, keep: np.ndarray) -> "_CoxLikelihood":
+        # per-row arrays lose the rows not kept, and a flat index, whose row b
+        # starts at b times its stride, renumbers those it keeps
+        rows = np.flatnonzero(keep)
+        n, k = self.index.shape[1], len(self.table)
+        strides = {"index": k, "death_cells": k, "start": n + 1, "end": n + 1, "death": n}
         out = copy.copy(self)
-        out.risk = self.risk.take(rows)
-        out.j = None if self.j is None else self.j[rows]
-        out.cells, out.X, out.deaths = self.cells[rows], self.X[rows], self.deaths[rows]
-        out.death_sums = self.death_sums[rows]
-        out.index = out._cell_index()
+        for name, value in vars(self).items():
+            if name in ("design", "table", "pairs", "p") or value is None:
+                continue
+            value = value[rows]
+            if name in strides:
+                value += (np.arange(len(rows)) - rows)[:, None] * strides[name]
+            setattr(out, name, value)
         return out
-
-    def _cell_index(self) -> np.ndarray:
-        """Each position's cell offset by K times its row, flat, so that one
-        bincount sums per row and cell."""
-        k = len(self.table)
-        return (self.cells + k * np.arange(len(self.cells))[:, None]).ravel()
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
         """(B, p + p^2): per row, the sums of values x and values x x' over its
         subjects, from the per-cell sums of values."""
-        rows, k = len(values), len(self.table)
-        s = np.bincount(self.index, weights=values.ravel(), minlength=rows * k)
+        rows, k = len(self.index), len(self.table)
+        s = np.bincount(self.index.ravel(), weights=values.ravel(), minlength=rows * k)
         # a stacked (1, K) @ (K, p + p^2) product per row: one 2-D product of
         # the whole batch would let the batch size change a row's rounding
         return np.matmul(s.reshape(rows, 1, k), self.table)[:, 0]
 
+    def _block_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per death, the sum of values (..., B, D) over its block's deaths."""
+        first = np.flatnonzero(self.j == 0)
+        sums = np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)), first, axis=-1)
+        return np.repeat(sums, np.diff(first, append=self.j.size), axis=-1).reshape(values.shape)
+
     def evaluate(self, beta: np.ndarray):
         """Log-likelihood (B,), gradient (B, p) and Hessian (B, p, p) at beta (B, p)."""
-        risk, X, j, e, p = self.risk, self.X, self.j, self.risk.event, self.p
+        p, j, q, (rows, d) = self.p, self.j, len(self.pairs), self.start.shape
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            eta = np.matmul(beta[:, None, :], X)[:, 0]
+            eta = np.matmul(beta[:, None, :], self.design)[:, 0]
             # every risk set lies within one row, so shifting a row's eta by
-            # its maximum leaves the likelihood unchanged and exp finite
-            eta -= eta.max(axis=1, keepdims=True)
+            # its maximum over the row's cells leaves the likelihood unchanged
+            # and exp finite
+            eta -= np.where(self.present, eta, -np.inf).max(axis=1, keepdims=True)
             w = np.exp(eta)
-            denom = risk.risk_sums(w)
-            num = risk.risk_sums(X * w[:, None])
+            # per cell, then per position, [1, x] w as complex pairs, (q, B, .)
+            cell = (self.pairs * w).reshape(q, -1)
+            R = _suffix_sums(np.take(cell, self.index, axis=1)).reshape(q, -1)
+            # at each death, S0 and the numerators over its risk set, (q, B, D)
+            at = np.take(R, self.start, axis=1)
+            if self.end is not None:
+                at -= np.take(R, self.end, axis=1)
             if j is not None:
-                denom -= j * risk.block_sums(w * e)
-                num -= j[:, None] * risk.block_sums(X * (w * e)[:, None])
-            # a risk-set sum is finite; 1 in place of it off the deaths keeps
-            # those positions at exactly 0 below
-            denom = denom * e + (1.0 - e)
-            ll = ((eta - np.log(denom)) * e).sum(axis=1)
-            inv = e / denom
-            # c: the running sum of 1/denom over the deaths whose risk set
-            # holds each subject, less the block's j/denom for a death
-            c = risk.running_sums(inv)
+                at -= j * self._block_sums(np.take(cell, self.death_cells, axis=1))
+            # as reals, contiguous (B, 2q, D): each row's r is one matrix for
+            # BLAS, and S0 (the first) is contiguous along each row
+            r = np.empty((rows, 2 * q, d))
+            np.copyto(r.reshape(rows, q, 2, d),
+                      at.view(np.float64).reshape(q, rows, d, 2).transpose(1, 0, 3, 2))
+            denom = r[:, 0]
+            inv = 1.0 / denom
+            ll = (np.take(eta, self.death_cells) - np.log(denom)).sum(axis=1)
+            # c: the sum of 1/S0 over the deaths whose risk set holds each
+            # subject, less the block's j/S0 for a death
+            P = _prefix_sums(inv).ravel()
+            c = np.repeat(P, self.through.ravel())
+            if self.before is not None:
+                c -= np.repeat(P, self.before.ravel())
             if j is not None:
-                c -= e * risk.block_sums(j * inv)
-            sums = self._cell_sums(w * c)
-            r = np.multiply(num, inv[:, None], out=num)
+                c[self.death] -= self._block_sums(j * inv)
+            r = np.multiply(r, inv[:, None], out=r)[:, 1:p + 1]
+            sums = self._cell_sums(np.take(w, self.index).ravel() * c)
             grad = self.death_sums - sums[:, :p]
             hess = (np.matmul(r, r.transpose(0, 2, 1))
-                    - sums[:, p:].reshape(len(beta), p, p))
+                    - sums[:, p:].reshape(rows, p, p))
         return ll, grad, hess
 
 
@@ -697,8 +697,8 @@ class _Trials:
             raise InvalidParameterError(f"cox_fit requires a Cox method, got {method}")
         risk = self.stratified if method is Method.COX_STRATIFIED else self.pooled
         if method is Method.COX_MULTIVARIATE:  # on the pooled layout, in self.cells order
-            return _CoxLikelihood(risk, self.cells, _CELL_DESIGN,
-                                  risk.efron_weights if tie_method == "efron" else None)
+            efron = tie_method == "efron" and not risk.untied
+            return _CoxLikelihood(risk, self.cells, _CELL_DESIGN, risk.counts.j if efron else None)
         return _TreatmentLikelihood(risk, tie_method == "efron")
 
 
@@ -737,7 +737,7 @@ def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyse
 
 def _analyze(trials: _Trials, tie_method: str) -> TrialAnalyses:
     # the multivariate fit, with the largest working set, runs before the
-    # layouts hold their arm counts
+    # layouts hold their arm counts (an untied one builds none for its j)
     order = (Method.COX_MULTIVARIATE, Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED)
     fits = {method: _newton(trials.likelihood(method, tie_method)) for method in order}
     return TrialAnalyses(_logrank(trials.pooled)[2], _logrank(trials.stratified)[2],

@@ -4,6 +4,7 @@ Oracles: an analytic score-equation solution, a naive loop-based partial
 log-likelihood with grid-search maximization, and central finite differences.
 """
 
+import itertools
 import math
 import re
 
@@ -56,15 +57,21 @@ def _trial(seed, d=40, scenario=None):
     return generate_trial(design, scenario, RngStream(seed, 0))
 
 
-def _likelihood(times, events, X, strata, ties):
-    """The batched engine's likelihood of one dataset with free covariates X."""
+def _layout(times, events, X, strata):
+    """One dataset with free covariates X as the engine lays it out: its risk
+    sets, one cell per subject (B = 1, K = N) and the (p, K) design."""
     order = np.lexsort((times, strata))
     design = np.asarray(X, float)[order].T
     times, events, strata = (np.asarray(a)[order][None] for a in (times, events, strata))
     risk = _RiskSets.of(times, events, design[None, 0], strata)
-    # one cell per subject: subject i's covariates are design[:, i]
-    return _CoxLikelihood(risk, np.arange(len(order))[None], design,
-                          risk.efron_weights if ties == "efron" else None)
+    return risk, np.arange(len(order))[None], design
+
+
+def _likelihood(times, events, X, strata, ties):
+    """The batched engine's likelihood of one dataset with free covariates X,
+    with the Efron weights j of the layout's deaths."""
+    risk, cells, design = _layout(times, events, X, strata)
+    return _CoxLikelihood(risk, cells, design, risk.counts.j if ties == "efron" else None)
 
 
 def _engine_terms(times, events, X, strata, ties, beta):
@@ -462,7 +469,7 @@ class TestHeavyTies:
         efron = _likelihood(times, events, X, strata, "efron")
         breslow = _likelihood(times, events, X, strata, "breslow")
         assert breslow.j is None and efron.j.max() > 0
-        zeroed = _CoxLikelihood(efron.risk, efron.cells, efron.X[0], np.zeros_like(efron.j))
+        zeroed = _CoxLikelihood(*_layout(times, events, X, strata), np.zeros_like(efron.j))
         beta = np.array([[0.4, 0.1]])
         for got, want in zip(zeroed.evaluate(beta), breslow.evaluate(beta)):
             assert np.array_equal(got, want)
@@ -550,46 +557,123 @@ class TestDeathCounts:
 
 
 class TestPerCellSums:
-    """The multivariate likelihood sums v x and v x x' over its 24 cells."""
+    """The likelihood of the 24-cell design, from per-cell weights, paired
+    risk-set sums and per-death arrays, on pooled and stratified layouts."""
 
     @staticmethod
-    def _subject_sums(lik, values):
-        """What ``_cell_sums`` returns, summed over each row's subjects."""
-        X = lik.X
-        outer = np.einsum("bpn,bqn,bn->bpq", X, X, values)
-        return np.hstack((np.einsum("bpn,bn->bp", X, values), outer.reshape(len(X), -1)))
-
-    @pytest.mark.parametrize("ties", TIE_METHODS)
-    @pytest.mark.parametrize("rows", [1, 7, 300])
-    def test_rows_equal_single_row_calls_and_subject_sums(self, monkeypatch, rows, ties):
+    def _batch(rows, tied):
         design = TrialDesign.from_event_target(0.6, 30)
         trials = generate_trials(design, ScenarioSpec.multiplicative_covariates(),
                                  stream_uniforms(stream_states(41, 0, rows),
                                                  design.sample_size))
-        # month-rounded times, so that Efron weights are in play
-        trials = trials._replace(observed_time=np.ceil(trials.observed_time))
-        beta = np.random.default_rng(rows).normal(0.0, 0.3, (rows, 5))
+        if tied:  # month-rounded times, so that Efron weights are in play
+            trials = trials._replace(observed_time=np.ceil(trials.observed_time))
+        return trials
 
-        def likelihood(batch):
-            return inference._Trials(batch).likelihood(Method.COX_MULTIVARIATE, ties)
+    @staticmethod
+    def _sorted(trials, stratified):
+        """(time, event, stratum, cell) of each row in layout order."""
+        strata = trials.stratum_index if stratified else np.zeros_like(trials.stratum_index)
+        order = np.lexsort((trials.observed_time, strata))
+        cells = 2 * trials.stratum_index.astype(np.int8) + trials.arm.astype(np.int8)
+        return tuple(np.take_along_axis(a, order, axis=1)
+                     for a in (trials.observed_time, trials.event, strata, cells))
 
-        lik = likelihood(trials)
-        assert (lik.j is None) == (ties == "breslow")
+    @classmethod
+    def _likelihood(cls, trials, p, stratified, ties):
+        """The engine's likelihood of the first p covariates of the cell design."""
+        time, event, strata, cells = cls._sorted(trials, stratified)
+        risk = _RiskSets.of(time, event, (cells & 1).astype(float),
+                            strata if stratified else None)
+        j = risk.counts.j if ties == "efron" else None
+        return _CoxLikelihood(risk, cells, inference._CELL_DESIGN[:p], j)
+
+    @classmethod
+    def _direct(cls, trials, p, stratified, ties, beta):
+        """ll, gradient, Hessian and each row's size of the death terms, with
+        each death's risk set summed over its subjects."""
+        time, event, strata, cells = cls._sorted(trials, stratified)
+        X = inference._CELL_DESIGN[:p, cells].transpose(1, 2, 0)  # (B, N, p)
+        eta = np.einsum("bnp,bp->bn", X, beta)
+        # [k, i]: subject i is at risk at k's time, and is a death tied with k
+        same = strata[:, :, None] == strata[:, None, :]
+        at_risk = same & (time[:, None, :] >= time[:, :, None])
+        tied = same & (time[:, None, :] == time[:, :, None]) & event[:, None, :]
+        # a death's rank among its block's deaths, in subject order
+        earlier = np.arange(time.shape[1])[None, :] < np.arange(time.shape[1])[:, None]
+        j = np.zeros(time.shape)
+        if ties == "efron":
+            j = (tied & earlier).sum(axis=2) / np.maximum(tied.sum(axis=2), 1)
+        weight = np.exp(eta)[:, None, :] * (at_risk - j[:, :, None] * tied)
+        s0 = weight.sum(axis=2)
+        s1 = np.einsum("bki,bip->bkp", weight, X)
+        s2 = np.einsum("bki,bip,biq->bkpq", weight, X, X)
+        r = s1 / s0[..., None]
+        e = event.astype(float)
+        ll = (e * (eta - np.log(s0))).sum(axis=1)
+        grad = np.einsum("bk,bkp->bp", e, X - r)
+        terms = s2 / s0[..., None, None] - r[..., :, None] * r[..., None, :]
+        hess = -np.einsum("bk,bkpq->bpq", e, terms)
+        scale = np.einsum("bk,bkp,bkq->bpq", e, np.abs(X), np.abs(X)).max(axis=(1, 2))
+        return ll, grad, hess, scale
+
+    @pytest.mark.parametrize("ties", TIE_METHODS)
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_rows_equal_single_row_calls_and_subject_sums(self, rows, ties):
+        # p = 1, 2 and 5 pad the last pair or not, on both layouts, with
+        # untied and month-tied times
+        for p, stratified, tied in itertools.product((1, 2, 5), (False, True), (False, True)):
+            self._check(rows, p, stratified, tied, ties)
+
+    def _check(self, rows, p, stratified, tied, ties):
+        trials = self._batch(rows, tied)
+        beta = np.random.default_rng(rows + p).normal(0.0, 0.3, (rows, p))
+        lik = self._likelihood(trials, p, stratified, ties)
+        if ties == "breslow" or not tied:
+            assert lik.j is None
+        elif rows > 1:
+            assert lik.j.max() > 0
         got = lik.evaluate(beta)
         for row in range(rows):
-            one = likelihood(TrialBatch(*(a[row:row + 1] for a in trials)))
+            one = self._likelihood(TrialBatch(*(a[row:row + 1] for a in trials)),
+                                   p, stratified, ties)
             for values, single in zip(got, one.evaluate(beta[row:row + 1])):
                 assert np.array_equal(values[row:row + 1], single), row
-        # the same likelihood with every sum taken over the subjects directly
-        monkeypatch.setattr(inference._CoxLikelihood, "_cell_sums", self._subject_sums)
-        direct = likelihood(trials).evaluate(beta)
-        assert np.array_equal(got[0], direct[0])
+        ll, grad, hess, scale = self._direct(trials, p, stratified, ties, beta)
+        assert np.all(np.abs(got[0] - ll) <= 1e-12 * np.abs(ll))
         # an entry is a difference of sums of terms up to the size of the
         # deaths' x and x x': it is held to 1e-12 of the larger of the two
-        scale = self._subject_sums(lik, lik.risk.event).max(axis=1)[:, None]
-        for values, want in zip(got[1:], direct[1:]):
+        for values, want in zip(got[1:], (grad, hess)):
             err = np.abs(values - want).reshape(rows, -1)
-            assert np.all(err <= 1e-12 * np.maximum(np.abs(want).reshape(rows, -1), scale))
+            assert np.all(err <= 1e-12 * np.maximum(np.abs(want).reshape(rows, -1),
+                                                    scale[:, None]))
+
+
+class TestPairedSums:
+    """A complex128 cumsum adds each part of its pairs as a float64 cumsum of
+    that part would, bit for bit, which the paired risk-set sums rely on."""
+
+    @staticmethod
+    def _parts():
+        rng = np.random.default_rng(2024)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                            2.2250738585072014e-308, 1e308, 1.7e308, -1.7e308, 1.0])
+        values = np.concatenate((special, rng.choice(special, 500),
+                                 rng.normal(0.0, 1.0, 500) * 10.0 ** rng.integers(-310, 308, 500),
+                                 np.full(40, 1e308), np.full(40, -0.0)))
+        return np.stack([rng.permutation(values) for _ in range(6)])
+
+    @pytest.mark.parametrize("reversed_view", [False, True], ids=["forward", "reversed"])
+    def test_complex_cumsum_is_two_float_cumsums(self, reversed_view):
+        parts = self._parts()  # rows 2m and 2m + 1 pair up
+        pairs = np.ascontiguousarray(parts.T).view(complex).T  # (3, n)
+        if reversed_view:
+            parts, pairs = parts[..., ::-1], pairs[..., ::-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = np.cumsum(pairs, axis=-1)
+            want = np.cumsum(parts, axis=-1)
+        for part, float_sums in ((got.real, want[0::2]), (got.imag, want[1::2])):
+            assert np.array_equal(part.view(np.uint64), float_sums.view(np.uint64))
 
 
 class TestFitDiagnostics:
