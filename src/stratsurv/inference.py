@@ -380,22 +380,24 @@ class _CoxLikelihood:
                                      for a in (self.start, self.end))
         self.death_cells = np.take(self.index, risk.deaths)
         self.death_sums = self._cell_sums(risk.event)[:, :self.p]
-        self.death = None if j is None else risk.deaths
+        # under Efron, the deaths' positions, and their tied blocks as runs from j = 0
+        self.death, self.blocks = (None, None) if j is None else (risk.deaths, _Runs(j == 0))
 
     def take(self, keep: np.ndarray) -> "_CoxLikelihood":
         # per-row arrays lose the rows not kept, and a flat index, whose row b
         # starts at b times its stride, renumbers those it keeps
-        rows = np.flatnonzero(keep)
+        rows = np.arange(len(self.deaths))[keep]
         n, k = self.index.shape[1], len(self.table)
         strides = {"index": k, "death_cells": k, "start": n + 1, "end": n + 1, "death": n}
         out = copy.copy(self)
         for name, value in vars(self).items():
-            if name in ("design", "table", "pairs", "p") or value is None:
+            if name in ("design", "table", "pairs", "p", "blocks") or value is None:
                 continue
             value = value[rows]
             if name in strides:
                 value += (np.arange(len(rows)) - rows)[:, None] * strides[name]
             setattr(out, name, value)
+        out.blocks = None if out.j is None else _Runs(out.j == 0)
         return out
 
     def _cell_sums(self, values: np.ndarray) -> np.ndarray:
@@ -409,9 +411,8 @@ class _CoxLikelihood:
 
     def _block_sums(self, values: np.ndarray) -> np.ndarray:
         """Per death, the sum of values (..., B, D) over its block's deaths."""
-        first = np.flatnonzero(self.j == 0)
-        sums = np.add.reduceat(values.reshape(values.shape[:-2] + (-1,)), first, axis=-1)
-        return np.repeat(sums, np.diff(first, append=self.j.size), axis=-1).reshape(values.shape)
+        sums = np.add.reduceat(values.reshape(*values.shape[:-2], -1), self.blocks.first, axis=-1)
+        return np.repeat(sums, self.blocks.length, axis=-1).reshape(values.shape)
 
     def evaluate(self, beta: np.ndarray):
         """Log-likelihood (B,), gradient (B, p) and Hessian (B, p, p) at beta (B, p)."""
@@ -437,8 +438,7 @@ class _CoxLikelihood:
             r = np.empty((rows, 2 * q, d))
             np.copyto(r.reshape(rows, q, 2, d),
                       at.view(np.float64).reshape(q, rows, d, 2).transpose(1, 0, 3, 2))
-            denom = r[:, 0]
-            inv = 1.0 / denom
+            denom, inv = r[:, 0], 1.0 / r[:, 0]
             ll = (np.take(eta, self.death_cells) - np.log(denom)).sum(axis=1)
             # c: the sum of 1/S0 over the deaths whose risk set holds each
             # subject, less the block's j/S0 for a death

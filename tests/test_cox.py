@@ -631,14 +631,19 @@ class TestPerCellSums:
         lik = self._likelihood(trials, p, stratified, ties)
         if ties == "breslow" or not tied:
             assert lik.j is None
-        elif rows > 1:
-            assert lik.j.max() > 0
+        elif rows > 1 or not stratified:
+            assert lik.j is not None and lik.j.max() > 0
         got = lik.evaluate(beta)
         for row in range(rows):
             one = self._likelihood(TrialBatch(*(a[row:row + 1] for a in trials)),
                                    p, stratified, ties)
             for values, single in zip(got, one.evaluate(beta[row:row + 1])):
                 assert np.array_equal(values[row:row + 1], single), row
+        # take keeps the same rows whether given a mask or their indices
+        kept = np.arange(rows) % 3 != 1
+        for taken in (lik.take(kept), lik.take(np.flatnonzero(kept))):
+            for values, want in zip(taken.evaluate(beta[kept]), got):
+                assert np.array_equal(values, want[kept])
         ll, grad, hess, scale = self._direct(trials, p, stratified, ties, beta)
         assert np.all(np.abs(got[0] - ll) <= 1e-12 * np.abs(ll))
         # an entry is a difference of sums of terms up to the size of the

@@ -1,6 +1,6 @@
 """Time the engine's stages on one generated batch at N = 95 and at N = 543.
 
-Usage: python tools/engine_stages.py [--runs K] [--ties efron|breslow] [--seed S]
+Usage: python tools/engine_stages.py [--runs K] [--ties efron|breslow]
 
 Takes the reference scenario-1 study (``configs/table1_scenario1.cfg``) rows
 with 66 and 380 target events, N = 95 and N = 543, and one batch of each of
@@ -130,12 +130,9 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=30, help="runs per stage (best is kept)")
     parser.add_argument("--ties", choices=inference.TIE_METHODS, default="efron")
-    parser.add_argument("--seed", type=int, help="master seed (default: the config's)")
     args = parser.parse_args(argv)
     cli._keep_freed_memory()
     study = load_study_config(str(ROOT / "configs" / "table1_scenario1.cfg"))
-    if args.seed is not None:
-        study = study.with_overrides(seed=args.seed)
     configs = {c.design.target_events: c for c in study.sim_configs()}
     results = [stage_times(configs[d], args.runs, args.ties) for d in EVENTS]
     print(f"best of {args.runs} runs, ties={args.ties}: us per replicate; for a fit, "
