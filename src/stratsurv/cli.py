@@ -8,6 +8,7 @@ failed study row), 130 interrupted (SIGINT, as from Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import signal
@@ -81,6 +82,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, top_level: bool) -> None:
                         help="emit machine-readable JSON on stdout")
 
 
+@functools.cache  # built once per process: each parse fills a fresh Namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stratsurv",
@@ -253,8 +255,7 @@ def cmd_design(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_memory()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, DataFormatError, InvalidParameterError) as exc:

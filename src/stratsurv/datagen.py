@@ -12,8 +12,9 @@ of its own D-th event. ``generate_trial`` is the one-trial case, wrapped in a
 Replicate i of a Monte Carlo run draws its block from
 ``RngStream(master_seed, i).generator()``, a ``SeedSequence`` -> ``PCG64`` ->
 ``Generator`` chain. The Monte Carlo path builds no such chain per replicate:
-``stream_states`` hashes a whole chunk's spawn keys at once, in numpy uint32
-arithmetic that transcribes ``SeedSequence``'s mixing, and
+``stream_states`` hashes a whole batch's spawn keys at once. numpy's
+``SeedSequence`` mixes the seed; only the mixing of the spawn keys and
+``generate_state`` are transcribed, in numpy uint32 arithmetic. Then
 ``stream_uniforms`` re-seeds one ``PCG64`` per replicate from those words.
 The draws equal the reference chain's bit for bit;
 ``tests/test_datagen.py::TestBatchedStreams`` holds them to it, so a numpy
@@ -82,50 +83,32 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate([_hash_spawn_keys(seed, a, b) for a, b in zip(edges, edges[1:])])
 
 
-def _uint32_words(value: int) -> list[int]:
-    """``value``'s little-endian uint32 words; 0 is one word."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
 def _hash_spawn_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     """``stream_states`` for indices lo..hi-1 that all have one spawn-word count.
 
-    Transcribes ``SeedSequence.mix_entropy`` and ``generate_state`` with each
-    uint32 word an array over the replicates (numpy wraps its products mod
-    2**32). The entropy is the seed's words, padded with zeros to the pool
-    size because a spawn key is present, then the spawn key's words.
+    numpy mixes the seed: ``SeedSequence(seed).pool`` is the pool after every
+    seed word, as a spawned sequence holds it before its spawn key's words.
+    This transcribes the rest of ``SeedSequence.mix_entropy``, which mixes each
+    spawn word into every pool word, and ``generate_state``, with each uint32
+    word an array over the replicates (numpy wraps its products mod 2**32).
     """
     index = np.arange(lo, hi, dtype=np.uint64)
     spawn = [(index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)]
-    seed_words = _uint32_words(int(seed))
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    entropy = [np.full(len(index), word, np.uint32) for word in seed_words]
-    entropy += spawn[:len(_uint32_words(lo))]
+    # (1,) arrays, not numpy scalars, whose wrapping products warn
+    pool = list(np.random.SeedSequence(seed).pool[:, None])
+    # the pool took one hashmix per pool word, one per ordered pair of distinct
+    # pool words and _POOL_SIZE per seed word beyond the pool
+    seed_words = max(1, (int(seed).bit_length() + 31) // 32)
+    hashmixes = _POOL_SIZE ** 2 + _POOL_SIZE * max(0, seed_words - _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, hashmixes, 1 << 32) & _MASK32
 
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * hash_const
-        return value ^ value >> _XSHIFT
-
-    def mix(x, y):
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y
-        return result ^ result >> _XSHIFT
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
+    for word in spawn[:2 if lo >> 32 else 1]:
         for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+            value = word ^ hash_const
+            hash_const = (hash_const * _MULT_A) & _MASK32
+            value = value * hash_const
+            value = _MIX_MULT_L * pool[i_dst] - _MIX_MULT_R * (value ^ value >> _XSHIFT)
+            pool[i_dst] = value ^ value >> _XSHIFT
 
     hash_const = _INIT_B
     state = np.empty((len(index), 8), np.uint32)

@@ -717,25 +717,13 @@ class TrialAnalyses(NamedTuple):
 def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyses:
     """Run the five analyses on every row of a batch of same-size trials.
 
-    The rows of a layout share their death count D, as a generated trial has
-    exactly D. Rows that differ in it, as in a hand-built batch, are analyzed
-    as one batch per count, then put back in order."""
+    The rows must share their death count D, as generated trials do: a batch
+    whose rows differ in it raises InvalidParameterError."""
     deaths = np.count_nonzero(batch.event, axis=1)
-    if np.all(deaths == deaths[:1]):
-        return _analyze(_Trials(batch), tie_method)
-    groups = [np.flatnonzero(deaths == d) for d in np.unique(deaths)]
-    parts = [_analyze(_Trials(TrialBatch(*(a[rows] for a in batch))), tie_method)
-             for rows in groups]
-    where = np.argsort(np.concatenate(groups))
-
-    def merged(*columns: np.ndarray) -> np.ndarray:
-        return np.concatenate(columns)[where]
-
-    fits = (_CoxFits(*map(merged, *fits)) for fits in zip(*(part.fits for part in parts)))
-    return TrialAnalyses(*map(merged, *(part[:2] for part in parts)), tuple(fits))
-
-
-def _analyze(trials: _Trials, tie_method: str) -> TrialAnalyses:
+    if np.any(deaths != deaths[:1]):
+        raise InvalidParameterError(
+            f"the rows of a batch must share their death count, got {np.unique(deaths).tolist()}")
+    trials = _Trials(batch)
     # the multivariate fit, with the largest working set, runs before the
     # layouts hold their arm counts (an untied one builds none for its j)
     order = (Method.COX_MULTIVARIATE, Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED)

@@ -58,11 +58,6 @@ SE_SCALES = ("log", "hr")
 #: study by 12%, against 4% for 2^15.
 BATCH_SUBJECT_ROWS = 2 ** 15
 
-#: Replicates whose stream states are hashed together: as many whole batches
-#: as fit in this, at least one. The hash's working set, about 100 bytes per
-#: replicate, stays near 0.4 MB whatever the row's size.
-SLAB_REPLICATES = 4096
-
 #: Largest replicate count of a study row. A row's columns take 58 bytes per
 #: replicate, so this bounds them to about 0.6 GB, twice that while they are
 #: concatenated.
@@ -143,22 +138,18 @@ class StudyRow:
 def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
     """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index).
 
-    The stream states are hashed a slab of whole batches at a time; replicates
-    are then drawn, generated and analyzed in batches of at most
-    BATCH_SUBJECT_ROWS subject rows. The results do not depend on the batching.
+    Each batch of at most BATCH_SUBJECT_ROWS subject rows hashes its stream
+    states, then is drawn, generated and analyzed. The results do not depend
+    on the batching.
     """
     zcrit = NormalDist().inv_cdf(config.design.alpha_one_sided)
     n = config.design.sample_size
     size = max(1, BATCH_SUBJECT_ROWS // n)
-    slab = size * max(1, SLAB_REPLICATES // size)
     batches = []
-    for first in range(lo, hi, slab):
-        states = stream_states(config.master_seed, first, min(first + slab, hi))
-        for start in range(0, len(states), size):
-            trials = generate_trials(config.design, config.scenario,
-                                     stream_uniforms(states[start:start + size], n))
-            batches.append(_replicate_columns(
-                analyze_trials(trials, config.tie_method), zcrit))
+    for start in range(lo, hi, size):
+        states = stream_states(config.master_seed, start, min(start + size, hi))
+        trials = generate_trials(config.design, config.scenario, stream_uniforms(states, n))
+        batches.append(_replicate_columns(analyze_trials(trials, config.tie_method), zcrit))
     return _concatenate(batches)
 
 

@@ -91,6 +91,20 @@ class TestDesignCommand:
         assert capsys.readouterr().out == (f"events (D): {record['events']}\n"
                                            f"sample size (N): {record['sample_size']}\n")
 
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        import argparse
+
+        from stratsurv.cli import main
+
+        parsers, real = [], argparse.ArgumentParser.parse_args
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, *args:
+                            parsers.append(self) or real(self, *args))
+        assert main(["--json", "design", "--hr", "0.6"]) == 0
+        assert json.loads(capsys.readouterr().out)["events"] == 121
+        assert main(["design", "--hr", "0.6"]) == 0
+        assert capsys.readouterr().out.startswith("events (D): 121\n")
+        assert len(parsers) == 2 and parsers[0] is parsers[1]
+
     def test_zero_event_fraction_is_validation_error(self, capsys):
         from stratsurv.cli import main
         assert main(["design", "--hr", "0.7", "--event-fraction", "0"]) == 2

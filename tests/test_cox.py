@@ -81,6 +81,17 @@ def _engine_terms(times, events, X, strata, ties, beta):
     return ll[0], grad[0], hess[0]
 
 
+def _rows(trials, rows):
+    """The batch of ``trials``' rows ``rows``, in that order."""
+    return TrialBatch(*(a[rows] for a in trials))
+
+
+def _first_deaths(event, d):
+    """Each row of ``event`` with its deaths after the first d, in subject
+    order, censored: every row that had d deaths or more has d."""
+    return event & (np.cumsum(event, axis=-1) <= d)
+
+
 UNSTRAT = AnalysisSpec(Method.COX_UNSTRATIFIED)
 MULT = AnalysisSpec(Method.COX_MULTIVARIATE)
 STRAT = AnalysisSpec(Method.COX_STRATIFIED)
@@ -365,7 +376,8 @@ class TestHeavyTies:
 
     @pytest.mark.parametrize("ties", TIE_METHODS)
     def test_edge_rows_of_a_batch_equal_single_dataset_calls(self, tied, ties):
-        # rows that stop or bend the analyses, in one batch with ordinary ones
+        # rows that stop or bend the analyses, in one batch with an ordinary
+        # one, all of 41 deaths; the no-events row is a batch of its own
         times, events, X, strata = tied
         n = 75
         time, event, arm, stratum = (np.array(values).reshape(4, n) for values in
@@ -374,33 +386,39 @@ class TestHeavyTies:
         arm[2][stratum[2] == 0] = 1       # stratum 0 holds treated subjects only
         late = np.arange(n) % 5 == 0      # enrolled after the cutoff: zero follow-up
         time[3][late], event[3][late] = 0.0, False
+        event = _first_deaths(event, 41)
+        assert np.count_nonzero(event, axis=1).tolist() == [41, 0, 41, 41]
         trials = TrialBatch(stratum_index=stratum, arm=arm, enroll_time=np.zeros((4, n)),
                             latent_event_time=time, observed_time=time, event=event,
                             cutoff_calendar_time=np.full(4, np.inf))
-        batch = analyze_trials(trials, ties)
-        for i in range(4):
-            ds = TrialDataset(np.arange(n),
-                              **{field: values[i] for field, values in trials._asdict().items()})
-            for stratified, z in ((False, batch.logrank_z), (True, batch.stratified_logrank_z)):
-                try:
-                    assert z[i] == logrank(ds, stratified).z
-                except DegenerateTestError:
-                    assert np.isnan(z[i])
-            for method, fits in zip(COX_METHODS, batch.fits):
-                try:
-                    one = cox_fit(ds, AnalysisSpec(method, ties))
-                except InvalidModelError as exc:
-                    with pytest.raises(InvalidModelError, match=re.escape(str(exc))):
-                        fits.fit(i, ())
-                    continue
-                row = fits.fit(i, one.covariate_names)
-                for field in ("beta", "covariance", "treatment_se", "loglik",
-                              "final_gradient_norm", "iterations"):
-                    assert np.array_equal(getattr(row, field), getattr(one, field),
-                                          equal_nan=True), field
-                assert row.diagnostic == one.diagnostic
-        assert np.isnan(batch.logrank_z[1])
-        assert np.all(batch.fits[2].converged[[0, 2, 3]])
+        shared, alone = ([0, 2, 3], [1])
+        shared_batch, alone_batch = (analyze_trials(_rows(trials, rows), ties)
+                                     for rows in (shared, alone))
+        for batch, rows in ((shared_batch, shared), (alone_batch, alone)):
+            for b, i in enumerate(rows):
+                ds = TrialDataset(np.arange(n), **{field: values[i] for field, values
+                                                   in trials._asdict().items()})
+                for stratified, z in ((False, batch.logrank_z),
+                                      (True, batch.stratified_logrank_z)):
+                    try:
+                        assert z[b] == logrank(ds, stratified).z
+                    except DegenerateTestError:
+                        assert np.isnan(z[b])
+                for method, fits in zip(COX_METHODS, batch.fits):
+                    try:
+                        one = cox_fit(ds, AnalysisSpec(method, ties))
+                    except InvalidModelError as exc:
+                        with pytest.raises(InvalidModelError, match=re.escape(str(exc))):
+                            fits.fit(b, ())
+                        continue
+                    row = fits.fit(b, one.covariate_names)
+                    for field in ("beta", "covariance", "treatment_se", "loglik",
+                                  "final_gradient_norm", "iterations"):
+                        assert np.array_equal(getattr(row, field), getattr(one, field),
+                                              equal_nan=True), field
+                    assert row.diagnostic == one.diagnostic
+        assert np.isnan(alone_batch.logrank_z[0])
+        assert np.all(shared_batch.fits[2].converged)
         # row 2's stratum 0 has no control subject, so it adds no variance
         contributing = sum(hypergeom_logrank(time[2][s], event[2][s], arm[2][s])[1] > 0
                            for s in (stratum[2] == k for k in np.unique(stratum[2])))
@@ -412,43 +430,50 @@ class TestHeavyTies:
     def test_rows_ending_every_way_equal_single_row_batches(self, monkeypatch, ties):
         # One batch whose unstratified fits end in each outcome that data and
         # the Newton constants can force, several of them in one iteration.
+        # Its rows share D = 12 deaths; the no-events row is a batch of its own.
         monkeypatch.setattr(inference, "MAX_ITERATIONS", 2)
         monkeypatch.setattr(inference, "MAX_HALVINGS", 0)
         n = 20
         i = np.arange(n)
         arm = np.tile(i % 2, (6, 1))
-        time = np.full((6, n), 10.0)
-        event = np.zeros((6, n), dtype=bool)
+        time = np.tile(2.0 + i, (6, 1))
+        event = np.tile(i < 12, (6, 1))
         # 0, converged at beta = 0: pairs tied at each time, one death per arm
-        time[0], event[0] = 1 + i // 2, i < 12
+        time[0] = 1 + i // 2
         # 1, no events: every subject censored
-        time[1] = 1 + i
+        event[1] = False
         # 2, rank deficient: every subject treated
-        arm[2], time[2], event[2] = 1, 1 + i, i % 3 == 0
+        arm[2], event[2] = 1, i % 5 < 3
         # 3, separation: the one treated subject dies first; a first step of
-        # about 1 / (share treated) = 20 lands beyond the coefficient bound
+        # about 1 / (share treated) = 20 lands beyond the coefficient bound,
+        # and the controls' later deaths, with no treated subject at risk,
+        # do not move it
         arm[3] = i == 1
-        time[3, 1], event[3, 1] = 1.0, True
+        time[3, 1] = 1.0
         # 4, halving failed: the first step (about 6) overshoots the maximum
-        # (about 2.5) to a lower log-likelihood, and no halving is allowed
+        # (about 2.5) to a lower log-likelihood, and no halving is allowed;
+        # the treated subject 1 is censored before the other controls die
         arm[4] = i < 2
-        time[4, 0], event[4, 0] = 1.0, True
-        time[4, 2], event[4, 2] = 2.0, True
+        time[4, :3], event[4] = (1.0, 2.5, 2.0), (i < 13) & (i != 1)
         # 5, maximum iterations: an ordinary fit needs more than two steps
-        time[5], event[5] = 1 + i + 7 * arm[5], i % 4 != 3
+        time[5], event[5] = 1 + i + 7 * arm[5], (i % 4 != 3) & (i < 16)
+        assert np.count_nonzero(event, axis=1).tolist() == [12, 0, 12, 12, 12, 12]
         trials = TrialBatch(stratum_index=np.tile((i // 2) % 12, (6, 1)),
                             arm=arm.astype(np.int8), enroll_time=np.zeros((6, n)),
                             latent_event_time=time, observed_time=time, event=event,
                             cutoff_calendar_time=np.full(6, np.inf))
-        batch = analyze_trials(trials, ties)
+        shared = [0, 2, 3, 4, 5]
+        batch = analyze_trials(_rows(trials, shared), ties)
         assert batch.fits[0].status.tolist() == [
-            inference._CONVERGED, inference._NO_EVENTS, inference._RANK_DEFICIENT,
-            inference._SEPARATION, inference._HALVING_FAILED, inference._MAX_ITER]
-        for row in range(6):
-            one = analyze_trials(TrialBatch(*(a[row:row + 1] for a in trials)), ties)
+            inference._CONVERGED, inference._RANK_DEFICIENT, inference._SEPARATION,
+            inference._HALVING_FAILED, inference._MAX_ITER]
+        assert analyze_trials(_rows(trials, [1]), ties).fits[0].status.tolist() == [
+            inference._NO_EVENTS]
+        for b, row in enumerate(shared):
+            one = analyze_trials(_rows(trials, [row]), ties)
             for fits, single in zip(batch.fits, one.fits):
                 for field, values in fits._asdict().items():
-                    assert np.array_equal(values[row:row + 1], getattr(single, field),
+                    assert np.array_equal(values[b:b + 1], getattr(single, field),
                                           equal_nan=True), (row, field)
         # row 4 alone: the step from beta = 0 fails and no halving is left, so
         # the fit is retired without copying the row it will not evaluate again
@@ -458,11 +483,11 @@ class TestHeavyTies:
             monkeypatch.setattr(inference._TreatmentLikelihood, name,
                                 lambda self, *args, name=name, real=real:
                                 calls.append(name) or real(self, *args))
-        row4 = inference._Trials(TrialBatch(*(a[4:5] for a in trials)))
+        row4 = inference._Trials(_rows(trials, [4]))
         fits = inference._newton(row4.likelihood(Method.COX_UNSTRATIFIED, ties))
         assert calls == ["evaluate", "evaluate"]
         for field, values in fits._asdict().items():
-            assert np.array_equal(values, getattr(batch.fits[0], field)[4:5], equal_nan=True)
+            assert np.array_equal(values, getattr(batch.fits[0], field)[3:4], equal_nan=True)
 
     def test_breslow_is_efron_with_zero_weights(self, tied):
         times, events, X, strata = tied
@@ -476,14 +501,17 @@ class TestHeavyTies:
         assert not np.array_equal(efron.evaluate(beta)[0], breslow.evaluate(beta)[0])
 
     def test_batch_rows_equal_single_dataset_calls(self, tied):
-        # three 100-subject datasets analyzed as one batch and one at a time
+        # three 100-subject datasets of 65 deaths analyzed as one batch and
+        # one at a time
         times, events, X, strata = tied
+        event = _first_deaths(events.reshape(3, 100), 65)
+        assert np.count_nonzero(event, axis=1).tolist() == [65, 65, 65]
         trials = TrialBatch(stratum_index=strata.reshape(3, 100),
                             arm=X[:, 0].astype(np.int8).reshape(3, 100),
                             enroll_time=np.zeros((3, 100)),
                             latent_event_time=times.reshape(3, 100),
                             observed_time=times.reshape(3, 100),
-                            event=events.reshape(3, 100),
+                            event=event,
                             cutoff_calendar_time=np.full(3, np.inf))
         batch = analyze_trials(trials, "efron")
         for i in range(3):
@@ -506,13 +534,12 @@ class TestHeavyTies:
 
 class TestDeathCounts:
     """The rows of one layout share their number of deaths: a batch whose
-    rows differ in it is analyzed as one batch per count."""
+    rows differ in it is refused."""
 
     @staticmethod
-    def _batches():
-        """Seven generated trials of D = 30 deaths, and the same batch with
-        hand-built rows of 0 deaths (row 1), 1 death (row 3) and D deaths in
-        tied blocks (row 5)."""
+    def _batch():
+        """Seven generated trials of D = 30 deaths, with hand-built rows of
+        0 deaths (row 1), 1 death (row 3) and D deaths in tied blocks (row 5)."""
         design = TrialDesign.from_event_target(0.6, 30)
         trials = generate_trials(design, ScenarioSpec.multiplicative_covariates(),
                                  stream_uniforms(stream_states(77, 0, 7), design.sample_size))
@@ -521,32 +548,25 @@ class TestDeathCounts:
         event[3] = False
         event[3, 5] = True
         time[5] = np.ceil(time[5] / 3.0)
-        return trials, trials._replace(event=event, observed_time=time)
+        return trials._replace(event=event, observed_time=time)
 
-    @staticmethod
-    def _record_batches(monkeypatch):
-        """The row counts of the batches ``analyze_trials`` analyzes."""
-        rows, real = [], inference._analyze
-        monkeypatch.setattr(inference, "_analyze", lambda trials, ties:
-                            rows.append(len(trials.time)) or real(trials, ties))
-        return rows
-
-    def test_generated_batch_is_not_split(self, monkeypatch):
-        trials, _ = self._batches()
-        rows = self._record_batches(monkeypatch)
-        analyze_trials(trials)
-        assert rows == [7]
+    def test_mixed_counts_are_refused(self):
+        trials = self._batch()
+        assert np.count_nonzero(trials.event, axis=1).tolist() == [30, 0, 30, 1, 30, 30, 30]
+        # rows 0 to 2 hold 60 deaths, 20 a row on average, which would
+        # reshape to (3, 20) without the check
+        for mixed in (trials, _rows(trials, [0, 1, 2])):
+            with pytest.raises(InvalidParameterError, match="share their death count"):
+                analyze_trials(mixed)
 
     @pytest.mark.parametrize("ties", TIE_METHODS)
-    def test_mixed_rows_equal_single_row_batches(self, monkeypatch, ties):
-        _, trials = self._batches()
-        rows = self._record_batches(monkeypatch)
+    def test_rows_equal_single_row_batches(self, ties):
+        trials = _rows(self._batch(), [0, 2, 4, 5, 6])
+        time, event = trials.observed_time[3], trials.event[3]
+        assert len(np.unique(time[event])) < 30  # the tied row
         batch = analyze_trials(trials, ties)
-        assert sorted(rows) == [1, 1, 5]
-        assert np.count_nonzero(trials.event, axis=1).tolist() == [30, 0, 30, 1, 30, 30, 30]
-        assert np.isnan(batch.logrank_z).tolist() == [False, True] + [False] * 5
-        for row in range(7):
-            one = analyze_trials(TrialBatch(*(a[row:row + 1] for a in trials)), ties)
+        for row in range(5):
+            one = analyze_trials(_rows(trials, [row]), ties)
             for z in ("logrank_z", "stratified_logrank_z"):
                 assert np.array_equal(getattr(batch, z)[row:row + 1], getattr(one, z),
                                       equal_nan=True), (row, z)

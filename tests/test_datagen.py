@@ -92,7 +92,9 @@ class TestBatchedStreams:
     numpy release that changed either would fail them.
     """
 
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 + 3, 2**128 + 5, 2**200 + 11]
+    # seeds of 1, 2, 3, 4 (the pool size), 5 and 7 uint32 words
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 + 3, 2**96 + 9, 2**128 + 5,
+             2**200 + 11]
     # one spawn word, and a range whose second half needs two
     RANGES = [(0, 40), (2**32 - 20, 2**32 + 20)]
 

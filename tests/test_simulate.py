@@ -120,8 +120,7 @@ class TestReferenceColumns:
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * cfg.design.sample_size)
         assert_same(sim._replicate_range(cfg, 3, 20), Replicates(*(c[3:20] for c in whole)))
         assert_same(sim._replicate_range(cfg, 0, 37), whole)
-        # stream states hashed a slab of two whole batches at a time
-        monkeypatch.setattr(sim, "SLAB_REPLICATES", 12)
+        # stream states hashed one batch at a time
         calls = []
 
         def spy(seed, lo, hi):
@@ -129,7 +128,7 @@ class TestReferenceColumns:
             return stream_states(seed, lo, hi)
         monkeypatch.setattr(sim, "stream_states", spy)
         assert_same(sim._replicate_range(cfg, 3, 37), Replicates(*(c[3:37] for c in whole)))
-        assert calls == [(3, 13), (13, 23), (23, 33), (33, 37)]
+        assert calls == [(3, 8), (8, 13), (13, 18), (18, 23), (23, 28), (28, 33), (33, 37)]
 
 
 def _unequal_row(events, replicates=1):

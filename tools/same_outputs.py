@@ -22,7 +22,10 @@ dataset, stdout or fit record that differs and exits 1 if any does, else 0.
 For a differing sidecar, JSON stdout or fit record it also prints how far its
 numbers moved: the largest relative difference |a - b| / max(|a|, |b|) and
 where it occurs, NaN equal to NaN (inf where a value or key is on one side only,
-or a string or NaN changed), for a fit record once per field.
+or a string or NaN changed), for a fit record once per field. A p-value
+(``p_one_sided``) is compared on the log scale, |log a - log b| /
+max(|log a|, |log b|): on that scale a far-tail p moves about twice as far,
+relatively, as its z, while p itself moves about z^2 times as far.
 """
 
 from __future__ import annotations
@@ -149,6 +152,16 @@ def relative_differences(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(np.isnan(rel), np.inf, rel)
 
 
+def compared_values(key: str, values) -> np.ndarray:
+    """``values`` as ``largest_difference`` compares them: the log of a
+    p-value, anything else as it is."""
+    values = np.asarray(values, dtype=float)
+    if not key.endswith("p_one_sided"):
+        return values
+    with np.errstate(divide="ignore"):
+        return np.log(values)
+
+
 def json_numbers(value, where: str = "") -> dict[str, object]:
     """The leaves of a JSON value by their path, such as ``rows[2].power.logrank``."""
     if isinstance(value, dict):
@@ -173,7 +186,7 @@ def largest_difference(theirs: dict, ours: dict) -> str:
         elif not np.size(a):
             continue
         else:
-            diffs = relative_differences(a, b)
+            diffs = relative_differences(compared_values(key, a), compared_values(key, b))
             index = np.unravel_index(np.argmax(diffs), diffs.shape)
             found = (float(diffs[index]), key + "".join(f"[{i}]" for i in index),
                      *(v if np.ndim(v) == 0 else np.asarray(v)[index].item() for v in (a, b)))
