@@ -11,20 +11,22 @@ of its own D-th event. ``generate_trial`` is the one-trial case, wrapped in a
 
 Replicate i of a Monte Carlo run draws its block from
 ``RngStream(master_seed, i).generator()``, a ``SeedSequence`` -> ``PCG64`` ->
-``Generator`` chain. The Monte Carlo path builds no such chain per replicate:
-``stream_states`` hashes a whole batch's spawn keys at once. numpy's
-``SeedSequence`` mixes the seed; only the mixing of the spawn keys and
+``Generator`` chain. The Monte Carlo path builds no ``SeedSequence`` per
+replicate: ``stream_states`` hashes a whole batch's spawn keys at once.
+numpy's ``SeedSequence`` mixes the seed; only the mixing of the spawn key and
 ``generate_state`` are transcribed, in numpy uint32 arithmetic. Then
-``stream_uniforms`` re-seeds one ``PCG64`` per replicate from those words.
-The draws equal the reference chain's bit for bit;
+``stream_uniforms`` hands each replicate's words to numpy's own ``PCG64``
+seeding, through the ``ISeedSequence`` interface. The draws equal the
+reference chain's bit for bit;
 ``tests/test_datagen.py::TestBatchedStreams`` holds them to it, so a numpy
-release that changed ``SeedSequence`` or ``PCG64`` seeding would fail it.
+release that changed the ``SeedSequence`` hash would fail it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -34,15 +36,13 @@ from .trial import STRATUM_COUNT, ScenarioSpec, TrialDesign, control_rate_table
 
 TREATMENT = 1
 
-# numpy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding (pcg64.h)
+# numpy's SeedSequence hash (bit_generator.pyx)
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA4_4385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -76,24 +76,16 @@ def stream_states(seed: int, lo: int, hi: int) -> np.ndarray:
     (hi - lo, 4) uint64 array: row i - lo is
     ``SeedSequence(seed, spawn_key=(i,)).generate_state(4, np.uint64)``.
 
-    An index below 2**32 is one spawn word and a larger one (below 2**64) two,
-    so a range that crosses 2**32 is hashed in one call per word count.
-    """
-    edges = [lo, 1 << 32, hi] if lo < 1 << 32 < hi else [lo, hi]
-    return np.concatenate([_hash_spawn_keys(seed, a, b) for a, b in zip(edges, edges[1:])])
-
-
-def _hash_spawn_keys(seed: int, lo: int, hi: int) -> np.ndarray:
-    """``stream_states`` for indices lo..hi-1 that all have one spawn-word count.
-
     numpy mixes the seed: ``SeedSequence(seed).pool`` is the pool after every
-    seed word, as a spawned sequence holds it before its spawn key's words.
-    This transcribes the rest of ``SeedSequence.mix_entropy``, which mixes each
-    spawn word into every pool word, and ``generate_state``, with each uint32
-    word an array over the replicates (numpy wraps its products mod 2**32).
+    seed word, as a spawned sequence holds it before its spawn key's word.
+    This transcribes the rest of ``SeedSequence.mix_entropy``, which mixes the
+    one spawn word of an index below 2**32 into every pool word, and
+    ``generate_state``, with each uint32 word an array over the replicates
+    (numpy wraps its products mod 2**32). A range past 2**32 is refused.
     """
-    index = np.arange(lo, hi, dtype=np.uint64)
-    spawn = [(index & _MASK32).astype(np.uint32), (index >> 32).astype(np.uint32)]
+    if hi > 1 << 32:
+        raise InvalidParameterError(f"stream index {hi - 1} is past 2**32 - 1")
+    word = np.arange(lo, hi, dtype=np.uint32)
     # (1,) arrays, not numpy scalars, whose wrapping products warn
     pool = list(np.random.SeedSequence(seed).pool[:, None])
     # the pool took one hashmix per pool word, one per ordered pair of distinct
@@ -102,16 +94,15 @@ def _hash_spawn_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     hashmixes = _POOL_SIZE ** 2 + _POOL_SIZE * max(0, seed_words - _POOL_SIZE)
     hash_const = _INIT_A * pow(_MULT_A, hashmixes, 1 << 32) & _MASK32
 
-    for word in spawn[:2 if lo >> 32 else 1]:
-        for i_dst in range(_POOL_SIZE):
-            value = word ^ hash_const
-            hash_const = (hash_const * _MULT_A) & _MASK32
-            value = value * hash_const
-            value = _MIX_MULT_L * pool[i_dst] - _MIX_MULT_R * (value ^ value >> _XSHIFT)
-            pool[i_dst] = value ^ value >> _XSHIFT
+    for i_dst in range(_POOL_SIZE):
+        value = word ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * hash_const
+        value = _MIX_MULT_L * pool[i_dst] - _MIX_MULT_R * (value ^ value >> _XSHIFT)
+        pool[i_dst] = value ^ value >> _XSHIFT
 
     hash_const = _INIT_B
-    state = np.empty((len(index), 8), np.uint32)
+    state = np.empty((hi - lo, 8), np.uint32)
     for i_dst in range(8):
         value = pool[i_dst % _POOL_SIZE] ^ hash_const
         hash_const = (hash_const * _MULT_B) & _MASK32
@@ -120,24 +111,36 @@ def _hash_spawn_keys(seed: int, lo: int, hi: int) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
+@cache
+def _seed_words() -> type:
+    """The class that hands a ``stream_states`` row to ``PCG64`` as its seed
+    sequence, made on first use so that importing stratsurv leaves
+    ``numpy.random`` unloaded. ``PCG64`` reads the words by their raw data
+    pointer, so it may ask for the row's uint64 words and nothing else."""
+
+    class SeedWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != len(self.words) or np.dtype(dtype) != np.uint64:
+                raise RuntimeError(f"PCG64 asked for {n_words} {np.dtype(dtype)} seed words")
+            return self.words
+
+    return SeedWords
+
+
 def stream_uniforms(states: np.ndarray, n: int) -> np.ndarray:
     """The (4, B, N) uniform block of the B streams whose ``stream_states``
     rows are ``states``: row b of each (B, N) slice is drawn as
     ``RngStream(seed, i).generator().random((4, n))`` would draw it.
 
-    One ``PCG64`` is re-seeded per stream, as ``PCG64(seed_sequence)`` seeds
-    itself from the four words ``w``: seed ``w0 << 64 | w1``, increment
-    ``(w2 << 64 | w3) << 1 | 1``, then two steps of the LCG.
+    Each row seeds its own ``PCG64`` through numpy's ``ISeedSequence`` interface.
     """
-    bit_generator = np.random.PCG64(0)
-    gen = np.random.Generator(bit_generator)
+    states, seed_words = np.ascontiguousarray(states, dtype=np.uint64), _seed_words()
     block = np.empty((len(states), 4, n))
-    for row, (w0, w1, w2, w3) in zip(block, states.tolist()):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        state = (((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        gen.random(out=row)
+    for row, words in zip(block, states):
+        np.random.Generator(np.random.PCG64(seed_words(words))).random(out=row)
     return block.transpose(1, 0, 2)
 
 

@@ -205,8 +205,11 @@ class _ArmCounts(NamedTuple):
 
 
 class _RiskSets:
-    """B datasets of N subjects, each row sorted by (stratum, time).
+    """B datasets of N subjects, each row sorted by (stratum, time); without
+    strata each row is one stratum.
 
+    ``death`` is the one event array a layout keeps: the 0/1 flags as floats,
+    which the bincount weights and arm products read as they are.
     ``new_stratum`` and ``new_block`` flag the first position of each stratum
     and of each tied (stratum, time) block. The runs are indexed on first use,
     and two common shapes skip the gathers they feed without changing a value:
@@ -214,27 +217,17 @@ class _RiskSets:
     with one stratum per row.
     """
 
-    def __init__(self, event: np.ndarray, arm: np.ndarray, new_stratum: np.ndarray,
-                 new_block: np.ndarray):
-        self.death = event
-        self.event = event.astype(float)
-        self.arm = arm
-        self.new_stratum = new_stratum
-        self.new_block = new_block
-        self.untied = bool(new_block.all())
-        self.pooled = not new_stratum[:, 1:].any()
-
-    @classmethod
-    def of(cls, time, event, arm, strata=None):
-        """Layout of (B, N) arrays whose rows are sorted by (stratum, time);
-        without strata each row is one stratum."""
-        new_stratum = np.zeros(time.shape, dtype=bool)
-        new_stratum[:, :1] = True
+    def __init__(self, time: np.ndarray, death: np.ndarray, arm: np.ndarray,
+                 strata: np.ndarray | None = None):
+        self.death, self.arm = death.astype(float), arm
+        self.new_stratum = np.zeros(time.shape, dtype=bool)
+        self.new_stratum[:, :1] = True
         if strata is not None:
-            new_stratum[:, 1:] = strata[:, 1:] != strata[:, :-1]
-        new_block = new_stratum.copy()
-        new_block[:, 1:] |= time[:, 1:] != time[:, :-1]
-        return cls(event, arm, new_stratum, new_block)
+            self.new_stratum[:, 1:] = strata[:, 1:] != strata[:, :-1]
+        self.new_block = self.new_stratum.copy()
+        self.new_block[:, 1:] |= time[:, 1:] != time[:, :-1]
+        self.untied = bool(self.new_block.all())
+        self.pooled = not self.new_stratum[:, 1:].any()
 
     @cached_property
     def _strata(self) -> _Runs:
@@ -277,7 +270,7 @@ class _RiskSets:
         d, j = 1.0, None
         if not self.untied:
             deaths = self._block_deaths
-            treated = np.add.reduceat((self.arm * self.event).ravel(), self._blocks.first)
+            treated = np.add.reduceat((self.arm * self.death).ravel(), self._blocks.first)
             # each block's values at its deaths; a death's rank in its block:
             # its place in at less the block's first (exact)
             d, d1, first = (np.repeat(v, deaths).reshape(at.shape) for v in
@@ -379,7 +372,7 @@ class _CoxLikelihood:
                                      np.diff(a - row, axis=1, prepend=0, append=n)
                                      for a in (self.start, self.end))
         self.death_cells = np.take(self.index, risk.deaths)
-        self.death_sums = self._cell_sums(risk.event)[:, :self.p]
+        self.death_sums = self._cell_sums(risk.death)[:, :self.p]
         # under Efron, the deaths' positions, and their tied blocks as runs from j = 0
         self.death, self.blocks = (None, None) if j is None else (risk.deaths, _Runs(j == 0))
 
@@ -679,8 +672,8 @@ class _Trials:
 
     def _layout(self, order: np.ndarray, cells: np.ndarray, stratified: bool) -> _RiskSets:
         time, event = np.take(self.time, order), np.take(self.event, order)
-        return _RiskSets.of(time, event, (cells & 1).astype(float),
-                            cells >> 1 if stratified else None)
+        return _RiskSets(time, event, (cells & 1).astype(float),
+                         cells >> 1 if stratified else None)
 
     @cached_property
     def pooled(self) -> _RiskSets:

@@ -59,6 +59,13 @@ print(json.dumps([codes, loaded]))
         assert loaded == []
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
 
+    def test_cli_import_loads_no_numpy_random(self):
+        # only the Monte Carlo path draws; fit and design never pay numpy.random's import
+        code = "import sys, stratsurv.cli; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
 
 class TestDesignCommand:
     def test_reference_design(self):

@@ -63,7 +63,7 @@ def _layout(times, events, X, strata):
     order = np.lexsort((times, strata))
     design = np.asarray(X, float)[order].T
     times, events, strata = (np.asarray(a)[order][None] for a in (times, events, strata))
-    risk = _RiskSets.of(times, events, design[None, 0], strata)
+    risk = _RiskSets(times, events, design[None, 0], strata)
     return risk, np.arange(len(order))[None], design
 
 
@@ -603,8 +603,8 @@ class TestPerCellSums:
     def _likelihood(cls, trials, p, stratified, ties):
         """The engine's likelihood of the first p covariates of the cell design."""
         time, event, strata, cells = cls._sorted(trials, stratified)
-        risk = _RiskSets.of(time, event, (cells & 1).astype(float),
-                            strata if stratified else None)
+        risk = _RiskSets(time, event, (cells & 1).astype(float),
+                         strata if stratified else None)
         j = risk.counts.j if ties == "efron" else None
         return _CoxLikelihood(risk, cells, inference._CELL_DESIGN[:p], j)
 
@@ -752,6 +752,16 @@ class _Hyperbola(_FakeLikelihood):
         return -s[:, 0], -x / s, -(1.0 / (s * s * s))[..., None]
 
 
+class _Terrace(_FakeLikelihood):
+    """One parameter: ll = ll0 where |b| <= t and ll1 beyond, with gradient 1
+    and information 1 everywhere, so every Newton step is 1 and only the
+    acceptance, halving and flat-likelihood rules decide where a fit ends."""
+
+    def evaluate(self, beta):
+        ll = np.where(np.abs(beta) <= self.params["t"], self.params["ll0"], self.params["ll1"])
+        return ll[:, 0], np.ones_like(beta), -np.ones(beta.shape + (1,))
+
+
 def _fits_equal(batch, row, single):
     for field, values in batch._asdict().items():
         assert np.array_equal(values[row:row + 1], getattr(single, field),
@@ -838,6 +848,60 @@ class TestNewtonOutcomes:
             _fits_equal(fits, row, inference._newton(lik.take([row])))
         assert fits.status[-1] == (inference._CONVERGED if max_halvings == 20
                                    else inference._HALVING_FAILED)
+
+    # Each documented Newton constant at its edge: the rows on either side of
+    # it end differently, so a constant moved past the row fails the test.
+
+    def test_coefficient_bound(self):
+        # one accepted step from 0 to the maximum c; only |c| > 15 is separation
+        c = np.array([[14.5], [-14.5], [15.5]])
+        lik = _Quadratic(g=c, H0=np.ones((3, 1, 1)), H1=np.ones((3, 1, 1)))
+        fits = inference._newton(lik)
+        assert fits.status.tolist() == [
+            inference._CONVERGED, inference._CONVERGED, inference._SEPARATION]
+        assert fits.beta[:, 0].tolist() == [14.5, -14.5, 15.5]
+        assert fits.iterations.tolist() == [1, 1, 1]
+        for row in range(3):
+            _fits_equal(fits, row, inference._newton(lik.take([row])))
+
+    def test_flat_loglik_tolerance(self):
+        # the step to b = 1 raises ll by 5e-12 (not flat) or 5e-13 (flat) of
+        # |ll| = 1 with the gradient still 1; the step to 2 leaves it unchanged
+        rise = np.array([[5e-12], [5e-13]])
+        lik = _Terrace(t=np.full((2, 1), 0.5), ll0=-np.ones((2, 1)), ll1=-1.0 + rise)
+        fits = inference._newton(lik)
+        assert fits.status.tolist() == [inference._CONVERGED] * 2
+        assert fits.iterations.tolist() == [2, 1]
+        assert fits.beta[:, 0].tolist() == [2.0, 1.0]
+        assert fits.gradient_norm.tolist() == [1.0, 1.0]
+        for row in range(2):
+            _fits_equal(fits, row, inference._newton(lik.take([row])))
+
+    def test_halving_cap(self):
+        # ll falls beyond |b| = 2^-20 (2^-21), so the first step of 1 is
+        # accepted after exactly 20 (21) halvings; at most 20 are allowed
+        t = np.array([[2.0 ** -20], [2.0 ** -21]])
+        lik = _Terrace(t=t, ll0=np.zeros((2, 1)), ll1=-np.ones((2, 1)))
+        fits = inference._newton(lik)
+        assert fits.status.tolist() == [inference._CONVERGED, inference._HALVING_FAILED]
+        assert fits.iterations.tolist() == [1, 0]
+        assert fits.beta[:, 0].tolist() == [2.0 ** -20, 0.0]
+        for row in range(2):
+            _fits_equal(fits, row, inference._newton(lik.take([row])))
+
+    def test_step_acceptance_slack(self):
+        # a step that lowers ll = -3 by 1e-9 (|ll| + 1) is rejected and its
+        # half, which keeps ll, accepted; a fall of 5e-11 (|ll| + 1) is within
+        # the 1e-10 (|ll| + 1) slack, so that row takes the full step and, from
+        # b = 1, one more at the same ll
+        fall = np.array([[1e-9], [5e-11]]) * 4.0
+        lik = _Terrace(t=np.full((2, 1), 0.5), ll0=np.full((2, 1), -3.0), ll1=-3.0 - fall)
+        fits = inference._newton(lik)
+        assert fits.status.tolist() == [inference._CONVERGED] * 2
+        assert fits.beta[:, 0].tolist() == [0.5, 2.0]
+        assert fits.iterations.tolist() == [1, 2]
+        for row in range(2):
+            _fits_equal(fits, row, inference._newton(lik.take([row])))
 
 
 class TestOneByOneSystems:

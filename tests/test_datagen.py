@@ -10,7 +10,6 @@ from scipy.stats import kstest
 import stratsurv.simulate as sim
 from stratsurv import datagen
 from _oracles import naive_trial
-from _replay import assert_same, replay_replicates
 from stratsurv.datagen import (
     RngStream,
     TrialDataset,
@@ -87,38 +86,79 @@ def _reference_uniforms(seed, indices, n):
 class TestBatchedStreams:
     """The Monte Carlo path's streams against the SeedSequence reference, bit for bit.
 
-    ``stream_states`` transcribes numpy's SeedSequence hash and
-    ``stream_uniforms`` its PCG64 seeding, so these tests are the contract: a
-    numpy release that changed either would fail them.
+    ``stream_states`` transcribes numpy's spawn-key hash and ``generate_state``;
+    ``stream_uniforms`` hands each row to numpy's own ``PCG64`` seeding. These
+    tests are the contract: a numpy release that changed the hash would fail them.
     """
 
     # seeds of 1, 2, 3, 4 (the pool size), 5 and 7 uint32 words
     SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 + 7, 2**64 + 3, 2**96 + 9, 2**128 + 5,
              2**200 + 11]
-    # one spawn word, and a range whose second half needs two
-    RANGES = [(0, 40), (2**32 - 20, 2**32 + 20)]
+    # the first and the last 40 indices of one spawn word
+    RANGES = [(0, 40), (2**32 - 40, 2**32)]
 
-    @pytest.mark.parametrize("lo, hi", RANGES, ids=["one_word", "crossing_2_32"])
+    @pytest.mark.parametrize("lo, hi", RANGES, ids=["one_word", "last_one_word"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_uniforms_equal_reference(self, seed, lo, hi):
         got = stream_uniforms(stream_states(seed, lo, hi), 5)
         assert np.array_equal(got, _reference_uniforms(seed, range(lo, hi), 5))
 
     def test_states_are_generate_state_words(self):
-        for seed, index in [(0, 0), (2**64 + 3, 2**32 + 1)]:
+        for seed, index in [(0, 0), (2**64 + 3, 2**32 - 1)]:
             want = np.random.SeedSequence(seed, spawn_key=(index,)).generate_state(4, np.uint64)
             assert np.array_equal(stream_states(seed, index, index + 1), [want])
 
-    def test_chunk_across_2_32_equals_its_replay(self):
-        # replicates on both sides of the spawn key's second word; no row may
-        # hold that many (MAX_REPLICATES), but a range runs the indices it is
-        # given, as their one-trial replay does
+    def test_any_integer_layout_of_states_draws_the_same(self):
+        # PCG64 reads its seed words through their raw data pointer
+        seed, lo, hi = 2**63 + 7, 10, 16
+        states = stream_states(seed, lo, hi)
+        spread = np.zeros((2 * len(states), 4), np.uint64)
+        spread[::2] = states
+        want = _reference_uniforms(seed, range(lo, hi), 5)
+        for layout in (states.astype(">u8"), states.astype(np.int64), spread[::2]):
+            assert np.array_equal(stream_uniforms(layout, 5), want), layout.dtype
+
+    def test_seed_words_refuse_other_requests(self):
+        states = stream_states(3, 0, 2)
+        words = datagen._seed_words()(states[0])
+        assert words.generate_state(4, "uint64") is words.words
+        for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint64)]:
+            with pytest.raises(RuntimeError, match=f"asked for {n_words} {np.dtype(dtype)} seed"):
+                words.generate_state(n_words, dtype)
+        # rows of 3 words: PCG64 asks for 4
+        with pytest.raises(RuntimeError, match="asked for 4 uint64 seed words"):
+            stream_uniforms(states[:, :3], 5)
+
+    def test_range_past_2_32_refused(self):
+        # no row may hold that many replicates (MAX_REPLICATES); a range that
+        # would need a second spawn word is refused, not hashed
         design = TrialDesign.from_event_target(0.6, 12)
         config = sim.SimConfig(scenario=ScenarioSpec.multiplicative_covariates(),
                                design=design, replicates=sim.MAX_REPLICATES,
                                master_seed=2**63 + 7)
         lo, hi = 2**32 - 2, 2**32 + 2
-        assert_same(sim._replicate_range(config, lo, hi), replay_replicates(config, lo, hi))
+        with pytest.raises(InvalidParameterError, match="past 2\\*\\*32 - 1"):
+            stream_states(config.master_seed, lo, hi)
+        with pytest.raises(InvalidParameterError, match="past 2\\*\\*32 - 1"):
+            sim._replicate_range(config, lo, hi)
+
+    def test_one_seed_sequence_per_batch(self, monkeypatch):
+        # the harness hashes each batch's spawn keys at once and builds no
+        # SeedSequence per replicate (README, "Determinism")
+        design = TrialDesign.from_event_target(0.6, 12)
+        config = sim.SimConfig(scenario=ScenarioSpec.multiplicative_covariates(),
+                               design=design, replicates=11, master_seed=5)
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * design.sample_size)
+        built = []
+
+        class Counted(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Counted)
+        sim._replicate_range(config, 0, 11)  # batches of 5, 5 and 1
+        assert len(built) == 3
 
 
 class TestStableArgsort:
