@@ -12,12 +12,16 @@ those columns in replicate order.
 
 The worker count is a setting of the run, not of a study cell: each call
 resolves one width w for all its rows. At w = 1 every row runs in this
-process. Otherwise every row's chunks of ceil(n / w) replicates are queued on
-one process pool up front, in row order, and each row is collected in
-replicate order. A row whose chunk raises fails alone. A killed worker breaks
-the pool, whichever row's chunk it ran: the row being collected runs again
-alone on a fresh pool and fails only if that pool breaks too, and the rows
-after it run on a fresh pool.
+process, and no pool module is imported. Otherwise a row of B batches of b
+replicates is cut into min(B, 4 w) chunks. Uncapped, the chunks' lengths
+differ by at most one, so each is at most one batch; capped, each chunk is
+whole batches, their counts differing by at most one, so the row still runs
+as B batches. Every row's chunks are queued on one process pool up front,
+heaviest first by length times N, equal ones in row and index order, and each
+row is collected in replicate order. A row whose chunk raises fails alone. A
+killed worker breaks the pool, whichever row's chunk it ran: the row being
+collected runs again alone on a fresh pool and fails only if that pool breaks
+too, and the rows after it run on a fresh pool.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -57,6 +59,11 @@ SE_SCALES = ("log", "hr")
 #: faster still but lifted the peak resident memory of a six-row 2-worker
 #: study by 12%, against 4% for 2^15.
 BATCH_SUBJECT_ROWS = 2 ** 15
+
+#: Most chunks a row is cut into per pool worker. The cap binds only on rows
+#: of more than 4 w batches, and keeps a row of millions of replicates from
+#: queuing a future per batch.
+CHUNKS_PER_WORKER = 4
 
 #: Largest replicate count of a study row. A row's columns take 58 bytes per
 #: replicate, so this bounds them to about 0.6 GB, twice that while they are
@@ -144,13 +151,17 @@ def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
     """
     zcrit = NormalDist().inv_cdf(config.design.alpha_one_sided)
     n = config.design.sample_size
-    size = max(1, BATCH_SUBJECT_ROWS // n)
+    size = _batch_replicates(config)
     batches = []
     for start in range(lo, hi, size):
         states = stream_states(config.master_seed, start, min(start + size, hi))
         trials = generate_trials(config.design, config.scenario, stream_uniforms(states, n))
         batches.append(_replicate_columns(analyze_trials(trials, config.tie_method), zcrit))
     return _concatenate(batches)
+
+
+def _batch_replicates(config: SimConfig) -> int:
+    return max(1, BATCH_SUBJECT_ROWS // config.design.sample_size)
 
 
 def _replicate_columns(analyses: TrialAnalyses, zcrit: float) -> Replicates:
@@ -237,6 +248,8 @@ def _run_rows(configs: list[SimConfig], workers: int | None) -> list[Replicates 
     w = _resolve_workers(configs, workers)
     if w == 1:
         return [_run_in_process(config) for config in configs]
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes: list[Replicates | Exception] = []
     while len(outcomes) < len(configs):
         try:
@@ -264,12 +277,23 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
     """Append the rows' outcomes from one pool of w workers, which is shut down
     before this returns or raises; a row that finds it broken raises
     BrokenProcessPool."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    plan = [_chunks(config, w) for config in configs]
+    # heaviest first (Graham's LPT rule), so the idle tail is the lightest
+    # chunk's; the sort is stable, so equal chunks keep row and index order
+    tasks = sorted(((row, lo, hi) for row, ranges in enumerate(plan) for lo, hi in ranges),
+                   key=lambda task: -(task[2] - task[1]) * configs[task[0]].design.sample_size)
     # the workers ignore SIGINT, so a Ctrl-C sent to the whole process group
     # interrupts this process alone, which drops the pending chunks below
     pool = ProcessPoolExecutor(max_workers=w, initializer=signal.signal,
                                initargs=(signal.SIGINT, signal.SIG_IGN))
     try:
-        for futures in [_submit(pool, config, w) for config in configs]:
+        submitted = {(row, lo): pool.submit(_replicate_range, configs[row], lo, hi)
+                     for row, lo, hi in tasks}
+        for row, ranges in enumerate(plan):
+            futures = [submitted[row, lo] for lo, _ in ranges]
             try:
                 outcomes.append(_concatenate([fut.result() for fut in futures]))
             except BrokenProcessPool:
@@ -283,20 +307,26 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
         pool.shutdown(cancel_futures=True)
 
 
-def _submit(pool: ProcessPoolExecutor, config: SimConfig, w: int) -> list[Future]:
-    """One row's chunks of ceil(n / w) replicates, in replicate-index order."""
+def _chunks(config: SimConfig, w: int) -> list[tuple[int, int]]:
+    """One row's pool chunks, as (lo, hi) replicate ranges in index order: see
+    the module docstring, whose cap is CHUNKS_PER_WORKER."""
     n = config.replicates
-    chunk = math.ceil(n / w)
-    return [pool.submit(_replicate_range, config, lo, min(lo + chunk, n))
-            for lo in range(0, n, chunk)]
+    size = _batch_replicates(config)
+    batches = math.ceil(n / size)
+    k = CHUNKS_PER_WORKER * w
+    if batches <= k:
+        return [(j * n // batches, (j + 1) * n // batches) for j in range(batches)]
+    # capped: cut at batch boundaries, so the row still runs as `batches` batches
+    cuts = [min(j * batches // k * size, n) for j in range(k + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
     """All replicates of one config as one columnar record, in replicate-index order.
 
     This is ``run_study``'s scheduling for one row: at more than one worker,
-    the replicates run as at most ``workers`` chunks on a pool that is shut
-    down before this returns. The error that fails the row is raised.
+    the replicates run as batch-sized chunks on a pool that is shut down
+    before this returns. The error that fails the row is raised.
     """
     [outcome] = _run_rows([config], workers)
     if isinstance(outcome, Exception):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -65,6 +66,27 @@ print(json.dumps([codes, loaded]))
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_only_a_pool_loads_the_pool_modules(self, tmp_path):
+        # a 1-worker simulate, fit and design start no process, so none of them
+        # imports concurrent.futures, multiprocessing or the logging it pulls in
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT)
+        code = f"""
+import contextlib, io, json, sys
+from stratsurv.cli import main
+out = {str(tmp_path)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["simulate", {str(cfg)!r}, "--workers", "1", "-o", f"{{out}}/r.csv",
+                   "--dump-datasets", f"{{out}}/dump"]),
+             main(["fit", f"{{out}}/dump/row00_replicate0.csv", "--method", "cox-stratified"]),
+             main(["design", "--hr", "0.5"])]
+print(json.dumps([codes, sorted({{"concurrent.futures", "multiprocessing", "logging"}}
+                                & set(sys.modules))]))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0], []]
 
 
 class TestDesignCommand:
@@ -288,7 +310,7 @@ events = 20
             raise AssertionError("a replicate was started")
 
         monkeypatch.setattr(sim, "_replicate_range", refuse)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         cfg = tmp_path / "huge.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
                                            "true_hr = 0.999\nevents = auto"))
@@ -309,7 +331,7 @@ events = 20
             raise AssertionError("a replicate was started")
 
         monkeypatch.setattr(sim, "_replicate_range", refuse)
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", refuse)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
         count = str(sim.MAX_REPLICATES + 1)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("replicates = 6", f"replicates = {count}")
@@ -427,7 +449,8 @@ class TestInterrupt:
     @pytest.mark.parametrize("workers, to_group", [(1, False), (2, False), (2, True)],
                              ids=["w1-process", "w2-process", "w2-group"])
     def test_one_line_no_output_no_process_left(self, tmp_path, workers, to_group):
-        # 24 rows of 3,000 replicates run for seconds, in chunks of 1,500 or less
+        # 24 rows of 3,000 replicates run for seconds; at 2 workers each row of
+        # N = 86 is 8 chunks of 375
         rows = "true_hr = " + ", ".join(["0.6"] * 24) + "\nevents = " + ", ".join(["60"] * 24)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20", rows)
@@ -537,14 +560,14 @@ class TestWidthsAboveHostCpus:
 
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(8)),
                             raising=False)
-        real = sim.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
         widths = []
 
         def counting(max_workers, **kwargs):
             widths.append(max_workers)
             return real(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
                                            "true_hr = 0.5, 0.6, 0.7\nevents = 20, 25, 30")

@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, metrics."""
 
+import concurrent.futures
 import math
 import multiprocessing
 import os
@@ -157,7 +158,7 @@ class TestBatchSizes:
 
     def test_two_worker_chunks_smaller_than_a_batch(self, unequal_row, monkeypatch):
         cfg, ref = unequal_row
-        assert math.ceil(cfg.replicates / 2) < sim.BATCH_SUBJECT_ROWS // cfg.design.sample_size
+        assert max(hi - lo for lo, hi in sim._chunks(cfg, 2)) < sim._batch_replicates(cfg)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert_same(run_replicates(cfg, workers=2), ref)
 
@@ -214,16 +215,19 @@ class _StubPool:
     """Executor stand-in that starts no process. Chunk 0 of the row seeded
     ``failing_seed`` fails at once with ``error``, and that row's other chunks
     run only if shutdown waits for them, as in a busy pool. Every other chunk
-    runs in this process when it is submitted."""
+    runs in this process when it is submitted. ``submitted`` records each
+    chunk as (master_seed, lo, hi), in submit order."""
 
     def __init__(self, error=None, failing_seed=None):
         self.error = error
         self.failing_seed = failing_seed
         self.pending = []
         self.ran = []
+        self.submitted = []
         self.cancelled_before_shutdown = None
 
     def submit(self, fn, config, lo, hi):
+        self.submitted.append((config.master_seed, lo, hi))
         future = Future()
         if config.master_seed != self.failing_seed:
             future.set_result(fn(config, lo, hi))
@@ -256,8 +260,19 @@ def _use_pools(monkeypatch, *pools):
         sizes.append(max_workers)
         return pools[len(sizes) - 1]
 
-    monkeypatch.setattr(sim, "ProcessPoolExecutor", make)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", make)
     return sizes
+
+
+def _batches_of(monkeypatch, replicates, config):
+    """Make ``config``'s batch ``replicates`` long, so that its row is cut finely."""
+    monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", replicates * config.design.sample_size)
+
+
+#: The 2 chunks a 40-replicate row seeded 555 or 556 is cut into at 2 workers
+#: in batches of 20, as the recording ``_StubPool`` lists them.
+ROW_555 = [(555, 0, 20), (555, 20, 40)]
+ROW_556 = [(556, 0, 20), (556, 20, 40)]
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -265,58 +280,80 @@ class TestFailedChunk:
     @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()],
                              ids=["error", "interrupt"])
     def test_remaining_chunks_cancelled(self, monkeypatch, error):
+        # 40 replicates in 20 batches of 2 at 2 workers: the cap of 8 chunks
+        # binds, so the row is 8 chunks of 2 or 3 whole batches, of which
+        # chunk 0 fails and 7 are pending
+        cfg = _config(replicates=40)
+        _batches_of(monkeypatch, 2, cfg)
         pool = _StubPool(error, failing_seed=555)
         _use_pools(monkeypatch, pool)
         with pytest.raises(type(error)):
-            run_replicates(_config(replicates=40), workers=2)
-        assert len(pool.pending) == 1  # 40 replicates at 2 workers: 2 chunks of 20
+            run_replicates(cfg, workers=2)
+        cuts = [0, 4, 10, 14, 20, 24, 30, 34, 40]
+        assert sorted(pool.submitted) == [(555, lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+        assert len(pool.pending) == 7
         assert pool.ran == []
 
     def test_failed_chunk_cancels_only_its_row(self, monkeypatch):
+        # batches of 20: each row is 2 chunks of 20
         configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
+        _batches_of(monkeypatch, 20, configs[0])
         pool = _StubPool(RuntimeError("boom"), failing_seed=555)
         sizes = _use_pools(monkeypatch, pool)
         rows = run_study(configs, workers=2)
         assert sizes == [2]
+        assert pool.submitted == ROW_555 + ROW_556
         assert rows[0].metrics is None and rows[0].error == "RuntimeError: boom"
         assert pool.cancelled_before_shutdown == [True]
         assert pool.ran == []
         assert rows[1] == run_study(configs[1:], workers=1)[0]
 
     def test_dead_worker_named_in_row_error(self, monkeypatch):
-        # the row breaks its pool, and the fresh pool it runs on alone
-        sizes = _use_pools(monkeypatch, *(_StubPool(BrokenProcessPool("terminated abruptly"),
-                                                    failing_seed=555) for _ in range(2)))
-        [row] = run_study([_config(replicates=40)], workers=2)
+        # The row of 2 chunks breaks its pool, and the fresh pool it runs on
+        # alone; on each, its second chunk is dropped, not run.
+        cfg = _config(replicates=40)
+        _batches_of(monkeypatch, 20, cfg)
+        pools = [_StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555)
+                 for _ in range(2)]
+        sizes = _use_pools(monkeypatch, *pools)
+        [row] = run_study([cfg], workers=2)
         assert row.metrics is None
         assert row.error == ("BrokenProcessPool: a worker process was killed before "
                              "its chunk finished, often for lack of memory")
         assert sizes == [2, 2]
+        for pool in pools:
+            assert pool.submitted == ROW_555
+            assert pool.ran == [] and pool.pending[0][0].cancelled()
 
     def test_dead_worker_fails_one_row_and_the_rest_restart(self, monkeypatch):
         # Row 0 finds the shared pool broken and breaks its own pool too, so it
-        # fails; row 1 then runs on a third pool.
+        # fails; row 1 then runs on a third pool. Each row is 2 chunks.
         configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
-        sizes = _use_pools(monkeypatch,
-                           *(_StubPool(BrokenProcessPool("terminated abruptly"),
-                                       failing_seed=555) for _ in range(2)),
-                           _StubPool())
+        _batches_of(monkeypatch, 20, configs[0])
+        pools = [*(_StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555)
+                   for _ in range(2)), _StubPool()]
+        sizes = _use_pools(monkeypatch, *pools)
         rows = run_study(configs, workers=2)
         assert rows[0].error == ("BrokenProcessPool: a worker process was killed before "
                                  "its chunk finished, often for lack of memory")
         assert rows[1].error is None
         assert rows[1].metrics == run_study(configs[1:], workers=1)[0].metrics
         assert sizes == [2, 2, 2]
+        assert [pool.submitted for pool in pools] == [ROW_555 + ROW_556, ROW_555, ROW_556]
+        assert pools[0].ran == pools[1].ran == []
 
     def test_row_that_finds_the_pool_broken_runs_again_alone(self, monkeypatch):
-        # Another row's chunk killed a worker while row 0 was collected: row 0
-        # succeeds alone on a fresh pool, and row 1 runs on a third one.
+        # Another row's chunk killed a worker while row 0 was collected: row 0's
+        # 2 chunks run again alone on a fresh pool, and row 1 on a third one.
         configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
-        sizes = _use_pools(monkeypatch,
-                           _StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555),
-                           _StubPool(), _StubPool())
+        _batches_of(monkeypatch, 20, configs[0])
+        pools = [_StubPool(BrokenProcessPool("terminated abruptly"), failing_seed=555),
+                 _StubPool(), _StubPool()]
+        sizes = _use_pools(monkeypatch, *pools)
         assert run_study(configs, workers=2) == run_study(configs, workers=1)
         assert sizes == [2, 2, 2]
+        assert [pool.submitted for pool in pools] == [ROW_555 + ROW_556, ROW_555, ROW_556]
+        assert pools[0].ran == []
 
     def test_pool_broken_while_queueing_reruns_the_first_row(self, monkeypatch):
         class BrokenOnSubmit(_StubPool):
@@ -324,9 +361,58 @@ class TestFailedChunk:
                 raise BrokenProcessPool("terminated abruptly")
 
         configs = [_config(seed=555, replicates=40), _config(seed=556, replicates=40)]
-        sizes = _use_pools(monkeypatch, BrokenOnSubmit(), _StubPool(), _StubPool())
+        _batches_of(monkeypatch, 20, configs[0])
+        pools = [BrokenOnSubmit(), _StubPool(), _StubPool()]
+        sizes = _use_pools(monkeypatch, *pools)
         assert run_study(configs, workers=2) == run_study(configs, workers=1)
         assert sizes == [2, 2, 2]
+        assert [pool.submitted for pool in pools] == [[], ROW_555, ROW_556]
+
+
+class TestChunkPlan:
+    """How a row is cut into pool chunks, and the order they are queued in."""
+
+    @pytest.mark.parametrize("replicates", [1, 2, 3, 7, 40, 41, 1000, sim.MAX_REPLICATES])
+    @pytest.mark.parametrize("batch", [1, 3, 10, 64])
+    @pytest.mark.parametrize("w", [2, 4])
+    def test_chunks_cover_the_row(self, monkeypatch, replicates, batch, w):
+        cfg = _config(replicates=replicates)
+        _batches_of(monkeypatch, batch, cfg)
+        chunks = sim._chunks(cfg, w)
+        batches = math.ceil(replicates / batch)
+        assert len(chunks) == min(batches, 4 * w)
+        # contiguous, in order, from 0 to n, none empty
+        assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+        assert chunks[-1][1] == replicates
+        lengths = [hi - lo for lo, hi in chunks]
+        assert min(lengths) >= 1
+        if batches <= 4 * w:
+            assert max(lengths) <= batch and max(lengths) - min(lengths) <= 1
+        else:
+            # cut at batch boundaries into whole batches, counts within one,
+            # so the row runs as many batches as in one process
+            assert all(lo % batch == 0 for lo, _ in chunks)
+            counts = [math.ceil(length / batch) for length in lengths]
+            assert sum(counts) == batches and max(counts) - min(counts) <= 1
+
+    def test_queued_heaviest_first_ties_in_row_order(self, monkeypatch, two_cpus):
+        # Batches of 258 subject rows: 6 replicates of N = 43, 3 of N = 86. A
+        # chunk weighs its length times N: 258 for each of row 1's, 172 for
+        # row 0's second, row 2's two and row 4's one, 129 for row 0's first
+        # and 43 for row 3's.
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 258)
+        configs = [_config(d=30, replicates=7, seed=1), _config(d=60, replicates=6, seed=2),
+                   _config(d=30, replicates=8, seed=3), _config(d=30, replicates=1, seed=4),
+                   _config(d=30, replicates=4, seed=5)]
+        assert [cfg.design.sample_size for cfg in configs] == [43, 86, 43, 43, 43]
+        pool = _StubPool()
+        _use_pools(monkeypatch, pool)
+        rows = sim._run_rows(configs, 2)
+        assert pool.submitted == [(2, 0, 3), (2, 3, 6),
+                                  (1, 3, 7), (3, 0, 4), (3, 4, 8), (5, 0, 4),
+                                  (1, 0, 3), (4, 0, 1)]
+        for row, cfg in zip(rows, configs):
+            assert_same(row, sim._replicate_range(cfg, 0, cfg.replicates))
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -338,14 +424,14 @@ class TestOnePoolPerCall:
 
     @pytest.fixture
     def sizes(self, monkeypatch):
-        real = sim.ProcessPoolExecutor
+        real = concurrent.futures.ProcessPoolExecutor
         sizes = []
 
         def counting(max_workers, **kwargs):
             sizes.append(max_workers)
             return real(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", counting)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
         return sizes
 
     def test_one_pool_and_no_process_left(self, sizes):
@@ -365,7 +451,8 @@ class TestOnePoolPerCall:
         assert multiprocessing.active_children() == []
 
     def test_unequal_rows_share_one_pool(self, sizes):
-        # the 1- and 7-replicate rows run as 1 and 4 chunks on the 40-row's pool
+        # each row is within one batch, so it runs as one chunk on a pool
+        # of 2 that only the 40-replicate row asks for
         configs = [_config(hr=0.5, d=20, replicates=n, seed=n) for n in (1, 7, 40)]
         rows = run_study(configs, workers=2)
         assert sizes == [2]
@@ -373,12 +460,31 @@ class TestOnePoolPerCall:
         assert rows == run_study(configs, workers=1)
         assert all(row.error is None for row in rows)
 
+    def test_reordered_and_capped_chunks_give_the_serial_columns(self, sizes, monkeypatch):
+        # Batches of 172 subject rows. Row 2 (40 replicates of N = 43 in 10
+        # batches of 4) hits the cap: 8 chunks of 1 or 2 batches, whose 2-batch
+        # chunks are queued before row 0's (9 replicates of N = 86 in batches
+        # of 2: 5 chunks of 1 or 2), whose first and lightest chunk goes behind
+        # its others. Row 1 has fewer replicates than workers.
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 172)
+        configs = [_config(hr=0.7, d=60, replicates=9, seed=7),
+                   _config(hr=0.5, d=20, replicates=1, seed=8),
+                   _config(hr=0.6, d=30, replicates=40, seed=9)]
+        assert [sim._chunks(config, 2) for config in configs] == [
+            [(0, 1), (1, 3), (3, 5), (5, 7), (7, 9)], [(0, 1)],
+            [(0, 4), (4, 8), (8, 12), (12, 20), (20, 24), (24, 28), (28, 32), (32, 40)]]
+        pooled = sim._run_rows(configs, 2)
+        assert sizes == [2]
+        assert multiprocessing.active_children() == []
+        for row, serial in zip(pooled, sim._run_rows(configs, 1)):
+            assert_same(row, serial)
+
     def test_killed_worker_fails_only_its_row(self, sizes, monkeypatch, tmp_path):
-        # Row 1's chunks kill their worker while row 0's first chunk is still
-        # running: on its first run that chunk waits until the broken pool
-        # terminates its worker, so it can never finish first. Row 0 runs
-        # again alone, row 1 fails alone on its own pool, and row 2 runs on a
-        # fifth pool.
+        # Each row is 2 equal chunks, queued in row order. Row 1's chunks kill
+        # their worker while row 0's first chunk is still running: on its
+        # first run that chunk waits until the broken pool terminates its
+        # worker, so it can never finish first. Row 0 runs again alone, row 1
+        # fails alone on its own pool, and row 2 runs on a fifth pool.
         real = sim.stream_states
         started = tmp_path / "started"
 
@@ -392,6 +498,8 @@ class TestOnePoolPerCall:
 
         monkeypatch.setattr(sim, "stream_states", waiting_or_fatal)
         configs = [_config(hr=0.5, d=20, replicates=8, seed=seed) for seed in (1, 2, 3)]
+        _batches_of(monkeypatch, 4, configs[0])
+        assert [sim._chunks(config, 2) for config in configs] == [[(0, 4), (4, 8)]] * 3
         rows = run_study(configs, workers=2)
         assert rows[1].error == ("BrokenProcessPool: a worker process was killed before "
                                  "its chunk finished, often for lack of memory")
