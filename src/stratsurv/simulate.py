@@ -12,16 +12,15 @@ those columns in replicate order.
 
 The worker count is a setting of the run, not of a study cell: each call
 resolves one width w for all its rows. At w = 1 every row runs in this
-process, and no pool module is imported. Otherwise a row of B batches of b
-replicates is cut into min(B, 4 w) chunks. Uncapped, the chunks' lengths
-differ by at most one, so each is at most one batch; capped, each chunk is
-whole batches, their counts differing by at most one, so the row still runs
-as B batches. Every row's chunks are queued on one process pool up front,
-heaviest first by length times N, equal ones in row and index order, and each
-row is collected in replicate order. A row whose chunk raises fails alone. A
-killed worker breaks the pool, whichever row's chunk it ran: the row being
-collected runs again alone on a fresh pool and fails only if that pool breaks
-too, and the rows after it run on a fresh pool.
+process, and no pool module is imported. Otherwise a row of B batches is
+dealt into min(B, 4 w) chunks of whole batches, their counts differing by at
+most one, so at every width the pool runs the batches of a 1-worker run.
+Every row's chunks are queued on one process pool up front, heaviest first by
+length times N, equal ones in row and index order, and each row is collected
+in replicate order. A row whose chunk raises fails alone. A killed worker
+breaks the pool, whichever row's chunk it ran: the row being collected runs
+again alone on a fresh pool and fails only if that pool breaks too, and the
+rows after it run on a fresh pool.
 """
 
 from __future__ import annotations
@@ -60,9 +59,8 @@ SE_SCALES = ("log", "hr")
 #: study by 12%, against 4% for 2^15.
 BATCH_SUBJECT_ROWS = 2 ** 15
 
-#: Most chunks a row is cut into per pool worker. The cap binds only on rows
-#: of more than 4 w batches, and keeps a row of millions of replicates from
-#: queuing a future per batch.
+#: Most chunks a row is cut into per pool worker, so that a row of millions
+#: of replicates does not queue a future per batch.
 CHUNKS_PER_WORKER = 4
 
 #: Largest replicate count of a study row. A row's columns take 58 bytes per
@@ -308,15 +306,12 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
 
 
 def _chunks(config: SimConfig, w: int) -> list[tuple[int, int]]:
-    """One row's pool chunks, as (lo, hi) replicate ranges in index order: see
-    the module docstring, whose cap is CHUNKS_PER_WORKER."""
+    """One row's pool chunks, as (lo, hi) replicate ranges in index order: its
+    batches dealt whole into min(batches, CHUNKS_PER_WORKER w) chunks."""
     n = config.replicates
     size = _batch_replicates(config)
     batches = math.ceil(n / size)
-    k = CHUNKS_PER_WORKER * w
-    if batches <= k:
-        return [(j * n // batches, (j + 1) * n // batches) for j in range(batches)]
-    # capped: cut at batch boundaries, so the row still runs as `batches` batches
+    k = min(batches, CHUNKS_PER_WORKER * w)
     cuts = [min(j * batches // k * size, n) for j in range(k + 1)]
     return list(zip(cuts, cuts[1:]))
 
@@ -325,7 +320,7 @@ def run_replicates(config: SimConfig, workers: int | None = None) -> Replicates:
     """All replicates of one config as one columnar record, in replicate-index order.
 
     This is ``run_study``'s scheduling for one row: at more than one worker,
-    the replicates run as batch-sized chunks on a pool that is shut down
+    the replicates run as chunks of whole batches on a pool that is shut down
     before this returns. The error that fails the row is raised.
     """
     [outcome] = _run_rows([config], workers)

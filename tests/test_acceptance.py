@@ -5,7 +5,7 @@ Each criterion is one test that prints a single PASS/FAIL line (run with
 frozen expected values from the bundled reference study at their stated
 tolerances; the heavy scenario-1 block (3 x 10,000 replicates x 6 rows via
 the CLI at different worker counts) is shared across criteria through a
-module fixture, so the module takes several minutes on a small machine.
+module fixture, so the module takes about 30 s on two cores.
 """
 
 import json

@@ -450,7 +450,7 @@ class TestInterrupt:
                              ids=["w1-process", "w2-process", "w2-group"])
     def test_one_line_no_output_no_process_left(self, tmp_path, workers, to_group):
         # 24 rows of 3,000 replicates run for seconds; at 2 workers each row of
-        # N = 86 is 8 chunks of 375
+        # N = 86 is 8 chunks, its batches of 381 replicates
         rows = "true_hr = " + ", ".join(["0.6"] * 24) + "\nevents = " + ", ".join(["60"] * 24)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20", rows)

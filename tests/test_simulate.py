@@ -156,9 +156,8 @@ class TestBatchSizes:
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", rows)
         assert_same(sim._replicate_range(cfg, 0, cfg.replicates), ref)
 
-    def test_two_worker_chunks_smaller_than_a_batch(self, unequal_row, monkeypatch):
+    def test_two_worker_pool_gives_the_record(self, unequal_row, monkeypatch):
         cfg, ref = unequal_row
-        assert max(hi - lo for lo, hi in sim._chunks(cfg, 2)) < sim._batch_replicates(cfg)
         monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         assert_same(run_replicates(cfg, workers=2), ref)
 
@@ -384,22 +383,44 @@ class TestChunkPlan:
         # contiguous, in order, from 0 to n, none empty
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
         assert chunks[-1][1] == replicates
-        lengths = [hi - lo for lo, hi in chunks]
-        assert min(lengths) >= 1
-        if batches <= 4 * w:
-            assert max(lengths) <= batch and max(lengths) - min(lengths) <= 1
-        else:
-            # cut at batch boundaries into whole batches, counts within one,
-            # so the row runs as many batches as in one process
-            assert all(lo % batch == 0 for lo, _ in chunks)
-            counts = [math.ceil(length / batch) for length in lengths]
-            assert sum(counts) == batches and max(counts) - min(counts) <= 1
+        assert min(hi - lo for lo, hi in chunks) >= 1
+        # cut at batch boundaries into whole batches, counts within one, so
+        # the row runs as many batches as in one process
+        assert all(lo % batch == 0 for lo, _ in chunks)
+        counts = [math.ceil((hi - lo) / batch) for lo, hi in chunks]
+        assert sum(counts) == batches and max(counts) - min(counts) <= 1
+
+    @pytest.mark.parametrize("w", [2, 4])
+    def test_every_width_runs_the_serial_batches(self, monkeypatch, w):
+        # Batches of 2 replicates: a row of 7 is 4 batches, under the cap; a
+        # row of 40 is 20, capped to 4 w chunks; the rows of 1 and 3 have
+        # fewer replicates than w at w = 4, and the row of 1 at w = 2 too.
+        configs = _rows(7, 40, 1, 3)
+        _batches_of(monkeypatch, 2, configs[0])
+        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(w)),
+                            raising=False)
+        real, batches = sim.stream_states, []
+
+        def recording(seed, lo, hi):
+            batches.append((seed, lo, hi))
+            return real(seed, lo, hi)
+
+        monkeypatch.setattr(sim, "stream_states", recording)
+        serial = sim._run_rows(configs, 1)
+        serial_batches = sorted(batches)
+        batches.clear()
+        sizes = _use_pools(monkeypatch, _StubPool())
+        pooled = sim._run_rows(configs, w)
+        assert sizes == [w]
+        assert sorted(batches) == serial_batches
+        for row, reference in zip(pooled, serial):
+            assert_same(row, reference)
 
     def test_queued_heaviest_first_ties_in_row_order(self, monkeypatch, two_cpus):
-        # Batches of 258 subject rows: 6 replicates of N = 43, 3 of N = 86. A
-        # chunk weighs its length times N: 258 for each of row 1's, 172 for
-        # row 0's second, row 2's two and row 4's one, 129 for row 0's first
-        # and 43 for row 3's.
+        # Batches of 258 subject rows: 6 replicates of N = 43, 3 of N = 86.
+        # Each chunk is one batch, and weighs its length times N: 258 for
+        # row 0's first, each of row 1's and row 2's first, 172 for row 4's
+        # one, 86 for row 2's second and 43 for row 0's second and row 3's.
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 258)
         configs = [_config(d=30, replicates=7, seed=1), _config(d=60, replicates=6, seed=2),
                    _config(d=30, replicates=8, seed=3), _config(d=30, replicates=1, seed=4),
@@ -408,9 +429,8 @@ class TestChunkPlan:
         pool = _StubPool()
         _use_pools(monkeypatch, pool)
         rows = sim._run_rows(configs, 2)
-        assert pool.submitted == [(2, 0, 3), (2, 3, 6),
-                                  (1, 3, 7), (3, 0, 4), (3, 4, 8), (5, 0, 4),
-                                  (1, 0, 3), (4, 0, 1)]
+        assert pool.submitted == [(1, 0, 6), (2, 0, 3), (2, 3, 6), (3, 0, 6),
+                                  (5, 0, 4), (3, 6, 8), (1, 6, 7), (4, 0, 1)]
         for row, cfg in zip(rows, configs):
             assert_same(row, sim._replicate_range(cfg, 0, cfg.replicates))
 
@@ -463,15 +483,16 @@ class TestOnePoolPerCall:
     def test_reordered_and_capped_chunks_give_the_serial_columns(self, sizes, monkeypatch):
         # Batches of 172 subject rows. Row 2 (40 replicates of N = 43 in 10
         # batches of 4) hits the cap: 8 chunks of 1 or 2 batches, whose 2-batch
-        # chunks are queued before row 0's (9 replicates of N = 86 in batches
-        # of 2: 5 chunks of 1 or 2), whose first and lightest chunk goes behind
-        # its others. Row 1 has fewer replicates than workers.
+        # chunks are queued before row 0's (9 replicates of N = 86: its 5
+        # batches of 2 and 1). Row 0's last and lightest chunk, (8, 9), goes
+        # behind row 2's 1-batch chunks. Row 1 has fewer replicates than
+        # workers.
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 172)
         configs = [_config(hr=0.7, d=60, replicates=9, seed=7),
                    _config(hr=0.5, d=20, replicates=1, seed=8),
                    _config(hr=0.6, d=30, replicates=40, seed=9)]
         assert [sim._chunks(config, 2) for config in configs] == [
-            [(0, 1), (1, 3), (3, 5), (5, 7), (7, 9)], [(0, 1)],
+            [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)], [(0, 1)],
             [(0, 4), (4, 8), (8, 12), (12, 20), (20, 24), (24, 28), (28, 32), (32, 40)]]
         pooled = sim._run_rows(configs, 2)
         assert sizes == [2]

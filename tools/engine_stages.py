@@ -3,9 +3,9 @@
 Usage: python tools/engine_stages.py [--runs K] [--ties efron|breslow]
 
 Takes the reference scenario-1 study (``configs/table1_scenario1.cfg``) rows
-with 66 and 380 target events, N = 95 and N = 543, and one batch of each of
-``BATCH_SUBJECT_ROWS // N`` replicates, as ``simulate`` analyzes it. Each
-stage runs K times and prints its best time in microseconds per replicate:
+with 66 and 380 target events, N = 95 and N = 543, and one batch of each
+as ``simulate`` analyzes it, of ``simulate._batch_replicates`` replicates.
+Each stage runs K times and prints its best time in microseconds per replicate:
 
 - streams: ``stream_states`` of the batch's replicates;
 - uniforms: ``stream_uniforms`` from those states;
@@ -36,7 +36,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from stratsurv import cli, inference  # noqa: E402
 from stratsurv.config import load_study_config  # noqa: E402
 from stratsurv.datagen import generate_trials, stream_states, stream_uniforms  # noqa: E402
-from stratsurv.simulate import BATCH_SUBJECT_ROWS  # noqa: E402
+from stratsurv.simulate import _batch_replicates  # noqa: E402
 
 EVENTS = (66, 380)
 FITS = (("mult_cox", inference.Method.COX_MULTIVARIATE),
@@ -95,7 +95,7 @@ def stage_times(config, runs, ties):
     """(name, us per replicate, evaluate calls, us per row-evaluation) per
     stage, the last two None but for a fit; and the batch's replicates."""
     n = config.design.sample_size
-    size = BATCH_SUBJECT_ROWS // n
+    size = _batch_replicates(config)
     states = stream_states(config.master_seed, 0, size)
     uniforms = stream_uniforms(states, n)
     trials = generate_trials(config.design, config.scenario, uniforms)
