@@ -168,8 +168,7 @@ class TrialDataset:
         # stratum, arm and event are checked before their integer or bool
         # conversion, which would truncate a fractional value silently
         self.subject_id = _frozen(subject_id, np.int64)
-        self.stratum_index = _checked(stratum_index, np.int64, "stratum_index",
-                                      lambda s: (s % 1 == 0) & (s >= 0) & (s < STRATUM_COUNT),
+        self.stratum_index = _checked(stratum_index, np.int64, "stratum_index", _in_strata,
                                       f"be integers in [0, {STRATUM_COUNT})")
         self.arm = _checked(arm, np.int8, "arm", _binary, "be 0 or 1")
         self.enroll_time = _frozen(enroll_time, np.float64)
@@ -203,12 +202,24 @@ def _binary(values: np.ndarray) -> np.ndarray:
     return (values == 0) | (values == 1)
 
 
+def _in_strata(values: np.ndarray) -> np.ndarray:
+    inside = (values >= 0) & (values < STRATUM_COUNT)
+    # an integer or bool is whole; only other input needs the test
+    return inside if values.dtype.kind in "biu" else inside & (values % 1 == 0)
+
+
 def _checked(values, dtype, name, accept, rule) -> np.ndarray:
-    """``values`` frozen as ``dtype`` if ``accept`` holds for each one as given."""
-    raw = np.asarray(values)
+    """``values`` frozen as ``dtype`` if ``accept`` holds for each one as given.
+
+    The one copy is made in the input's own dtype, so the check reads
+    contiguous memory; the conversion then copies only to change the dtype.
+    """
+    raw = np.array(values)
     if not np.all(accept(raw)):
         raise InvalidParameterError(f"{name} values must {rule}")
-    return _frozen(raw, dtype)
+    arr = raw.astype(dtype, copy=False)
+    arr.setflags(write=False)
+    return arr
 
 
 class TrialBatch(NamedTuple):

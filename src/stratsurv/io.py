@@ -15,12 +15,14 @@ import json
 import os
 import warnings
 from contextlib import contextmanager
+from itertools import islice
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
 
 from .datagen import TrialDataset
-from .errors import DataFormatError
+from .errors import DataFormatError, InvalidParameterError
 from .simulate import COX_KEYS, TEST_KEYS, StudyRow
 from .trial import FACTOR_LEVELS, STRATUM_COUNT, stratum_index
 
@@ -57,11 +59,18 @@ def read_subject_records(path: str) -> TrialDataset:
     holds a newline). That pass opens the file a second time, so it is only
     for a regular file whose name numpy would not decompress by its suffix;
     anything else (a pipe, a FIFO, a missing path) is read from one handle by
-    the row-by-row parser. So is a file that pass cannot read, or one with any
-    row that fails a check. The row parser accepts exactly the same input as
-    Python's ``int``/``float`` and words every error with its row number
-    (``tests/test_import_paths.py`` holds the two paths equal). A file that
-    cannot be opened or is not UTF-8 text is a ``DataFormatError`` naming it.
+    the row-by-row parser. So is a file that pass cannot read: one with a
+    cell it cannot parse (``abc``, a quoted cell, an id past 64 bits), a
+    record of whitespace, or no data rows.
+
+    ``TrialDataset`` checks the stratum, arm and event of the table that pass
+    reads; this adds only the checks it does not make (see ``_checked_table``).
+    A file that fails one is reported from its first failing row: that row's
+    record alone goes through the row parser's checks (``_parse_row``). The
+    row parser accepts exactly the same input as Python's ``int``/``float``
+    and words every error with its row number (``tests/test_import_paths.py``
+    holds the paths equal). A file that cannot be opened or is not UTF-8 text
+    is a ``DataFormatError`` naming it.
     """
     if not os.path.isfile(path) or os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
         return _read_rows(path)
@@ -79,18 +88,8 @@ def read_subject_records(path: str) -> TrialDataset:
                                comments=None, skiprows=reader.line_num, ndmin=1,
                                encoding="utf-8")
     except (ValueError, Warning):
-        table = None
-    if table is None or not _rows_valid(table, triple):
         return _read_rows(path)
-    strata = stratum_index(*(table[name] for name in _FACTORS)) if triple else table["stratum"]
-    return TrialDataset(
-        subject_id=table["id"],
-        stratum_index=strata,
-        arm=table["arm"],
-        enroll_time=np.zeros(table.size),
-        observed_time=table["time"],
-        event=table["event"] == 1,
-    )
+    return _checked_table(table, triple) or _first_failing_row(path, table, triple)
 
 
 @contextmanager
@@ -108,15 +107,62 @@ def _dataset_text(path: str):
                               f"{exc.reason}") from None
 
 
-def _rows_valid(table: np.ndarray, triple: bool) -> bool:
-    """The row parser's checks as masks: rows exist, levels in range, times > 0 and finite."""
+def _checked_table(table: np.ndarray, triple: bool) -> TrialDataset | None:
+    """The dataset of a loadtxt table, or None if it fails a check.
+
+    ``TrialDataset`` checks that the stratum is in [0, 12) and that arm and
+    event are 0/1, on the raw columns. This checks the rest: that rows exist,
+    the factor levels, before ``stratum_index`` could map an out-of-range
+    triple onto a valid index, and the times, strictly positive and finite,
+    on the dataset's contiguous ``observed_time``.
+    """
+    if not table.size or triple and not all(
+            table[name].min() >= 0 and table[name].max() < count
+            for name, count in zip(_FACTORS, FACTOR_LEVELS)):
+        return None
+    strata = stratum_index(*(table[name] for name in _FACTORS)) if triple else table["stratum"]
+    try:
+        dataset = TrialDataset(
+            subject_id=table["id"],
+            stratum_index=strata,
+            arm=table["arm"],
+            enroll_time=np.zeros(table.size),
+            observed_time=table["time"],
+            event=table["event"],
+        )
+    except InvalidParameterError:
+        return None
+    time = dataset.observed_time
+    # a NaN fails the first comparison
+    return dataset if time.min() > 0 and time.max() < np.inf else None
+
+
+def _first_failing_row(path: str, table: np.ndarray, triple: bool) -> TrialDataset:
+    """Raise the row parser's error for a loadtxt table that failed a check.
+
+    Per-row masks of the checks find the first failing data row, and only the
+    record that holds it goes through ``_parse_row``, so the message and row
+    number are the row parser's. Records count from the header, as in
+    ``_read_rows``; on a file the loadtxt pass read, the only records that
+    parser skips are empty ones, since a record of whitespace or of empty
+    cells fails that pass. Should the located record pass after all, the
+    whole file goes to ``_read_rows``.
+    """
     time = table["time"]
+    failing = ~((time > 0) & np.isfinite(time))
     levels = zip(_FACTORS, FACTOR_LEVELS) if triple else [("stratum", STRATUM_COUNT)]
-    tops = {name: count - 1 for name, count in levels}
-    tops.update(arm=1, event=1)
-    return (table.size > 0 and bool(np.all((time > 0) & np.isfinite(time)))
-            and all(np.all((table[name] >= 0) & (table[name] <= top))
-                    for name, top in tops.items()))
+    for name, count in [*levels, ("arm", 2), ("event", 2)]:
+        failing |= (table[name] < 0) | (table[name] >= count)
+    if failing.any():
+        with _dataset_text(path) as fh:
+            reader = csv.reader(fh)
+            columns, _ = _read_header(reader)
+            records = filter(itemgetter(1), enumerate(reader, start=2))
+            located = next(islice(records, int(np.argmax(failing)), None), None)
+            if located is not None:
+                rownum, row = located
+                _parse_row(row, _column_index(columns), triple, rownum)
+    return _read_rows(path)
 
 
 def _read_header(reader) -> tuple[list[str], bool]:
@@ -134,54 +180,22 @@ def _read_header(reader) -> tuple[list[str], bool]:
     return columns, triple
 
 
+def _column_index(columns: list[str]) -> dict[str, int]:
+    return {name: columns.index(name) for name in columns}
+
+
 def _read_rows(path: str) -> TrialDataset:
     """The reference parser: one row at a time, each cell through ``int``/``float``."""
     with _dataset_text(path) as fh:
         reader = csv.reader(fh)
         columns, triple = _read_header(reader)
-        index = {name: columns.index(name) for name in columns}
-
-        ids, strata, arms, times, events = [], [], [], [], []
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(columns):
-                raise DataFormatError(
-                    f"expected {len(columns)} fields, got {len(row)}", row=rownum)
-            subject = _int_cell(row[index["id"]], "id", rownum)
-            if not _INT64.min <= subject <= _INT64.max:
-                raise DataFormatError(
-                    f"id must fit a signed 64-bit integer, got {subject}", row=rownum)
-            ids.append(subject)
-            arm = _int_cell(row[index["arm"]], "arm", rownum)
-            if arm not in (0, 1):
-                raise DataFormatError(f"arm must be 0 or 1, got {arm}", row=rownum)
-            arms.append(arm)
-            time = _float_cell(row[index["time"]], "time", rownum)
-            if not time > 0:
-                raise DataFormatError(f"time must be strictly positive, got {time}",
-                                      row=rownum)
-            times.append(time)
-            event = _int_cell(row[index["event"]], "event", rownum)
-            if event not in (0, 1):
-                raise DataFormatError(f"event must be 0 or 1, got {event}", row=rownum)
-            events.append(bool(event))
-            if triple:
-                levels = [_int_cell(row[index[name]], name, rownum) for name in _FACTORS]
-                if not all(0 <= x < count for x, count in zip(levels, FACTOR_LEVELS)):
-                    x1, x2, x3 = levels
-                    raise DataFormatError(
-                        f"factor levels out of range: x1={x1} x2={x2} x3={x3}", row=rownum)
-                strata.append(stratum_index(*levels))
-            else:
-                stratum = _int_cell(row[index["stratum"]], "stratum", rownum)
-                if not 0 <= stratum < STRATUM_COUNT:
-                    raise DataFormatError(
-                        f"stratum must be in [0, {STRATUM_COUNT}), got {stratum}", row=rownum)
-                strata.append(stratum)
-
-    if not ids:
+        index = _column_index(columns)
+        rows = [_parse_row(row, index, triple, rownum)
+                for rownum, row in enumerate(reader, start=2)
+                if any(map(str.strip, row))]
+    if not rows:
         raise DataFormatError("dataset has a header but no data rows")
+    ids, strata, arms, times, events = zip(*rows)
     return TrialDataset(
         subject_id=ids,
         stratum_index=strata,
@@ -190,6 +204,41 @@ def _read_rows(path: str) -> TrialDataset:
         observed_time=times,
         event=events,
     )
+
+
+def _parse_row(row: list[str], index: dict[str, int], triple: bool,
+               rownum: int) -> tuple[int, int, int, float, bool]:
+    """One non-blank record's (id, stratum, arm, time, event), each cell read
+    through ``int``/``float`` and checked; a failing cell raises the
+    ``DataFormatError`` that names it and ``rownum``."""
+    if len(row) != len(index):
+        raise DataFormatError(f"expected {len(index)} fields, got {len(row)}", row=rownum)
+    subject = _int_cell(row[index["id"]], "id", rownum)
+    if not _INT64.min <= subject <= _INT64.max:
+        raise DataFormatError(
+            f"id must fit a signed 64-bit integer, got {subject}", row=rownum)
+    arm = _int_cell(row[index["arm"]], "arm", rownum)
+    if arm not in (0, 1):
+        raise DataFormatError(f"arm must be 0 or 1, got {arm}", row=rownum)
+    time = _float_cell(row[index["time"]], "time", rownum)
+    if not time > 0:
+        raise DataFormatError(f"time must be strictly positive, got {time}", row=rownum)
+    event = _int_cell(row[index["event"]], "event", rownum)
+    if event not in (0, 1):
+        raise DataFormatError(f"event must be 0 or 1, got {event}", row=rownum)
+    if triple:
+        levels = [_int_cell(row[index[name]], name, rownum) for name in _FACTORS]
+        if not all(0 <= x < count for x, count in zip(levels, FACTOR_LEVELS)):
+            x1, x2, x3 = levels
+            raise DataFormatError(
+                f"factor levels out of range: x1={x1} x2={x2} x3={x3}", row=rownum)
+        stratum = stratum_index(*levels)
+    else:
+        stratum = _int_cell(row[index["stratum"]], "stratum", rownum)
+        if not 0 <= stratum < STRATUM_COUNT:
+            raise DataFormatError(
+                f"stratum must be in [0, {STRATUM_COUNT}), got {stratum}", row=rownum)
+    return subject, stratum, arm, time, bool(event)
 
 
 def write_subject_records(path: str, dataset: TrialDataset) -> int:

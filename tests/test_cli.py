@@ -166,6 +166,18 @@ class TestFitCommand:
         assert proc.returncode == 2
         assert "time" in proc.stderr and "3" in proc.stderr
 
+    def test_bad_last_row_is_one_error_line(self, tmp_path):
+        # the file is read in one pass, then reported from its failing row
+        rows = 2000
+        data = tmp_path / "bad_last.csv"
+        data.write_text("id,stratum,arm,time,event\n" + "".join(
+            f"{i},{i % 12},{2 if i == rows - 1 else i % 2},{1 + i % 30}.5,{i % 2}\n"
+            for i in range(rows)))
+        proc = run_cli("fit", str(data), "--method", "cox-stratified")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: row {rows + 1}: arm must be 0 or 1, got 2\n"
+
     def test_degenerate_logrank_is_runtime_error(self, tmp_path):
         data = tmp_path / "one_arm.csv"
         data.write_text("id,stratum,arm,time,event\n1,0,1,1.0,1\n2,0,1,2.0,1\n")

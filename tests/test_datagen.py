@@ -544,3 +544,48 @@ class TestTrialDataset:
         fields[field] = values
         with pytest.raises(InvalidParameterError, match=re.escape(message)):
             TrialDataset(**fields)
+
+    # The constructor's checks are the import's only range checks on the
+    # stratum, arm and event columns, which it reads as int64.
+    @staticmethod
+    def _fields(**changed):
+        fields = dict(subject_id=np.array([0, 1]), stratum_index=np.array([0, 1]),
+                      arm=np.array([0, 1]), enroll_time=np.zeros(2),
+                      observed_time=np.array([1.0, 2.0]), event=np.array([0, 1]))
+        fields.update(changed)
+        return fields
+
+    def test_whole_float_stratum_accepted(self):
+        ds = TrialDataset(**self._fields(stratum_index=np.array([3.0, 11.0])))
+        assert ds.stratum_index.dtype == np.int64
+        assert ds.stratum_index.tolist() == [3, 11]
+
+    def test_fractional_float_stratum_rejected(self):
+        with pytest.raises(InvalidParameterError, match="stratum_index values must"):
+            TrialDataset(**self._fields(stratum_index=np.array([0.0, 1.5])))
+
+    @pytest.mark.parametrize("stratum", [-1, 12, 2**40])
+    def test_int64_stratum_out_of_range_rejected(self, stratum):
+        with pytest.raises(InvalidParameterError, match="stratum_index values must"):
+            TrialDataset(**self._fields(stratum_index=np.array([0, stratum])))
+
+    @pytest.mark.parametrize("field", ["arm", "event"])
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_int64_arm_or_event_out_of_range_rejected(self, field, value):
+        with pytest.raises(InvalidParameterError, match=f"{field} values must be 0 or 1"):
+            TrialDataset(**self._fields(**{field: np.array([1, value])}))
+
+    @pytest.mark.parametrize("dtypes", [
+        {"stratum_index": np.int64, "arm": np.int8, "event": np.bool_},  # the stored dtypes
+        {"stratum_index": np.float64, "arm": np.int64, "event": np.int64},
+    ])
+    def test_caller_arrays_neither_frozen_nor_modified(self, dtypes):
+        given = {name: np.array([0, 1], dtype=dtype) for name, dtype in dtypes.items()}
+        ds = TrialDataset(**self._fields(**given))
+        for name, values in given.items():
+            assert values.flags.writeable
+            assert values.tolist() == [0, 1]
+            assert not np.shares_memory(values, getattr(ds, name))
+            values[0] = 1
+            assert getattr(ds, name)[0] == 0
+            assert not getattr(ds, name).flags.writeable

@@ -1,12 +1,14 @@
 """Differential tests of the two dataset import paths.
 
 ``read_subject_records`` reads a file's body with one ``np.loadtxt`` pass
-and hands anything that pass cannot take, or any row that fails a check, to
-the row-by-row parser ``io._read_rows``, the reference. Files built by
+and hands anything that pass cannot take to the row-by-row parser
+``io._read_rows``, the reference; a row that fails a check is reported from
+its own record alone, through the reference's per-row checks. Files built by
 mutating valid rows must give bitwise-equal arrays through both, or the same
 ``DataFormatError`` (message and row).
 """
 
+import functools
 import os
 import threading
 from decimal import Decimal
@@ -253,3 +255,101 @@ def test_fifo_reads_like_a_regular_file(tmp_path, rows):
         done.set()
         writer.join()
     assert got == expected
+
+
+LARGE_ROWS = 20_000
+# One failing cell of each check kind, by column.
+FAILING_CELLS = [("stratum", "12"), ("stratum", "-1"), ("x1", "2"), ("x2", "3"),
+                 ("x2", "-1"), ("x3", "2"), ("arm", "2"), ("arm", "-1"), ("event", "2"),
+                 ("time", "0"), ("time", "-1.5"), ("time", "nan"), ("time", "-inf"),
+                 ("time", "1e400")]
+WHERE = {"first": 0, "middle": LARGE_ROWS // 2, "last": LARGE_ROWS - 1}
+
+
+@functools.cache
+def _large_rows(columns: tuple[str, ...]) -> tuple[str, ...]:
+    """LARGE_ROWS valid body lines under ``columns``."""
+    rng = np.random.default_rng(29)
+    cells = {"id": np.arange(LARGE_ROWS), "stratum": rng.integers(12, size=LARGE_ROWS),
+             "x1": rng.integers(2, size=LARGE_ROWS), "x2": rng.integers(3, size=LARGE_ROWS),
+             "x3": rng.integers(2, size=LARGE_ROWS), "arm": rng.integers(2, size=LARGE_ROWS),
+             "event": rng.integers(2, size=LARGE_ROWS),
+             "time": np.round(rng.exponential(20.0, LARGE_ROWS) + 0.01, 3)}
+    return tuple(",".join(map(str, values)) for values in zip(
+        *(cells[name].tolist() for name in columns)))
+
+
+def _failing_file(tmp_path, column: str, cell: str, at: int, blank: str):
+    """A LARGE_ROWS-row file whose data row ``at`` holds ``cell`` in ``column``,
+    with three ``blank`` records before that row: one right after the header,
+    one halfway to the row and one right before it."""
+    columns = TRIPLE_HEADER if column.startswith("x") else STRATUM_HEADER
+    lines = list(_large_rows(columns))
+    cells = lines[at].split(",")
+    cells[columns.index(column)] = cell
+    lines[at] = ",".join(cells)
+    for position in (at, at // 2, 0):
+        lines.insert(position, blank)
+    path = tmp_path / f"{column}_{at}.csv"
+    path.write_text("\n".join([",".join(columns), *lines]) + "\n", encoding="utf-8")
+    return path
+
+
+def _count_row_checks(monkeypatch) -> list[int]:
+    """Record the row number of every ``_parse_row`` call."""
+    parse, rows = io._parse_row, []
+    monkeypatch.setattr(io, "_parse_row",
+                        lambda row, index, triple, rownum: rows.append(rownum)
+                        or parse(row, index, triple, rownum))
+    return rows
+
+
+@pytest.mark.parametrize("where", WHERE)
+@pytest.mark.parametrize("column,cell", FAILING_CELLS)
+def test_failing_row_checked_alone(tmp_path, monkeypatch, column, cell, where):
+    # The loadtxt pass reads the file, so the first failing row is found by
+    # masks; its record alone goes through the row checks, and the error is
+    # the reference's, with the empty records counted in its row number.
+    path = _failing_file(tmp_path, column, cell, WHERE[where], "")
+    expected = _outcome(io._read_rows, path)
+    assert expected[0] == "error" and expected[2] == WHERE[where] + 5
+    checked = _count_row_checks(monkeypatch)
+    _refuse_row_parser(monkeypatch)
+    assert _outcome(read_subject_records, path) == expected
+    assert checked == [expected[2]]
+
+
+def test_failing_row_message_is_the_row_parsers(tmp_path):
+    path = _failing_file(tmp_path, "arm", "2", LARGE_ROWS - 1, "")
+    with pytest.raises(DataFormatError, match="^row 20004: arm must be 0 or 1, got 2$"):
+        read_subject_records(path)
+
+
+@pytest.mark.parametrize("blank", [" ", "\t", " , , ,"])
+def test_whitespace_record_sends_a_failing_file_to_the_row_parser(tmp_path, monkeypatch,
+                                                                   blank):
+    # loadtxt cannot read a record of whitespace, so the row parser reads the
+    # file, skipping that record but counting it.
+    path = _failing_file(tmp_path, "time", "0", LARGE_ROWS // 2, blank)
+    expected = _outcome(io._read_rows, path)
+    assert expected == ("error", f"row {LARGE_ROWS // 2 + 5}: time must be strictly "
+                        "positive, got 0.0", LARGE_ROWS // 2 + 5)
+    checked = _count_row_checks(monkeypatch)
+    assert _outcome(read_subject_records, path) == expected
+    assert len(checked) == LARGE_ROWS // 2 + 1
+
+
+def test_located_row_that_passes_falls_back_to_the_row_parser(tmp_path, monkeypatch):
+    # Masks that flag a row the file does not fail: the whole file is parsed.
+    clean = tmp_path / "clean.csv"
+    clean.write_text("id,stratum,arm,time,event\n1,0,1,2.5,1\n2,3,0,1.5,0\n",
+                     encoding="utf-8")
+    table = np.zeros(2, dtype=[("id", np.int64), ("stratum", np.int64), ("arm", np.int64),
+                               ("time", np.float64), ("event", np.int64)])
+    table["arm"] = (0, 2)
+    fallbacks = []
+    reference = io._read_rows
+    monkeypatch.setattr(io, "_read_rows", lambda path: fallbacks.append(path) or reference(path))
+    got = _outcome(lambda path: io._first_failing_row(path, table, False), clean)
+    assert got == _outcome(reference, clean)
+    assert fallbacks == [clean]

@@ -11,7 +11,9 @@ with ``--dump-datasets`` and relative output names, keeping each run's stdout
 dataset of 20,000 subjects over 12 strata with times rounded up to whole
 months, so that nearly every event time is tied, and runs ``fit`` on it, as
 text and with ``--json``, for every method, under both tie rules for the Cox
-methods; and ``design``, as text and with ``--json``, at three hazard ratios.
+methods; ``fit`` on three failing copies of it (``arm`` 2 in the last row, a
+zero time and an ``abc`` time in the middle row), keeping each exit code and
+stderr; and ``design``, as text and with ``--json``, at three hazard ratios.
 Those outputs do not show a fit taking one more Newton iteration or a
 replicate excluded for another reason, so for each config row and tie rule
 it also analyzes one batch of ``BATCH_SUBJECT_ROWS // N`` replicates with
@@ -58,6 +60,10 @@ LOGRANK_METHODS = ("logrank", "logrank-stratified")
 COX_METHODS = ("cox-unstratified", "cox-multivariate", "cox-stratified")
 TIES = ("efron", "breslow")
 DESIGN_HRS = ("0.5", "0.6", "0.75")
+#: Failing copies of the tied dataset: (data row, column, cell).
+FAILING_FITS = {"arm_last": (FIT_ROWS - 1, "arm", "2"),
+                "time_zero_middle": (FIT_ROWS // 2, "time", "0"),
+                "time_abc_middle": (FIT_ROWS // 2, "time", "abc")}
 FORMATS = ((), ("--json",))
 
 
@@ -70,14 +76,16 @@ def export_src(rev: str, dest: Path) -> Path:
     return dest / "src"
 
 
-def stratsurv(src: Path, args: list[str], out: Path) -> Path:
+def stratsurv(src: Path, args: list[str], out: Path, failing: bool = False) -> Path:
     """Run ``stratsurv ARGS`` from the package under ``src`` in ``out``'s
-    directory, which it makes; writes its stdout to ``out`` and returns it."""
+    directory, which it makes; writes its stdout to ``out`` and returns it.
+    A ``failing`` run may exit nonzero, and ``out`` holds its exit code and
+    stderr instead."""
     out.parent.mkdir(parents=True, exist_ok=True)
-    stdout = subprocess.run([sys.executable, "-m", "stratsurv", *args], check=True,
-                            env=dict(os.environ, PYTHONPATH=str(src)),
-                            capture_output=True, cwd=out.parent).stdout
-    out.write_bytes(stdout)
+    proc = subprocess.run([sys.executable, "-m", "stratsurv", *args], check=not failing,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, cwd=out.parent)
+    out.write_bytes(b"exit %d\n" % proc.returncode + proc.stderr if failing else proc.stdout)
     return out
 
 
@@ -227,6 +235,16 @@ def write_tied_dataset(path: Path) -> None:
         f"{i},{s},{a},{t},{int(e)}\n" for i, (s, a, t, e) in enumerate(rows)))
 
 
+def write_failing_dataset(tied: Path, path: Path, row: int, column: str, cell: str) -> None:
+    """The tied dataset with ``cell`` in ``column`` of data row ``row``."""
+    lines = tied.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+    cells = lines[row + 1].rstrip("\n").split(",")
+    cells[header.index(column)] = cell
+    lines[row + 1] = ",".join(cells) + "\n"
+    path.write_text("".join(lines))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="git revision to compare against, e.g. HEAD~1")
@@ -265,6 +283,12 @@ def main(argv: list[str] | None = None) -> int:
             stem = "_".join(arg.lstrip("-") for arg in command if arg != str(dataset))
             compare({name: (stratsurv(src, command, tmp / "out" / name / f"{stem}.stdout"),)
                      for name, src in trees.items()})
+        for case, (row, column, cell) in FAILING_FITS.items():
+            failing = tmp / f"{case}.csv"
+            write_failing_dataset(dataset, failing, row, column, cell)
+            compare({name: (stratsurv(src, ["fit", str(failing), "--method", "logrank"],
+                                      tmp / "out" / name / f"fit_{case}.stderr", failing=True),)
+                     for name, src in trees.items()})
         for config in configs:
             theirs, ours = (fit_records(src, config, tmp / "fits" / name / f"{config.stem}.npz")
                             for name, src in trees.items())
@@ -283,7 +307,8 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"  {field}: {len(keys)} arrays, {largest_difference(*records)}")
     print(f"{differ} of {compared} files differ from {args.rev} "
           f"({len(configs)} configs, workers {WORKERS}, seeds {SEEDS}, "
-          f"{REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of {FIT_ROWS} tied rows; "
+          f"{REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of {FIT_ROWS} tied rows "
+          f"and {len(FAILING_FITS)} of failing copies; "
           f"{len(DESIGN_HRS) * len(FORMATS)} designs; one batch of each config row's fits "
           f"under ties {TIES})")
     return 1 if differ else 0
