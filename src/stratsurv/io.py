@@ -51,33 +51,31 @@ RESULT_COLUMNS = (
 def read_subject_records(path: str) -> TrialDataset:
     """Load a subject-level dataset, validating every row.
 
-    Requires a header; times must be strictly positive, arm and event must be
-    0/1, and the stratum is given either as an index in [0, 12) or as the
-    factor triple x1, x2, x3. The header is read with ``csv``; the body with
-    one ``np.loadtxt`` pass on the path, which numpy reads in C chunks,
-    skipping the header's lines (more than one where a quoted header cell
-    holds a newline). That pass opens the file a second time, so it is only
-    for a regular file whose name numpy would not decompress by its suffix;
-    anything else (a pipe, a FIFO, a missing path) is read from one handle by
-    the row-by-row parser. So is a file that pass cannot read: one with a
-    cell it cannot parse (``abc``, a quoted cell, an id past 64 bits), a
-    record of whitespace, or no data rows.
+    Requires a header that names each column once; times must be strictly
+    positive, arm and event must be 0/1, and the stratum is given either as
+    an index in [0, 12) or as the factor triple x1, x2, x3. A clean regular
+    file is read in one vectorized pass: ``_dataset`` reads the header, and
+    one ``np.loadtxt`` pass on the path, which numpy reads in C chunks, reads
+    the body, skipping the header's lines (more than one where a quoted
+    header cell holds a newline). ``TrialDataset`` checks the stratum, arm
+    and event of the table that pass reads; ``_checked_table`` adds the
+    checks it does not make.
 
-    ``TrialDataset`` checks the stratum, arm and event of the table that pass
-    reads; this adds only the checks it does not make (see ``_checked_table``).
-    A file that fails one is reported from its first failing row: that row's
-    record alone goes through the row parser's checks (``_parse_row``). The
-    row parser accepts exactly the same input as Python's ``int``/``float``
-    and words every error with its row number (``tests/test_import_paths.py``
-    holds the paths equal). A file that cannot be opened or is not UTF-8 text
-    is a ``DataFormatError`` naming it.
+    Every other file goes to the row-by-row parser, ``_read_rows``, which
+    words every error with its row number: a file that is not regular or
+    whose name numpy would decompress by its suffix (a pipe, a FIFO, a
+    missing path), and a file the pass cannot read (a cell it cannot parse,
+    such as ``abc``, a quoted cell or an id past 64 bits; a record of
+    whitespace; no data rows). A file the pass read but that fails a check is
+    parsed from its first failing row, which per-row masks locate. The row
+    parser accepts exactly the same input as Python's ``int``/``float``
+    (``tests/test_import_paths.py`` holds the routes equal).
     """
     if not os.path.isfile(path) or os.fspath(path).endswith(_COMPRESSED_SUFFIXES):
         return _read_rows(path)
-    with _dataset_text(path) as fh:
-        reader = csv.reader(fh)
-        columns, triple = _read_header(reader)
-    dtype = [(name, np.float64 if name == "time" else np.int64) for name in columns]
+    with _dataset(path) as (reader, index, triple):
+        header_lines = reader.line_num
+    dtype = [(name, np.float64 if name == "time" else np.int64) for name in index]
     try:
         # As an error, a warning (such as loadtxt's on a file with no data
         # rows) sends the file to the row parser instead of to stderr.
@@ -85,26 +83,54 @@ def read_subject_records(path: str) -> TrialDataset:
             warnings.simplefilter("error")
             # An absolute path, so that numpy never reads it as a URL.
             table = np.loadtxt(os.path.abspath(path), dtype=dtype, delimiter=",",
-                               comments=None, skiprows=reader.line_num, ndmin=1,
+                               comments=None, skiprows=header_lines, ndmin=1,
                                encoding="utf-8")
     except (ValueError, Warning):
         return _read_rows(path)
-    return _checked_table(table, triple) or _first_failing_row(path, table, triple)
+    dataset = _checked_table(table, triple)
+    if dataset is not None:
+        return dataset
+    # per-row masks of the checks locate the first failing row
+    time = table["time"]
+    failing = ~((time > 0) & np.isfinite(time))
+    levels = zip(_FACTORS, FACTOR_LEVELS) if triple else [("stratum", STRATUM_COUNT)]
+    for name, count in [*levels, ("arm", 2), ("event", 2)]:
+        failing |= (table[name] < 0) | (table[name] >= count)
+    return _read_rows(path, int(np.argmax(failing)) if failing.any() else None)
 
 
 @contextmanager
-def _dataset_text(path: str):
-    """The dataset file opened as UTF-8 text. A file that cannot be opened or
-    read, or that is not UTF-8, raises a ``DataFormatError`` naming it."""
+def _dataset(path: str):
+    """The one reader of a dataset file: opens it as UTF-8, builds the ``csv``
+    reader and reads and checks the header, which must name each column once
+    (after stripping and lower-casing). Yields the reader, placed after the
+    header, each column's position by name, and whether the stratum is the
+    factor triple. A file that cannot be opened or read, that is not UTF-8,
+    or that holds a record ``csv`` cannot read (a cell longer than 131,072
+    characters) raises a ``DataFormatError`` naming it.
+    """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError("dataset file is empty (header row required)")
+            columns = [c.strip().lower() for c in header]
+            triple = "stratum" not in columns
+            expected = sorted(_BASE_COLUMNS + (_FACTORS if triple else ("stratum",)))
+            if sorted(columns) != expected:
+                raise DataFormatError(
+                    f"header must contain exactly {expected}, got {columns}", row=1)
+            yield reader, {name: i for i, name in enumerate(columns)}, triple
     except OSError as exc:
         raise DataFormatError(f"cannot read dataset {os.fspath(path)}: "
                               f"{exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"dataset {os.fspath(path)} is not UTF-8 text: "
                               f"{exc.reason}") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"cannot read dataset {os.fspath(path)} at line "
+                              f"{reader.line_num}: {exc}") from None
 
 
 def _checked_table(table: np.ndarray, triple: bool) -> TrialDataset | None:
@@ -137,62 +163,29 @@ def _checked_table(table: np.ndarray, triple: bool) -> TrialDataset | None:
     return dataset if time.min() > 0 and time.max() < np.inf else None
 
 
-def _first_failing_row(path: str, table: np.ndarray, triple: bool) -> TrialDataset:
-    """Raise the row parser's error for a loadtxt table that failed a check.
+def _read_rows(path: str, start: int | None = None) -> TrialDataset:
+    """The row-by-row parser, the reference: each non-blank record through
+    ``_parse_row``, whose ``int``/``float`` reading and checks word every
+    error with the record's row number. Records count from the header, and a
+    record that is empty or holds only whitespace and commas is skipped. It
+    reads records with ``csv``, so it refuses a cell longer than 131,072
+    characters (``_dataset`` names the file and the line).
 
-    Per-row masks of the checks find the first failing data row, and only the
-    record that holds it goes through ``_parse_row``, so the message and row
-    number are the row parser's. Records count from the header, as in
-    ``_read_rows``; on a file the loadtxt pass read, the only records that
-    parser skips are empty ones, since a record of whitespace or of empty
-    cells fails that pass. Should the located record pass after all, the
-    whole file goes to ``_read_rows``.
+    ``start`` is the index of the first failing data row of a file that the
+    loadtxt pass read. The records before it are counted without being
+    parsed, and only that row's record is parsed. Such a file holds no blank
+    record but empty ones, since a record of whitespace or of empty cells
+    fails that pass, so skipping empty records counts exactly. Should the
+    located record pass after all, the whole file is parsed.
     """
-    time = table["time"]
-    failing = ~((time > 0) & np.isfinite(time))
-    levels = zip(_FACTORS, FACTOR_LEVELS) if triple else [("stratum", STRATUM_COUNT)]
-    for name, count in [*levels, ("arm", 2), ("event", 2)]:
-        failing |= (table[name] < 0) | (table[name] >= count)
-    if failing.any():
-        with _dataset_text(path) as fh:
-            reader = csv.reader(fh)
-            columns, _ = _read_header(reader)
-            records = filter(itemgetter(1), enumerate(reader, start=2))
-            located = next(islice(records, int(np.argmax(failing)), None), None)
-            if located is not None:
-                rownum, row = located
-                _parse_row(row, _column_index(columns), triple, rownum)
-    return _read_rows(path)
-
-
-def _read_header(reader) -> tuple[list[str], bool]:
-    """The header's column names, and whether the stratum is the factor triple."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError("dataset file is empty (header row required)")
-    columns = [c.strip().lower() for c in header]
-    triple = "stratum" not in columns
-    expected = set(_BASE_COLUMNS) | (set(_FACTORS) if triple else {"stratum"})
-    if set(columns) != expected:
-        raise DataFormatError(
-            f"header must contain exactly {sorted(expected)}, got {columns}", row=1)
-    return columns, triple
-
-
-def _column_index(columns: list[str]) -> dict[str, int]:
-    return {name: columns.index(name) for name in columns}
-
-
-def _read_rows(path: str) -> TrialDataset:
-    """The reference parser: one row at a time, each cell through ``int``/``float``."""
-    with _dataset_text(path) as fh:
-        reader = csv.reader(fh)
-        columns, triple = _read_header(reader)
-        index = _column_index(columns)
+    with _dataset(path) as (reader, index, triple):
+        records = enumerate(reader, start=2)
+        if start is not None:
+            records = islice(filter(itemgetter(1), records), start, start + 1)
         rows = [_parse_row(row, index, triple, rownum)
-                for rownum, row in enumerate(reader, start=2)
-                if any(map(str.strip, row))]
+                for rownum, row in records if any(map(str.strip, row))]
+    if start is not None:  # the located record passed
+        return _read_rows(path)
     if not rows:
         raise DataFormatError("dataset has a header but no data rows")
     ids, strata, arms, times, events = zip(*rows)

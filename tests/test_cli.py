@@ -178,6 +178,28 @@ class TestFitCommand:
         assert proc.stdout == ""
         assert proc.stderr == f"error: row {rows + 1}: arm must be 0 or 1, got 2\n"
 
+    def test_duplicated_header_name_is_one_error_line(self, tmp_path):
+        data = tmp_path / "dup.csv"
+        data.write_text("id,stratum,arm,time,event,Event\n1,0,1,2.5,1,1\n")
+        proc = run_cli("fit", str(data), "--method", "logrank")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: row 1: header must contain exactly ['arm', 'event', 'id', 'stratum', "
+            "'time'], got ['id', 'stratum', 'arm', 'time', 'event', 'event']\n")
+
+    def test_cell_past_the_csv_field_limit_is_one_error_line(self, tmp_path):
+        # loadtxt reads the long time cell; the failing row sends the file
+        # to the row parser, whose csv reader cannot read that record.
+        data = tmp_path / "long_cell.csv"
+        data.write_text("id,stratum,arm,time,event\n"
+                        f"1,0,1,1.{'0' * 140_000},1\n2,0,2,2.5,1\n")
+        proc = run_cli("fit", str(data), "--method", "logrank")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (f"error: cannot read dataset {data} at line 2: "
+                               "field larger than field limit (131072)\n")
+
     def test_degenerate_logrank_is_runtime_error(self, tmp_path):
         data = tmp_path / "one_arm.csv"
         data.write_text("id,stratum,arm,time,event\n1,0,1,1.0,1\n2,0,1,2.0,1\n")

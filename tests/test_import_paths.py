@@ -1,11 +1,14 @@
 """Differential tests of the two dataset import paths.
 
-``read_subject_records`` reads a file's body with one ``np.loadtxt`` pass
-and hands anything that pass cannot take to the row-by-row parser
-``io._read_rows``, the reference; a row that fails a check is reported from
-its own record alone, through the reference's per-row checks. Files built by
-mutating valid rows must give bitwise-equal arrays through both, or the same
-``DataFormatError`` (message and row).
+``read_subject_records`` reads a clean regular file in one vectorized pass,
+``np.loadtxt`` on its body. Every other file goes to the row-by-row parser
+``io._read_rows``, the reference, and so every failing file is reported by
+it. A file that the pass read but that fails a check is parsed from its
+first failing row, so that row's record alone goes through the per-row
+checks. Files built by mutating valid rows must give bitwise-equal arrays
+through both routes, or the same ``DataFormatError`` (message and row).
+Both readers refuse a header that names a column twice, and a record that
+``csv`` cannot read, such as one with a cell longer than 131,072 characters.
 """
 
 import functools
@@ -126,15 +129,18 @@ def test_both_paths_agree_on_mutated_files(tmp_path, monkeypatch, recwarn, seed)
     rng = np.random.default_rng(seed)
     reference = io._read_rows
     fallbacks = []
-    monkeypatch.setattr(io, "_read_rows", lambda path: fallbacks.append(path) or reference(path))
+    monkeypatch.setattr(io, "_read_rows", lambda path, start=None:
+                        fallbacks.append((path, start)) or reference(path, start))
     files = 150
     for i in range(files):
         path = tmp_path / f"data{i}.csv"
         path.write_bytes(_dataset_file(rng, int(rng.integers(4))).encode("utf-8"))
         assert _outcome(read_subject_records, path) == _outcome(reference, path), \
             path.read_bytes()
-    # Both paths ran, and no warning of the loadtxt pass escaped.
-    assert 0 < len(fallbacks) < files
+    # Both paths ran, the row parser from a located row too, and no warning
+    # of the loadtxt pass escaped.
+    assert 0 < len({path for path, _ in fallbacks}) < files
+    assert any(start is not None for _, start in fallbacks)
     assert not recwarn.list
 
 
@@ -145,7 +151,7 @@ def test_clean_files_take_one_loadtxt_pass(tmp_path, monkeypatch, seed):
     path.write_text(_dataset_file(rng, mutations=0), encoding="utf-8")
     expected = _outcome(io._read_rows, path)
 
-    def refuse(path):
+    def refuse(path, start=None):
         raise AssertionError("a clean file fell back to the row parser")
 
     monkeypatch.setattr(io, "_read_rows", refuse)
@@ -170,8 +176,14 @@ def test_cells_python_reads_and_loadtxt_does_not(tmp_path, cell, accepted):
 
 
 def _refuse_row_parser(monkeypatch):
-    def refuse(path):
-        raise AssertionError("the file fell back to the row parser")
+    """Fail the test if ``_read_rows`` parses a whole file; a parse from a
+    located row runs."""
+    reference = io._read_rows
+
+    def refuse(path, start=None):
+        if start is None:
+            raise AssertionError("the file was parsed whole by the row parser")
+        return reference(path, start)
 
     monkeypatch.setattr(io, "_read_rows", refuse)
 
@@ -232,6 +244,20 @@ def _feed_fifo(path, data: bytes, done: threading.Event) -> None:
             pass
 
 
+def _read_fifo(tmp_path, data: bytes):
+    """The outcome of ``read_subject_records`` on a FIFO fed ``data``."""
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+    done = threading.Event()
+    writer = threading.Thread(target=_feed_fifo, args=(fifo, data, done))
+    writer.start()
+    try:
+        return _outcome(read_subject_records, fifo)
+    finally:
+        done.set()
+        writer.join()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
 @pytest.mark.parametrize("rows", [3, 2000], ids=["one_chunk", "beyond_8kb"])
 def test_fifo_reads_like_a_regular_file(tmp_path, rows):
@@ -243,18 +269,7 @@ def test_fifo_reads_like_a_regular_file(tmp_path, rows):
     regular.write_bytes(data)
     expected = _outcome(io._read_rows, regular)
     assert expected[0][1] == np.arange(rows).tobytes()
-
-    fifo = tmp_path / "data.fifo"
-    os.mkfifo(fifo)
-    done = threading.Event()
-    writer = threading.Thread(target=_feed_fifo, args=(fifo, data, done))
-    writer.start()
-    try:
-        got = _outcome(read_subject_records, fifo)
-    finally:
-        done.set()
-        writer.join()
-    assert got == expected
+    assert _read_fifo(tmp_path, data) == expected
 
 
 LARGE_ROWS = 20_000
@@ -340,16 +355,90 @@ def test_whitespace_record_sends_a_failing_file_to_the_row_parser(tmp_path, monk
 
 
 def test_located_row_that_passes_falls_back_to_the_row_parser(tmp_path, monkeypatch):
-    # Masks that flag a row the file does not fail: the whole file is parsed.
+    # A start row that passes, or that no record holds: the whole file is
+    # parsed after it, and the outcome is the reference's.
     clean = tmp_path / "clean.csv"
     clean.write_text("id,stratum,arm,time,event\n1,0,1,2.5,1\n2,3,0,1.5,0\n",
                      encoding="utf-8")
-    table = np.zeros(2, dtype=[("id", np.int64), ("stratum", np.int64), ("arm", np.int64),
-                               ("time", np.float64), ("event", np.int64)])
-    table["arm"] = (0, 2)
-    fallbacks = []
     reference = io._read_rows
-    monkeypatch.setattr(io, "_read_rows", lambda path: fallbacks.append(path) or reference(path))
-    got = _outcome(lambda path: io._first_failing_row(path, table, False), clean)
-    assert got == _outcome(reference, clean)
-    assert fallbacks == [clean]
+    expected = _outcome(reference, clean)
+    fallbacks = []
+    monkeypatch.setattr(io, "_read_rows", lambda path, start=None:
+                        fallbacks.append(start) or reference(path, start))
+    checked = _count_row_checks(monkeypatch)
+    for start, checked_rows in [(0, [2, 2, 3]), (1, [3, 2, 3]), (2, [2, 3])]:
+        fallbacks.clear()
+        checked.clear()
+        assert _outcome(lambda path: io._read_rows(path, start), clean) == expected
+        assert fallbacks == [start, None], start
+        assert checked == checked_rows, start
+
+
+DUPLICATED_HEADERS = {
+    "id,stratum,arm,time,event,event": "1,0,1,2.5,1,1",
+    "id,stratum,arm,time,event,Event": "1,0,1,2.5,1,0",
+    "id,x1,x2,x3,arm,time,event,x1": "1,0,1,1,1,2.5,1,0",
+    "id,x1,x2,x3,arm,time,event, X3 ": "1,0,1,1,1,2.5,1,1",
+}
+
+
+@pytest.mark.parametrize("source", ["regular", "fifo"])
+@pytest.mark.parametrize("header", DUPLICATED_HEADERS)
+def test_duplicated_header_name_refused(tmp_path, source, header):
+    columns = [c.strip().lower() for c in header.split(",")]
+    expected = sorted(STRATUM_HEADER if "stratum" in columns else TRIPLE_HEADER)
+    data = f"{header}\n{DUPLICATED_HEADERS[header]}\n".encode("utf-8")
+    if source == "regular":
+        regular = tmp_path / "dup.csv"
+        regular.write_bytes(data)
+        got = _outcome(read_subject_records, regular)
+        assert got == _outcome(io._read_rows, regular)
+    else:
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        got = _read_fifo(tmp_path, data)
+    assert got == ("error", f"row 1: header must contain exactly {expected}, got {columns}", 1)
+
+
+LONG_CELL = "1." + "0" * 140_000  # a valid time, longer than csv's field limit
+
+
+def _field_limit_error(path, line: int) -> tuple:
+    return ("error", f"cannot read dataset {path} at line {line}: field larger than "
+            "field limit (131072)", None)
+
+
+def test_long_header_cell_is_a_format_error(tmp_path):
+    path = tmp_path / "long_header.csv"
+    path.write_text(f"{' ' * 140_000}id,stratum,arm,time,event\n1,0,1,2.5,1\n",
+                    encoding="utf-8")
+    assert _outcome(read_subject_records, path) == _field_limit_error(path, 1)
+    assert _outcome(io._read_rows, path) == _field_limit_error(path, 1)
+
+
+def test_long_cell_before_the_failing_row_is_a_format_error(tmp_path, monkeypatch):
+    # The loadtxt pass reads the long cell; the row parser, counting the
+    # records before the failing row, cannot.
+    path = tmp_path / "long_cell.csv"
+    path.write_text(f"id,stratum,arm,time,event\n1,0,1,{LONG_CELL},1\n2,0,2,2.5,1\n",
+                    encoding="utf-8")
+    expected = _outcome(io._read_rows, path)
+    assert expected == _field_limit_error(path, 2)
+    checked = _count_row_checks(monkeypatch)
+    _refuse_row_parser(monkeypatch)
+    assert _outcome(read_subject_records, path) == expected
+    assert checked == []
+
+
+def test_long_cell_of_a_clean_file_is_read_by_the_loadtxt_pass(tmp_path, monkeypatch):
+    path = tmp_path / "long_clean.csv"
+    path.write_text(f"id,stratum,arm,time,event\n1,0,1,{LONG_CELL},1\n2,0,0,2.5,1\n",
+                    encoding="utf-8")
+    _refuse_row_parser(monkeypatch)
+    assert read_subject_records(path).observed_time.tolist() == [1.0, 2.5]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_long_cell_through_a_fifo_is_a_format_error(tmp_path):
+    data = f"id,stratum,arm,time,event\n1,0,1,2.5,1\n2,0,1,{LONG_CELL},1\n".encode("utf-8")
+    assert _read_fifo(tmp_path, data) == _field_limit_error(tmp_path / "data.fifo", 3)
