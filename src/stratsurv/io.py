@@ -15,8 +15,9 @@ import json
 import os
 import warnings
 from contextlib import contextmanager
+from functools import reduce
 from itertools import islice
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Any
 
 import numpy as np
@@ -33,19 +34,34 @@ _INT64 = np.iinfo(np.int64)
 #: Suffixes by which ``np.loadtxt`` decompresses a path (numpy's DataSource).
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
-#: Result CSV column order; power as percent with one decimal, estimation
-#: metrics with three decimals.
-RESULT_COLUMNS = (
-    "true_hr", "events", "n",
-    "bias_unstrat", "bias_mult", "bias_strat",
-    "se_unstrat", "se_mult", "se_strat",
-    "mse_unstrat", "mse_mult", "mse_strat",
-    "power_lr", "power_strat_lr", "power_mult_cox", "power_strat_cox",
-    "power_unstrat_cox",
-    "replicates_excluded_unstrat", "replicates_excluded_mult",
-    "replicates_excluded_strat",
-    "status",
+
+def _fmt3(value: float | None) -> str:
+    if value is None:
+        return "nan"
+    text = f"{value:.3f}"
+    # A small negative value rounds to "-0.000"; print zero without a sign.
+    return "0.000" if text == "-0.000" else text
+
+
+def _fmt_pct(value: float) -> str:
+    return f"{100.0 * value:.1f}"
+
+
+#: Each Cox method's short name in the result columns.
+_COX_COLUMNS = {"unstrat_cox": "unstrat", "mult_cox": "mult", "strat_cox": "strat"}
+#: The result CSV's columns between its three design cells and its status:
+#: each column's name, the path of its value in a ``results_to_records``
+#: record, and its format (power as percent with one decimal, estimation
+#: metrics with three decimals).
+_RESULT_TABLE = (
+    *((f"{prefix}_{_COX_COLUMNS[key]}", ("methods", key, metric), _fmt3)
+      for prefix, metric in (("bias", "avg_bias"), ("se", "avg_se"), ("mse", "mse"))
+      for key in COX_KEYS),
+    *((f"power_{key}", ("power", key), _fmt_pct) for key in TEST_KEYS),
+    *((f"replicates_excluded_{_COX_COLUMNS[key]}", ("methods", key, "replicates_excluded"), str)
+      for key in COX_KEYS),
 )
+RESULT_COLUMNS = ("true_hr", "events", "n", *(name for name, _, _ in _RESULT_TABLE), "status")
 
 
 def read_subject_records(path: str) -> TrialDataset:
@@ -270,45 +286,21 @@ def _float_cell(text: str, name: str, rownum: int) -> float:
     return value
 
 
-def _fmt3(value: float | None) -> str:
-    if value is None:
-        return "nan"
-    text = f"{value:.3f}"
-    # A small negative value rounds to "-0.000"; print zero without a sign.
-    return "0.000" if text == "-0.000" else text
-
-
-def _fmt_pct(value: float) -> str:
-    return f"{100.0 * value:.1f}"
-
-
 def write_results_csv(path: str, rows: list[StudyRow]) -> None:
-    """Presentation CSV: one row per study cell, fixed column order, LF endings."""
+    """Presentation CSV: one row per study cell, fixed column order, LF endings.
+    Each row is its ``results_to_records`` record formatted through
+    ``_RESULT_TABLE``, every metric ``nan`` for a failed row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RESULT_COLUMNS)
-        for row in rows:
-            cfg = row.config
-            record: list[str] = [
-                f"{cfg.design.true_hr:g}",
-                str(cfg.design.target_events),
-                str(cfg.design.sample_size),
-            ]
-            if row.metrics is None:
-                # every column but the three design cells and the status
-                record += ["nan"] * (len(RESULT_COLUMNS) - 4)
-                record.append(f"failed: {row.error}")
+        for record in results_to_records(rows):
+            cells = [f"{record['true_hr']:g}", str(record["events"]), str(record["n"])]
+            if "error" in record:
+                cells += ["nan"] * len(_RESULT_TABLE) + [f"failed: {record['error']}"]
             else:
-                m = row.metrics.methods
-                for metric in ("avg_bias", "avg_se", "mse"):
-                    for key in COX_KEYS:
-                        record.append(_fmt3(getattr(m[key], metric)))
-                for key in TEST_KEYS:
-                    record.append(_fmt_pct(row.metrics.power[key]))
-                for key in COX_KEYS:
-                    record.append(str(m[key].replicates_excluded))
-                record.append("ok")
-            writer.writerow(record)
+                cells += [fmt(reduce(getitem, path, record)) for _, path, fmt in _RESULT_TABLE]
+                cells.append("ok")
+            writer.writerow(cells)
 
 
 def results_to_records(rows: list[StudyRow]) -> list[dict[str, Any]]:

@@ -583,6 +583,51 @@ class TestSimulateOutputPaths:
             assert method["avg_bias"] is method["avg_se"] is method["mse"] is None
             assert method["replicates_excluded"] == 5
 
+    def test_every_csv_cell_is_its_sidecar_value_rounded(self, tmp_path, monkeypatch):
+        # an ok row, a row whose generation fails and a row with no usable fit
+        import stratsurv.simulate as sim
+
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace(
+            "true_hr = 0.5\nevents = 20",
+            "true_hr = 0.5, 0.7, 0.6\nevents = 20, 20, 1\nevent_fraction = 1"))
+        real = sim.generate_trials
+
+        def flaky(design, scenario, uniforms):
+            if design.true_hr == 0.7:
+                raise RuntimeError("boom")
+            return real(design, scenario, uniforms)
+
+        monkeypatch.setattr(sim, "generate_trials", flaky)
+        code, lines, sidecar = simulate_in_process(cfg, tmp_path / "r.csv", "--workers", "1")
+        assert code == 3 and len(lines) == 4
+        ok, failed, unusable = sidecar["rows"]
+        assert failed["error"] == "RuntimeError: boom"
+        assert all(m["avg_bias"] is None for m in unusable["methods"].values())
+
+        def three(value):
+            text = "nan" if value is None else f"{value:.3f}"
+            return "0.000" if text == "-0.000" else text
+
+        header = lines[0].split(",")
+        for line, record in zip(lines[1:], sidecar["rows"]):
+            want = {"true_hr": f"{record['true_hr']:g}", "events": str(record["events"]),
+                    "n": str(record["n"]), "status": "ok"}
+            if "error" in record:
+                want.update((name, "nan") for name in header[3:-1])
+                want["status"] = f"failed: {record['error']}"
+            else:
+                for short in ("unstrat", "mult", "strat"):
+                    m = record["methods"][f"{short}_cox"]
+                    want.update({f"bias_{short}": three(m["avg_bias"]),
+                                 f"se_{short}": three(m["avg_se"]),
+                                 f"mse_{short}": three(m["mse"]),
+                                 f"replicates_excluded_{short}": str(m["replicates_excluded"])})
+                want.update((f"power_{test}", f"{100 * p:.1f}")
+                            for test, p in record["power"].items())
+            assert sorted(want) == sorted(header)
+            assert line.split(",") == [want[name] for name in header]
+
 
 class TestWidthsAboveHostCpus:
     def test_widths_3_to_8_match_width_1(self, tmp_path, monkeypatch):
