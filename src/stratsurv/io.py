@@ -322,6 +322,7 @@ def results_to_records(rows: list[StudyRow]) -> list[dict[str, Any]]:
             record["power"] = dict(row.metrics.power)
             record["degenerate_tests"] = dict(row.metrics.degenerate_counts)
             record["replicates"] = row.metrics.replicates
+            record["power_mcse"] = dict(row.metrics.power_mcse)
         records.append(record)
     return records
 

@@ -111,24 +111,28 @@ class Replicates(NamedTuple):
 
 @dataclass(frozen=True)
 class MethodMetrics:
-    """Estimation quality of one Cox method over the usable replicates."""
+    """Estimation quality of one Cox method over the usable fits, each mean with its MCSE."""
 
     avg_bias: float | None
     avg_se: float | None
     mse: float | None
     replicates_used: int
     replicates_excluded: int
+    avg_bias_mcse: float | None
+    avg_se_mcse: float | None
+    mse_mcse: float | None
 
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Study-cell summary: estimation metrics per method, power per test."""
+    """Study-cell summary: estimation metrics per method, power and its MCSE per test."""
 
     true_hr: float
     replicates: int
     methods: dict[str, MethodMetrics]
     power: dict[str, float]
     degenerate_counts: dict[str, int]
+    power_mcse: dict[str, float | None]
 
 
 @dataclass(frozen=True)
@@ -185,7 +189,10 @@ def _concatenate(parts: list[Replicates]) -> Replicates:
 def aggregate(
     results: Replicates, true_hr: float, se_scale: str = "log"
 ) -> AggregateMetrics:
-    """Reduce replicate columns to bias/SE/MSE per method and power per test.
+    """Reduce replicate columns to bias/SE/MSE per method and power per test,
+    each with its Monte Carlo standard error (Morris, White & Crowther 2019,
+    Table 6): SD(ddof=1) / sqrt(n) of the usable values for the three means,
+    sqrt(p (1 - p) / R) for power; None below two values.
 
     Unusable fits (NaN estimates) are excluded from that method's estimation
     metrics and counted; degenerate tests count as non-rejections. Accumulation
@@ -203,16 +210,20 @@ def aggregate(
         mask = np.isfinite(hr[:, k])
         used = int(mask.sum())
         if used == 0:
-            methods[key] = MethodMetrics(None, None, None, 0, n)
+            methods[key] = MethodMetrics(None, None, None, 0, n, None, None, None)
             continue
         h = hr[mask, k]
         s = se[mask, k] if se_scale == "log" else h * se[mask, k]
+        squared = (h - true_hr) ** 2
         methods[key] = MethodMetrics(
             avg_bias=float(np.mean(h) - true_hr),
             avg_se=float(np.mean(s)),
-            mse=float(np.mean((h - true_hr) ** 2)),
+            mse=float(np.mean(squared)),
             replicates_used=used,
             replicates_excluded=n - used,
+            avg_bias_mcse=_mcse(h),
+            avg_se_mcse=_mcse(s),
+            mse_mcse=_mcse(squared),
         )
 
     power = {key: float(np.mean(results.reject[:, j])) for j, key in enumerate(TEST_KEYS)}
@@ -224,7 +235,14 @@ def aggregate(
         methods=methods,
         power=power,
         degenerate_counts=degenerate_counts,
+        power_mcse={key: math.sqrt(p * (1 - p) / n) if n > 1 else None
+                    for key, p in power.items()},
     )
+
+
+def _mcse(values: np.ndarray) -> float | None:
+    """The Monte Carlo SE of the mean of ``values``, or None below two values."""
+    return float(np.std(values, ddof=1)) / math.sqrt(len(values)) if len(values) > 1 else None
 
 
 def _resolve_workers(configs: list[SimConfig], workers: int | None) -> int:

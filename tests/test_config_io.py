@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -362,6 +364,14 @@ class TestResultFiles:
         cells = path.read_text().split("\n")[1].split(",")
         assert cells[RESULT_COLUMNS.index("bias_mult")] == "0.000"
         assert cells[RESULT_COLUMNS.index("bias_strat")] == "-0.001"
+
+    def test_readme_lists_every_column(self):
+        # the first table of README's "Result files" section, one column a line
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n### Result files\n", 1)[1].split("\n### ", 1)[0]
+        table = section.split("\n| column |", 1)[1].split("\n\n", 1)[0]
+        names = re.findall(r"^\| `(\w+)` \|", table, flags=re.MULTILINE)
+        assert tuple(names) == RESULT_COLUMNS
 
     def test_csv_uses_lf_only(self, tmp_path):
         study, rows = self._rows()

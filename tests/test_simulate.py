@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, metrics."""
 
 import concurrent.futures
+import json
 import math
 import multiprocessing
 import os
@@ -16,12 +17,15 @@ import stratsurv.simulate as sim
 from _replay import assert_same, replay_replicates
 from stratsurv.datagen import TrialDataset, stream_states
 from stratsurv.errors import InvalidParameterError
+from stratsurv.io import write_sidecar_json
 from stratsurv.simulate import (
     COX_KEYS,
+    SE_SCALES,
     TEST_KEYS,
     AggregateMetrics,
     Replicates,
     SimConfig,
+    StudyRow,
     aggregate,
     run_replicates,
     run_study,
@@ -625,6 +629,62 @@ class TestAggregate:
         variance = float(np.mean((hrs - hrs.mean()) ** 2))
         assert m.mse == pytest.approx(m.avg_bias ** 2 + variance, abs=1e-10)
         assert m.mse >= m.avg_bias ** 2 - 1e-12
+
+    @pytest.mark.parametrize("se_scale", SE_SCALES)
+    def test_mcse_matches_formulas(self, se_scale):
+        # Morris, White & Crowther (2019), Table 6, on a run_replicates record
+        cfg = _config(replicates=200, d=40)
+        results = run_replicates(cfg, workers=1)
+        true_hr = cfg.design.true_hr
+        agg = aggregate(results, true_hr, se_scale)
+        for k, key in enumerate(COX_KEYS):
+            usable = np.isfinite(results.hr[:, k])
+            h = results.hr[usable, k]
+            s = results.log_hr_se[usable, k] * (h if se_scale == "hr" else 1.0)
+            root = np.sqrt(usable.sum())
+            m = agg.methods[key]
+            assert m.avg_bias_mcse == np.std(h, ddof=1) / root
+            assert m.avg_se_mcse == np.std(s, ddof=1) / root
+            assert m.mse_mcse == np.std((h - true_hr) ** 2, ddof=1) / root
+        for j, key in enumerate(TEST_KEYS):
+            p = np.mean(results.reject[:, j])
+            assert agg.power_mcse[key] == np.sqrt(p * (1 - p) / len(results.reject))
+            assert 0 < agg.power_mcse[key] < 0.05
+
+    def test_mcse_absent_below_two_usable_fits(self):
+        nan = float("nan")
+        one_mult = _result(hr=(0.4, nan, nan), se=(0.2, nan, nan))
+        agg = aggregate(_stack(_result(hr=(0.6, 0.5, nan), se=(0.1, 0.1, nan)), one_mult),
+                        true_hr=0.5)
+        unstrat, mult, strat = (agg.methods[key] for key in COX_KEYS)
+        # estimates 0.6 and 0.4, SEs 0.1 and 0.2, both squared errors 0.01
+        assert unstrat.avg_bias_mcse == pytest.approx(0.1)
+        assert unstrat.avg_se_mcse == pytest.approx(0.05)
+        assert unstrat.mse_mcse == pytest.approx(0.0, abs=1e-15)
+        assert mult.replicates_used == 1 and strat.replicates_used == 0
+        for m in (mult, strat):
+            assert m.avg_bias_mcse is m.avg_se_mcse is m.mse_mcse is None
+
+    def test_power_mcse_zero_at_zero_power_and_absent_for_one_replicate(self):
+        agg = aggregate(_stack(*[_result() for _ in range(3)]), true_hr=0.5)
+        assert agg.power_mcse == dict.fromkeys(TEST_KEYS, 0.0)
+        assert aggregate(_result(), true_hr=0.5).power_mcse == dict.fromkeys(TEST_KEYS)
+
+    def test_sidecar_holds_no_nan(self, tmp_path):
+        nan = float("nan")
+        results = _stack(_result(hr=(0.6, 0.5, nan), se=(0.1, 0.1, nan)),
+                         _result(hr=(0.4, nan, nan), se=(0.2, nan, nan)))
+        rows = [StudyRow(_config(), aggregate(results, true_hr=0.5)),
+                StudyRow(_config(), aggregate(_result(), true_hr=0.5))]
+        path = tmp_path / "r.json"
+        write_sidecar_json(path, {"run": {"workers": 1}}, rows)
+
+        def refuse(token):
+            raise ValueError(f"{token} is not JSON")
+
+        records = json.loads(path.read_text(), parse_constant=refuse)["rows"]
+        assert records[0]["methods"]["mult_cox"]["avg_bias_mcse"] is None
+        assert records[1]["power_mcse"] == dict.fromkeys(TEST_KEYS)
 
 
 class TestRunStudy:

@@ -24,10 +24,14 @@ dataset, stdout or fit record that differs and exits 1 if any does, else 0.
 For a differing sidecar, JSON stdout or fit record it also prints how far its
 numbers moved: the largest relative difference |a - b| / max(|a|, |b|) and
 where it occurs, NaN equal to NaN (inf where a value or key is on one side only,
-or a string or NaN changed), for a fit record once per field. A p-value
-(``p_one_sided``) is compared on the log scale, |log a - log b| /
-max(|log a|, |log b|): on that scale a far-tail p moves about twice as far,
-relatively, as its z, while p itself moves about z^2 times as far.
+or a string or NaN changed), for a fit record once per field. A JSON file
+that holds every leaf of REV's unchanged and more instead prints the distinct
+names of the keys it adds, with each list index and each key above them in
+which they differ written as ``*``, as in ``only keys added:
+rows[*].power_mcse``. A p-value (``p_one_sided``) is compared on the log
+scale, |log a - log b| / max(|log a|, |log b|): on that scale a far-tail p
+moves about twice as far, relatively, as its z, while p itself moves about
+z^2 times as far.
 """
 
 from __future__ import annotations
@@ -38,10 +42,12 @@ import io
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tarfile
 import tempfile
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +71,16 @@ FAILING_FITS = {"arm_last": (FIT_ROWS - 1, "arm", "2"),
                 "time_zero_middle": (FIT_ROWS // 2, "time", "0"),
                 "time_abc_middle": (FIT_ROWS // 2, "time", "abc")}
 FORMATS = ((), ("--json",))
+
+
+class _Absent:
+    """A value on the other side only."""
+
+    def __repr__(self) -> str:
+        return "absent"
+
+
+ABSENT = _Absent()
 
 
 def export_src(rev: str, dest: Path) -> Path:
@@ -186,8 +202,10 @@ def largest_difference(theirs: dict, ours: dict) -> str:
     most, relatively, and the two values there."""
     worst = (0.0, "", None, None)
     for key in sorted(theirs.keys() | ours.keys()):
-        a, b = theirs.get(key), ours.get(key)
-        if a is None or b is None or isinstance(a, str) or isinstance(b, str):
+        a, b = theirs.get(key, ABSENT), ours.get(key, ABSENT)
+        if a is ABSENT or b is ABSENT:
+            found = (np.inf, key, a, b)
+        elif a is None or b is None or isinstance(a, str) or isinstance(b, str):
             found = (0.0 if a == b else np.inf, key, a, b)
         elif np.shape(a) != np.shape(b):
             found = (np.inf, key, f"shape {np.shape(a)}", f"shape {np.shape(b)}")
@@ -210,13 +228,42 @@ def fit_field(key: str) -> str:
     return key.split("_", 2)[2]
 
 
+def key_names(paths, other) -> list[str]:
+    """The distinct names of the keys that hold the JSON leaf ``paths`` and
+    that no leaf path of ``other`` passes through: each list index written as
+    ``[*]``, and each key above the named one in which names that agree
+    everywhere else differ written as ``*``, as in ``rows[*].methods.*.mse``."""
+    def prefixes(path):
+        return itertools.accumulate(re.split(r"(?=[.[])", path))
+
+    shared = {prefix for path in other for prefix in prefixes(path)}
+    roots = {next(p for p in prefixes(path) if p not in shared) for path in paths}
+    names = {tuple(re.sub(r"\[\d+\]", "[*]", root).split(".")) for root in roots}
+    for i in range(max(map(len, names), default=0)):
+        keys = defaultdict(set)
+        for name in names:
+            keys[len(name), name[:i], name[i + 1:]].add(name[i:i + 1])
+        names = {name[:i] + (("*",) if i < len(name) - 1 and
+                             len(keys[len(name), name[:i], name[i + 1:]]) > 1
+                             else name[i:i + 1]) + name[i + 1:] for name in names}
+    return sorted(".".join(name) for name in names)
+
+
+def same_leaf(a, b) -> bool:
+    """Whether two JSON leaves are equal, of one type, NaN equal to NaN."""
+    return type(a) is type(b) and (a == b or a != a and b != b)
+
+
 def moved(theirs: Path, ours: Path) -> str:
-    """How far the numbers of two differing JSON files moved, or ''."""
+    """How far the numbers of two differing JSON files moved, or which keys
+    the second adds if it holds every leaf of the first unchanged, or ''."""
     try:
-        records = [json_numbers(json.loads(path.read_text())) for path in (theirs, ours)]
+        a, b = (json_numbers(json.loads(path.read_text())) for path in (theirs, ours))
     except ValueError:
         return ""
-    return f" ({largest_difference(*records)})"
+    if a.keys() < b.keys() and all(same_leaf(a[key], b[key]) for key in a):
+        return f" (only keys added: {', '.join(key_names(b.keys() - a.keys(), a))})"
+    return f" ({largest_difference(a, b)})"
 
 
 def write_tied_dataset(path: Path) -> None:
