@@ -17,6 +17,12 @@ parser = argparse.ArgumentParser()
 parser.add_argument("--replicates", type=int, default=1000)
 args = parser.parse_args()
 
+
+def percent(power, mcse):
+    """A power in percent with its MCSE in points (a one-replicate cell has none)."""
+    return f"{100 * power:.1f}%" + ("" if mcse is None else f" ± {100 * mcse:.1f}")
+
+
 scenario = ScenarioSpec.no_prognostic()
 print(f"No prognostic effect, true HR from the 80%-power design, "
       f"{args.replicates} replicates per cell\n")
@@ -26,8 +32,7 @@ for hr, events in ((0.5, 66), (0.6, 120), (0.75, 380)):
     cfg = SimConfig(scenario=scenario, design=design,
                     replicates=args.replicates, master_seed=314159)
     agg = aggregate(run_replicates(cfg), hr)
-    lr, slr = (f"{100 * agg.power[key]:.1f}% ± {100 * agg.power_mcse[key]:.1f}"
-               for key in ("lr", "strat_lr"))
+    lr, slr = (percent(agg.power[key], agg.power_mcse[key]) for key in ("lr", "strat_lr"))
     gap = 100 * (agg.power["lr"] - agg.power["strat_lr"])
     print(f"{hr:>5} {events:>7} {lr:>13} {slr:>13} {gap:>9.1f}")
 

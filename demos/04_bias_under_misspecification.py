@@ -29,7 +29,9 @@ print(f"{'model':>14} {'avg bias':>15} {'avg SE':>8} {'MSE':>8}")
 for key, label in (("unstrat_cox", "unadjusted"), ("mult_cox", "multivariate"),
                    ("strat_cox", "stratified")):
     m = agg.methods[key]
-    bias = f"{m.avg_bias:.3f} ± {m.avg_bias_mcse:.3f}"
+    # below two usable fits the bias has no MCSE
+    mcse = "" if m.avg_bias_mcse is None else f" ± {m.avg_bias_mcse:.3f}"
+    bias = f"{m.avg_bias:.3f}{mcse}"
     print(f"{label:>14} {bias:>15} {m.avg_se:>8.3f} {m.mse:>8.3f}")
 
 print(f"\nPower: unstratified LR {100 * agg.power['lr']:.1f}% vs "
