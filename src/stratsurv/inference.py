@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import copy
 import math
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from enum import Enum
@@ -695,16 +696,23 @@ class _Trials:
         return _TreatmentLikelihood(risk, tie_method == "efron")
 
 
+#: ``analyze_trials``' stages in run order: the death-count check and time sort,
+#: each Cox fit with the layout and counts it builds first, both log-rank tests.
+ANALYSIS_STAGES = ("sort", "mult_cox", "unstrat_cox", "strat_cox", "logranks")
+
+
 class TrialAnalyses(NamedTuple):
     """Both log-rank tests and the three Cox fits of a batch, one row per dataset.
 
     ``fits`` follows COX_METHODS order. A log-rank z is NaN where the test is
-    degenerate; a fit is usable where it converged with a finite SE.
+    degenerate; a fit is usable where it converged with a finite SE. ``ns`` is
+    the int64 time of each ANALYSIS_STAGES entry, in nanoseconds.
     """
 
     logrank_z: np.ndarray
     stratified_logrank_z: np.ndarray
     fits: tuple[_CoxFits, ...]
+    ns: np.ndarray
 
 
 def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyses:
@@ -712,17 +720,22 @@ def analyze_trials(batch: TrialBatch, tie_method: str = "efron") -> TrialAnalyse
 
     The rows must share their death count D, as generated trials do: a batch
     whose rows differ in it raises InvalidParameterError."""
+    marks = [time.perf_counter_ns()]
     deaths = np.count_nonzero(batch.event, axis=1)
     if np.any(deaths != deaths[:1]):
         raise InvalidParameterError(
             f"the rows of a batch must share their death count, got {np.unique(deaths).tolist()}")
     trials = _Trials(batch)
+    marks.append(time.perf_counter_ns())
     # the multivariate fit, with the largest working set, runs before the
     # layouts hold their arm counts (an untied one builds none for its j)
-    order = (Method.COX_MULTIVARIATE, Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED)
-    fits = {method: _newton(trials.likelihood(method, tie_method)) for method in order}
-    return TrialAnalyses(_logrank(trials.pooled)[2], _logrank(trials.stratified)[2],
-                         tuple(fits[method] for method in COX_METHODS))
+    fits = {}
+    for method in (Method.COX_MULTIVARIATE, Method.COX_UNSTRATIFIED, Method.COX_STRATIFIED):
+        fits[method] = _newton(trials.likelihood(method, tie_method))
+        marks.append(time.perf_counter_ns())
+    z = _logrank(trials.pooled)[2], _logrank(trials.stratified)[2]
+    marks.append(time.perf_counter_ns())
+    return TrialAnalyses(*z, tuple(fits[method] for method in COX_METHODS), np.diff(marks))
 
 
 def _one_dataset_likelihood(dataset: TrialDataset, spec: AnalysisSpec):

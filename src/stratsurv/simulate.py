@@ -21,6 +21,10 @@ in replicate order. A row whose chunk raises fails alone. A killed worker
 breaks the pool, whichever row's chunk it ran: the row being collected runs
 again alone on a fresh pool and fails only if that pool breaks too, and the
 rows after it run on a fresh pool.
+
+A replicate range also times its STAGES, summed over its batches: the stream
+states, the uniform block, the trials' generation, ANALYSIS_STAGES, and the
+replicate columns with their concatenation (``columns``).
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import signal
+import time
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import NamedTuple
@@ -36,7 +41,7 @@ import numpy as np
 
 from .datagen import check_nonnegative_integer, generate_trials, stream_states, stream_uniforms
 from .errors import InvalidParameterError
-from .inference import TIE_METHODS, TrialAnalyses, analyze_trials
+from .inference import ANALYSIS_STAGES, TIE_METHODS, TrialAnalyses, analyze_trials
 from .trial import ScenarioSpec, TrialDesign
 
 #: Cox estimation methods, in reporting order (the order of COX_METHODS).
@@ -47,6 +52,8 @@ COX_KEYS = ("unstrat_cox", "mult_cox", "strat_cox")
 TEST_KEYS = ("lr", "strat_lr", "mult_cox", "strat_cox", "unstrat_cox")
 
 SE_SCALES = ("log", "hr")
+
+STAGES = ("streams", "uniforms", "generation", *ANALYSIS_STAGES, "columns")
 
 #: Subject rows analyzed together: a batch holds max(1, BATCH_SUBJECT_ROWS // N)
 #: replicates of N subjects. Each Newton step runs the same numpy calls
@@ -109,6 +116,13 @@ class Replicates(NamedTuple):
     degenerate: np.ndarray
 
 
+class _Chunk(NamedTuple):
+    """A replicate range's outcomes and its nanoseconds in each of STAGES, as int64."""
+
+    replicates: Replicates
+    ns: np.ndarray
+
+
 @dataclass(frozen=True)
 class MethodMetrics:
     """Estimation quality of one Cox method over the usable fits, each mean with its MCSE."""
@@ -144,22 +158,35 @@ class StudyRow:
     error: str | None = None
 
 
-def _replicate_range(config: SimConfig, lo: int, hi: int) -> Replicates:
+def _replicate_range(config: SimConfig, lo: int, hi: int) -> _Chunk:
     """Generate and analyze replicates lo..hi-1, each on stream (master_seed, index).
 
     Each batch of at most BATCH_SUBJECT_ROWS subject rows hashes its stream
     states, then is drawn, generated and analyzed. The results do not depend
-    on the batching.
+    on the batching; the stage times sum the batches'.
     """
     zcrit = NormalDist().inv_cdf(config.design.alpha_one_sided)
     n = config.design.sample_size
     size = _batch_replicates(config)
+    ns = np.zeros(len(STAGES), dtype=np.int64)
     batches = []
     for start in range(lo, hi, size):
+        marks = [time.perf_counter_ns()]
         states = stream_states(config.master_seed, start, min(start + size, hi))
-        trials = generate_trials(config.design, config.scenario, stream_uniforms(states, n))
-        batches.append(_replicate_columns(analyze_trials(trials, config.tie_method), zcrit))
-    return _concatenate(batches)
+        marks.append(time.perf_counter_ns())
+        uniforms = stream_uniforms(states, n)
+        marks.append(time.perf_counter_ns())
+        trials = generate_trials(config.design, config.scenario, uniforms)
+        del uniforms  # not held through the analysis, whose peak it would raise
+        marks.append(time.perf_counter_ns())
+        analyses = analyze_trials(trials, config.tie_method)
+        columns = time.perf_counter_ns()
+        batches.append(_replicate_columns(analyses, zcrit))
+        ns += (*np.diff(marks), *analyses.ns, time.perf_counter_ns() - columns)
+    columns = time.perf_counter_ns()
+    replicates = _concatenate(batches)
+    ns[-1] += time.perf_counter_ns() - columns
+    return _Chunk(replicates, ns)
 
 
 def _batch_replicates(config: SimConfig) -> int:
@@ -283,7 +310,7 @@ def _run_rows(configs: list[SimConfig], workers: int | None) -> list[Replicates 
 
 def _run_in_process(config: SimConfig) -> Replicates | Exception:
     try:
-        return _replicate_range(config, 0, config.replicates)
+        return _replicate_range(config, 0, config.replicates).replicates
     except Exception as exc:  # row isolation by contract
         return exc
 
@@ -311,7 +338,7 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
         for row, ranges in enumerate(plan):
             futures = [submitted[row, lo] for lo, _ in ranges]
             try:
-                outcomes.append(_concatenate([fut.result() for fut in futures]))
+                outcomes.append(_concatenate([fut.result().replicates for fut in futures]))
             except BrokenProcessPool:
                 raise
             except Exception as exc:  # row isolation by contract

@@ -109,7 +109,7 @@ def test_draws_reach_the_schema_edges():
 @pytest.mark.parametrize("case", range(CASES))
 def test_replicate_range_equals_replay(case):
     cfg = CONFIGS[case]
-    assert_same(sim._replicate_range(cfg, 0, REPLICATES), replay_replicates(cfg))
+    assert_same(sim._replicate_range(cfg, 0, REPLICATES).replicates, replay_replicates(cfg))
 
 
 TINY_EXTRA = 30

@@ -13,6 +13,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+import stratsurv.inference as inference
 import stratsurv.simulate as sim
 from _replay import assert_same, replay_replicates
 from stratsurv.datagen import TrialDataset, stream_states
@@ -65,12 +66,13 @@ def _fail_generation(monkeypatch, seed):
 class TestRunReplicate:
     def test_deterministic_per_index(self):
         cfg = _config()
-        assert_same(sim._replicate_range(cfg, 5, 6), sim._replicate_range(cfg, 5, 6))
-        chunk = sim._replicate_range(cfg, 3, 7)
-        assert_same(sim._replicate_range(cfg, 5, 6),
+        assert_same(sim._replicate_range(cfg, 5, 6).replicates,
+                    sim._replicate_range(cfg, 5, 6).replicates)
+        chunk = sim._replicate_range(cfg, 3, 7).replicates
+        assert_same(sim._replicate_range(cfg, 5, 6).replicates,
                     Replicates(*(column[2:3] for column in chunk)))
-        assert not np.array_equal(sim._replicate_range(cfg, 5, 6).hr,
-                                  sim._replicate_range(cfg, 6, 7).hr)
+        assert not np.array_equal(sim._replicate_range(cfg, 5, 6).replicates.hr,
+                                  sim._replicate_range(cfg, 6, 7).replicates.hr)
 
     def test_estimates_reasonable(self):
         cfg = _config(hr=0.75, d=380, replicates=1)
@@ -117,14 +119,16 @@ class TestReferenceColumns:
         # A replicate's outcome must not depend on the batch it is analyzed
         # in, whatever the host's CPU count makes of the worker chunking.
         cfg, _ = small_n
-        whole = sim._replicate_range(cfg, 0, 37)
-        assert_same(_stack(sim._replicate_range(cfg, 0, 7),
-                           sim._replicate_range(cfg, 7, 37)), whole)
-        assert_same(_stack(*(sim._replicate_range(cfg, i, i + 1) for i in range(37))), whole)
+        whole = sim._replicate_range(cfg, 0, 37).replicates
+        assert_same(_stack(sim._replicate_range(cfg, 0, 7).replicates,
+                           sim._replicate_range(cfg, 7, 37).replicates), whole)
+        assert_same(_stack(*(sim._replicate_range(cfg, i, i + 1).replicates
+                             for i in range(37))), whole)
         # batches of 5 replicates: 3..20 crosses the boundaries at 8, 13 and 18
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * cfg.design.sample_size)
-        assert_same(sim._replicate_range(cfg, 3, 20), Replicates(*(c[3:20] for c in whole)))
-        assert_same(sim._replicate_range(cfg, 0, 37), whole)
+        assert_same(sim._replicate_range(cfg, 3, 20).replicates,
+                    Replicates(*(c[3:20] for c in whole)))
+        assert_same(sim._replicate_range(cfg, 0, 37).replicates, whole)
         # stream states hashed one batch at a time
         calls = []
 
@@ -132,7 +136,8 @@ class TestReferenceColumns:
             calls.append((lo, hi))
             return stream_states(seed, lo, hi)
         monkeypatch.setattr(sim, "stream_states", spy)
-        assert_same(sim._replicate_range(cfg, 3, 37), Replicates(*(c[3:37] for c in whole)))
+        assert_same(sim._replicate_range(cfg, 3, 37).replicates,
+                    Replicates(*(c[3:37] for c in whole)))
         assert calls == [(3, 8), (8, 13), (13, 18), (18, 23), (23, 28), (28, 33), (33, 37)]
 
 
@@ -158,7 +163,7 @@ class TestBatchSizes:
     def test_batch_size(self, unequal_row, monkeypatch, rows):
         cfg, ref = unequal_row
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", rows)
-        assert_same(sim._replicate_range(cfg, 0, cfg.replicates), ref)
+        assert_same(sim._replicate_range(cfg, 0, cfg.replicates).replicates, ref)
 
     def test_two_worker_pool_gives_the_record(self, unequal_row, monkeypatch):
         cfg, ref = unequal_row
@@ -181,6 +186,42 @@ def test_batch_working_set(events):
     finally:
         tracemalloc.stop()
     assert peak <= 320 * sim.BATCH_SUBJECT_ROWS + 2 ** 20
+
+
+class TestStageTimes:
+    """A replicate range times each of STAGES on its own, summed over its batches."""
+
+    SLEEP_NS = 30_000_000
+
+    @pytest.fixture
+    def three_batches(self, monkeypatch):
+        cfg = _config(replicates=11)
+        monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 5 * cfg.design.sample_size)
+        return cfg  # batches of 5, 5 and 1 replicates
+
+    def test_one_nonnegative_int64_per_stage(self, three_batches):
+        ns = sim._replicate_range(three_batches, 0, 11).ns
+        assert ns.dtype == np.int64 and ns.shape == (len(sim.STAGES),)
+        assert (ns >= 0).all()
+
+    @pytest.mark.parametrize("module, name, stage", [
+        (sim, "generate_trials", "generation"),
+        (inference, "_logrank", "logranks"),
+    ], ids=["generation", "logranks"])
+    def test_slept_time_lands_in_its_stage(self, three_batches, monkeypatch,
+                                           module, name, stage):
+        real, calls = getattr(module, name), []
+
+        def slow(*args):
+            calls.append(args)
+            time.sleep(self.SLEEP_NS / 1e9)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, slow)
+        ns = dict(zip(sim.STAGES, sim._replicate_range(three_batches, 0, 11).ns))
+        assert len(calls) >= 3
+        assert ns.pop(stage) >= len(calls) * self.SLEEP_NS
+        assert max(ns.values()) < self.SLEEP_NS, ns
 
 
 def _rows(*replicates):
@@ -436,7 +477,7 @@ class TestChunkPlan:
         assert pool.submitted == [(1, 0, 6), (2, 0, 3), (2, 3, 6), (3, 0, 6),
                                   (5, 0, 4), (3, 6, 8), (1, 6, 7), (4, 0, 1)]
         for row, cfg in zip(rows, configs):
-            assert_same(row, sim._replicate_range(cfg, 0, cfg.replicates))
+            assert_same(row, sim._replicate_range(cfg, 0, cfg.replicates).replicates)
 
 
 @pytest.mark.usefixtures("two_cpus")
@@ -746,5 +787,5 @@ class TestSimConfigValidation:
 
     def test_numpy_integer_seed_accepted(self):
         cfg = _config(seed=np.uint64(2**63 + 7), replicates=3)
-        assert_same(sim._replicate_range(cfg, 0, 3),
-                    sim._replicate_range(_config(seed=2**63 + 7, replicates=3), 0, 3))
+        assert_same(sim._replicate_range(cfg, 0, 3).replicates,
+                    sim._replicate_range(_config(seed=2**63 + 7, replicates=3), 0, 3).replicates)
