@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
+from statistics import NormalDist, StatisticsError
 
 from .errors import InvalidParameterError
 
@@ -38,13 +38,19 @@ def schoenfeld_events(inputs: DesignInputs) -> int:
 
     Uses the classical normal-approximation formula
     D = (z_{1-alpha} + z_{power})^2 / (a (1-a) (log hr)^2), rounded up,
-    where ``a`` is the treatment allocation fraction.
+    where ``a`` is the treatment allocation fraction. Inputs at which D is not
+    a finite float (1 - alpha rounding to 1, or the divisor to 0) are refused.
     """
-    z_alpha = NormalDist().inv_cdf(1.0 - inputs.alpha_one_sided)
-    z_power = NormalDist().inv_cdf(inputs.power)
     a = inputs.allocation
-    raw = (z_alpha + z_power) ** 2 / (a * (1.0 - a) * math.log(inputs.hr) ** 2)
-    return int(math.ceil(raw))
+    try:
+        z_alpha = NormalDist().inv_cdf(1.0 - inputs.alpha_one_sided)
+        z_power = NormalDist().inv_cdf(inputs.power)
+        raw = (z_alpha + z_power) ** 2 / (a * (1.0 - a) * math.log(inputs.hr) ** 2)
+        return int(math.ceil(raw))
+    except (StatisticsError, ZeroDivisionError, OverflowError):
+        raise InvalidParameterError(
+            f"the event target for hr={inputs.hr} is not finite (alpha_one_sided="
+            f"{inputs.alpha_one_sided}, treatment allocation fraction {a})") from None
 
 
 def sample_size(target_events: int, event_fraction: float = 0.70) -> int:
@@ -53,4 +59,8 @@ def sample_size(target_events: int, event_fraction: float = 0.70) -> int:
         raise InvalidParameterError(f"target_events must be positive, got {target_events}")
     if not 0.0 < event_fraction <= 1.0:
         raise InvalidParameterError(f"event_fraction must be in (0, 1], got {event_fraction}")
-    return int(math.ceil(target_events / event_fraction))
+    try:
+        return int(math.ceil(target_events / event_fraction))
+    except OverflowError:  # the quotient, or target_events itself, is past the float range
+        raise InvalidParameterError(f"the sample size for {target_events} events at "
+                                    f"event_fraction={event_fraction} is not finite") from None

@@ -304,27 +304,16 @@ def write_results_csv(path: str, rows: list[StudyRow]) -> None:
 
 
 def results_to_records(rows: list[StudyRow]) -> list[dict[str, Any]]:
-    """Full-precision row records for the JSON sidecar (and --json output)."""
-    records = []
-    for row in rows:
-        cfg = row.config
-        record: dict[str, Any] = {
-            "true_hr": cfg.design.true_hr,
-            "events": cfg.design.target_events,
-            "n": cfg.design.sample_size,
-            "master_seed": cfg.master_seed,
-        }
-        if row.metrics is None:
-            record["error"] = row.error
-        else:
-            record["methods"] = {key: dataclasses.asdict(mm)
-                                 for key, mm in row.metrics.methods.items()}
-            record["power"] = dict(row.metrics.power)
-            record["degenerate_tests"] = dict(row.metrics.degenerate_counts)
-            record["replicates"] = row.metrics.replicates
-            record["power_mcse"] = dict(row.metrics.power_mcse)
-        records.append(record)
-    return records
+    """Full-precision row records for the JSON sidecar (and --json output):
+    each row's design cells and seed, then its ``error`` if it failed, else its
+    ``AggregateMetrics``, whose fields are the record's metric keys in order."""
+    return [{"true_hr": row.config.design.true_hr,
+             "events": row.config.design.target_events,
+             "n": row.config.design.sample_size,
+             "master_seed": row.config.master_seed,
+             **({"error": row.error} if row.metrics is None
+                else dataclasses.asdict(row.metrics))}
+            for row in rows]
 
 
 def write_sidecar_json(path: str, config_mapping: dict[str, Any],

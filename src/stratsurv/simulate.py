@@ -125,7 +125,8 @@ class _Chunk(NamedTuple):
 
 @dataclass(frozen=True)
 class MethodMetrics:
-    """Estimation quality of one Cox method over the usable fits, each mean with its MCSE."""
+    """Estimation quality of one Cox method over the usable fits, each mean with
+    its MCSE: the per-method keys of a sidecar row, in their order."""
 
     avg_bias: float | None
     avg_se: float | None
@@ -139,13 +140,13 @@ class MethodMetrics:
 
 @dataclass(frozen=True)
 class AggregateMetrics:
-    """Study-cell summary: estimation metrics per method, power and its MCSE per test."""
+    """The metrics of a sidecar row, its keys in their order: estimation metrics
+    per method, power per test, degenerate tests, replicates and power's MCSE."""
 
-    true_hr: float
-    replicates: int
     methods: dict[str, MethodMetrics]
     power: dict[str, float]
-    degenerate_counts: dict[str, int]
+    degenerate_tests: dict[str, int]
+    replicates: int
     power_mcse: dict[str, float | None]
 
 
@@ -216,10 +217,11 @@ def _concatenate(parts: list[Replicates]) -> Replicates:
 def aggregate(
     results: Replicates, true_hr: float, se_scale: str = "log"
 ) -> AggregateMetrics:
-    """Reduce replicate columns to bias/SE/MSE per method and power per test,
-    each with its Monte Carlo standard error (Morris, White & Crowther 2019,
-    Table 6): SD(ddof=1) / sqrt(n) of the usable values for the three means,
-    sqrt(p (1 - p) / R) for power; None below two values.
+    """Reduce replicate columns to a sidecar row's metrics: bias/SE/MSE per
+    method and power per test, each with its Monte Carlo standard error
+    (Morris, White & Crowther 2019, Table 6): SD(ddof=1) / sqrt(n) of the
+    usable values for the three means, sqrt(p (1 - p) / R) for power; a mean
+    is None with no usable value and an MCSE None below two.
 
     Unusable fits (NaN estimates) are excluded from that method's estimation
     metrics and counted; degenerate tests count as non-rejections. Accumulation
@@ -235,36 +237,35 @@ def aggregate(
     methods: dict[str, MethodMetrics] = {}
     for k, key in enumerate(COX_KEYS):
         mask = np.isfinite(hr[:, k])
-        used = int(mask.sum())
-        if used == 0:
-            methods[key] = MethodMetrics(None, None, None, 0, n, None, None, None)
-            continue
         h = hr[mask, k]
         s = se[mask, k] if se_scale == "log" else h * se[mask, k]
         squared = (h - true_hr) ** 2
         methods[key] = MethodMetrics(
-            avg_bias=float(np.mean(h) - true_hr),
-            avg_se=float(np.mean(s)),
-            mse=float(np.mean(squared)),
-            replicates_used=used,
-            replicates_excluded=n - used,
+            avg_bias=_mean(h, true_hr),
+            avg_se=_mean(s),
+            mse=_mean(squared),
+            replicates_used=len(h),
+            replicates_excluded=n - len(h),
             avg_bias_mcse=_mcse(h),
             avg_se_mcse=_mcse(s),
             mse_mcse=_mcse(squared),
         )
 
     power = {key: float(np.mean(results.reject[:, j])) for j, key in enumerate(TEST_KEYS)}
-    degenerate_counts = {key: int(results.degenerate[:, j].sum())
-                         for j, key in enumerate(TEST_KEYS)}
     return AggregateMetrics(
-        true_hr=true_hr,
-        replicates=n,
         methods=methods,
         power=power,
-        degenerate_counts=degenerate_counts,
+        degenerate_tests={key: int(results.degenerate[:, j].sum())
+                          for j, key in enumerate(TEST_KEYS)},
+        replicates=n,
         power_mcse={key: math.sqrt(p * (1 - p) / n) if n > 1 else None
                     for key, p in power.items()},
     )
+
+
+def _mean(values: np.ndarray, shift: float = 0.0) -> float | None:
+    """The mean of ``values`` less ``shift``, or None with no values."""
+    return float(np.mean(values) - shift) if len(values) else None
 
 
 def _mcse(values: np.ndarray) -> float | None:
@@ -382,12 +383,7 @@ def run_study(configs: list[SimConfig], workers: int | None = None) -> list[Stud
     """
     if not configs:
         raise InvalidParameterError("config list must not be empty")
-    rows: list[StudyRow] = []
-    for config, outcome in zip(configs, _run_rows(configs, workers)):
-        if isinstance(outcome, Exception):
-            rows.append(StudyRow(config=config, metrics=None,
-                                 error=f"{type(outcome).__name__}: {outcome}"))
-        else:
-            metrics = aggregate(outcome, config.design.true_hr, config.se_scale)
-            rows.append(StudyRow(config=config, metrics=metrics))
-    return rows
+    return [StudyRow(config, None, f"{type(outcome).__name__}: {outcome}")
+            if isinstance(outcome, Exception)
+            else StudyRow(config, aggregate(outcome, config.design.true_hr, config.se_scale))
+            for config, outcome in zip(configs, _run_rows(configs, workers))]

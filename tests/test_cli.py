@@ -139,6 +139,20 @@ class TestDesignCommand:
         assert main(["design", "--hr", "0.7", "--event-fraction", "0"]) == 2
         assert capsys.readouterr().err == "error: event_fraction must be in (0, 1], got 0.0\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--allocation", "1e-320"], "the event target for hr=0.5 is not finite (alpha_one_sided"
+                                     "=0.025, treatment allocation fraction 1e-320)"),
+        (["--allocation", "5e-324"], "the event target for hr=0.5 is not finite (alpha_one_sided"
+                                     "=0.025, treatment allocation fraction 5e-324)"),
+        (["--alpha", "1e-17"], "the event target for hr=0.5 is not finite (alpha_one_sided"
+                               "=1e-17, treatment allocation fraction 0.5)"),
+        (["--event-fraction", "5e-324"], "the sample size for 66 events at "
+                                         "event_fraction=5e-324 is not finite")],
+        ids=["allocation_1e-320", "allocation_5e-324", "alpha_1e-17", "event_fraction_5e-324"])
+    def test_infinite_target_is_validation_error(self, flags, message):
+        proc = run_cli("design", "--hr", "0.5", *flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
 
 class TestFitCommand:
     def test_cox_analytic_dataset(self, tmp_path):
@@ -379,6 +393,23 @@ events = 20
             assert f"{cfg}:11: replicates must be at most 10000000, got {count}" in err
         else:
             assert f"replicates {count} exceeds the maximum of 10000000" in err
+        assert not out.exists() and not (tmp_path / "results.csv.json").exists()
+
+    @pytest.mark.parametrize("entries,message", [
+        ("events = auto\nrandomization_prob = 1e-320",
+         "8: cannot derive events for true_hr=0.5: the event target for hr=0.5 is not finite "
+         "(alpha_one_sided=0.025, treatment allocation fraction 1e-320)"),
+        ("events = auto\nevent_fraction = 5e-324",
+         "8: the sample size for 66 events at event_fraction=5e-324 is not finite"),
+        ("events = 1" + "0" * 400, "8: the sample size for 1" + "0" * 400
+         + " events at event_fraction=0.7 is not finite")],
+        ids=["randomization_prob_1e-320", "event_fraction_5e-324", "events_1e400"])
+    def test_infinite_design_is_validation_error(self, tmp_path, entries, message):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("events = 20", entries))
+        out = tmp_path / "results.csv"
+        proc = run_cli("simulate", str(cfg), "-o", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {cfg}:{message}\n")
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
     def test_true_hr_out_of_range_names_its_line(self, tmp_path):

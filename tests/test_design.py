@@ -67,6 +67,19 @@ class TestSchoenfeldEvents:
         with pytest.raises(InvalidParameterError):
             DesignInputs(hr=-0.5)
 
+    @pytest.mark.parametrize("inputs", [
+        # a (1 - a) (log hr)^2 is subnormal (D overflows) or rounds to 0
+        {"allocation": 1e-320}, {"allocation": 5e-324},
+        # 1 - alpha rounds to 1, whose normal quantile is infinite
+        {"alpha_one_sided": 1e-17}], ids=["allocation_1e-320", "allocation_5e-324", "alpha_1e-17"])
+    def test_infinite_target_refused(self, inputs):
+        with pytest.raises(InvalidParameterError, match="event target .* is not finite"):
+            schoenfeld_events(DesignInputs(hr=0.5, **inputs))
+
+    def test_huge_finite_target_kept(self):
+        # hr one ulp below 1: D is about 2.5e33, a finite float, so an integer
+        assert schoenfeld_events(DesignInputs(hr=1 - 2 ** -53)) > 10 ** 33
+
 
 class TestSampleSize:
     def test_reference_values(self):
@@ -88,3 +101,9 @@ class TestSampleSize:
     def test_invalid_events(self):
         with pytest.raises(InvalidParameterError):
             sample_size(0)
+
+    @pytest.mark.parametrize("events,fraction", [(66, 5e-324), (10 ** 400, 0.7)],
+                             ids=["fraction_5e-324", "events_1e400"])
+    def test_infinite_size_refused(self, events, fraction):
+        with pytest.raises(InvalidParameterError, match="sample size .* is not finite"):
+            sample_size(events, fraction)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness: determinism, aggregation, metrics."""
 
 import concurrent.futures
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -629,7 +630,7 @@ class TestAggregate:
         assert m.replicates_used == 2
         assert m.replicates_excluded == 1
         assert m.avg_bias == 0.0
-        assert agg.degenerate_counts["mult_cox"] == 1
+        assert agg.degenerate_tests["mult_cox"] == 1
 
     def test_degenerate_tests_are_non_rejections(self):
         rejecting = _result(reject=(True,) * 5)
@@ -726,6 +727,54 @@ class TestAggregate:
         records = json.loads(path.read_text(), parse_constant=refuse)["rows"]
         assert records[0]["methods"]["mult_cox"]["avg_bias_mcse"] is None
         assert records[1]["power_mcse"] == dict.fromkeys(TEST_KEYS)
+
+
+#: The sidecar row layout that README documents, written out key by key.
+HEAD_KEYS = ["true_hr", "events", "n", "master_seed"]
+METRIC_KEYS = ["methods", "power", "degenerate_tests", "replicates", "power_mcse"]
+METHOD_KEYS = ["avg_bias", "avg_se", "mse", "replicates_used", "replicates_excluded",
+               "avg_bias_mcse", "avg_se_mcse", "mse_mcse"]
+
+
+class TestSidecarRowLayout:
+    def _records(self, tmp_path, rows):
+        path = tmp_path / "r.json"
+        write_sidecar_json(path, {"run": {"workers": 1}}, rows)
+        return json.loads(path.read_text())["rows"]
+
+    def _assert_metric_layout(self, record):
+        assert list(record) == HEAD_KEYS + METRIC_KEYS
+        assert list(record["methods"]) == ["unstrat_cox", "mult_cox", "strat_cox"]
+        for method in record["methods"].values():
+            assert list(method) == METHOD_KEYS
+        for key in ("power", "degenerate_tests", "power_mcse"):
+            assert list(record[key]) == ["lr", "strat_lr", "mult_cox", "strat_cox",
+                                         "unstrat_cox"]
+
+    def test_ok_failed_and_unusable_rows(self, tmp_path):
+        nan = float("nan")
+        unusable = _stack(*[_result(hr=(nan,) * 3, se=(nan,) * 3,
+                                    degenerate=(False, False, True, True, True))] * 2)
+        ok = StudyRow(_config(), aggregate(run_replicates(_config(replicates=3)), 0.6))
+        failed = StudyRow(_config(), None, "RuntimeError: boom")
+        no_fit = StudyRow(_config(), aggregate(unusable, 0.6))
+        ok_record, failed_record, no_fit_record = self._records(tmp_path, [ok, failed, no_fit])
+        self._assert_metric_layout(ok_record)
+        assert failed_record == {"true_hr": 0.6, "events": 30, "n": 43, "master_seed": 555,
+                                 "error": "RuntimeError: boom"}
+        self._assert_metric_layout(no_fit_record)
+        for method in no_fit_record["methods"].values():
+            assert method == {**dict.fromkeys(METHOD_KEYS), "replicates_used": 0,
+                              "replicates_excluded": 2}
+        assert no_fit_record["degenerate_tests"] == {"lr": 0, "strat_lr": 0, "mult_cox": 2,
+                                                     "strat_cox": 2, "unstrat_cox": 2}
+
+    def test_aggregate_is_the_record_less_its_head(self, tmp_path):
+        cfg = _config(replicates=5)
+        metrics = aggregate(run_replicates(cfg), cfg.design.true_hr)
+        record, = self._records(tmp_path, [StudyRow(cfg, metrics)])
+        assert dataclasses.asdict(metrics) == {key: value for key, value in record.items()
+                                               if key not in HEAD_KEYS}
 
 
 class TestRunStudy:

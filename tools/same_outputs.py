@@ -3,17 +3,22 @@
 Usage: python tools/same_outputs.py REV
 
 Exports REV's ``src/`` with ``git archive`` into a temporary directory, then
-runs every ``configs/*.cfg`` at ``--replicates 690`` with ``--workers 1`` and
-``--workers 2``, at the config's seed and at ``--seed 2**64 + 12345`` (a seed
-of three uint32 words), through both REV's package and this working tree's,
-with ``--dump-datasets`` and relative output names, keeping each run's stdout
-(text at the config's seed, ``--json`` at the other). It also writes a seeded
-dataset of 20,000 subjects over 12 strata with times rounded up to whole
-months, so that nearly every event time is tied, and runs ``fit`` on it, as
-text and with ``--json``, for every method, under both tie rules for the Cox
-methods; ``fit`` on three failing copies of it (``arm`` 2 in the last row, a
-zero time and an ``abc`` time in the middle row), keeping each exit code and
-stderr; and ``design``, as text and with ``--json``, at three hazard ratios.
+runs every ``configs/*.cfg``, and a generated config of event targets 1, 2
+and 3, at ``--replicates 690`` with ``--workers 1`` and ``--workers 2``, at
+the config's seed and at ``--seed 2**64 + 12345`` (a seed of three uint32
+words), through both REV's package and this working tree's, with
+``--dump-datasets`` and relative output names, keeping each run's stdout
+(text at the config's seed, ``--json`` at the other). The generated config's
+rows hold the layouts of absent metrics: at D = 1 no fit is usable, and at
+D = 2 and 3 the multivariate fit never is and the stratified one only in a
+handful of replicates (one at D = 2 at the config's seed, which leaves a mean
+without an MCSE). It also writes a seeded dataset of 20,000 subjects over 12
+strata with times rounded up to whole months, so that nearly every event
+time is tied, and runs ``fit`` on it, as text and with ``--json``, for every
+method, under both tie rules for the Cox methods; ``fit`` on three failing
+copies of it (``arm`` 2 in the last row, a zero time and an ``abc`` time in
+the middle row), keeping each exit code and stderr; and ``design``, as text
+and with ``--json``, at three hazard ratios.
 Those outputs do not show a fit taking one more Newton iteration or a
 replicate excluded for another reason, so for each config row and tie rule
 it also analyzes one batch of ``BATCH_SUBJECT_ROWS // N`` replicates with
@@ -71,6 +76,19 @@ FAILING_FITS = {"arm_last": (FIT_ROWS - 1, "arm", "2"),
                 "time_zero_middle": (FIT_ROWS // 2, "time", "0"),
                 "time_abc_middle": (FIT_ROWS // 2, "time", "abc")}
 FORMATS = ((), ("--json",))
+#: The generated config of tiny event targets, run beside ``configs/*.cfg``.
+TINY_EVENTS_CONFIG = """\
+[scenario]
+kind = no_prognostic
+base_median = 16
+
+[design]
+true_hr = 0.5, 0.6, 0.7
+events = 1, 2, 3
+
+[run]
+seed = 20261022
+"""
 
 
 class _Absent:
@@ -317,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         trees = {"rev": export_src(args.rev, tmp / "rev"), "tree": ROOT / "src"}
+        configs.append(tmp / "tiny_events.cfg")
+        configs[-1].write_text(TINY_EVENTS_CONFIG)
         for config, workers, seed in itertools.product(configs, WORKERS, SEEDS):
             compare({name: simulate(src, config, workers, seed, tmp / "out" / name)
                      for name, src in trees.items()})
@@ -353,9 +373,9 @@ def main(argv: list[str] | None = None) -> int:
                                for saved in (theirs, ours))
                     print(f"  {field}: {len(keys)} arrays, {largest_difference(*records)}")
     print(f"{differ} of {compared} files differ from {args.rev} "
-          f"({len(configs)} configs, workers {WORKERS}, seeds {SEEDS}, "
-          f"{REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of {FIT_ROWS} tied rows "
-          f"and {len(FAILING_FITS)} of failing copies; "
+          f"({len(configs) - 1} configs and one of events 1, 2, 3; workers {WORKERS}, "
+          f"seeds {SEEDS}, {REPLICATES} replicates; {len(fits) * len(FORMATS)} fits of "
+          f"{FIT_ROWS} tied rows and {len(FAILING_FITS)} of failing copies; "
           f"{len(DESIGN_HRS) * len(FORMATS)} designs; one batch of each config row's fits "
           f"under ties {TIES})")
     return 1 if differ else 0
