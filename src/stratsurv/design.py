@@ -28,6 +28,10 @@ class DesignInputs:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise InvalidParameterError(f"{name} must be in (0, 1), got {v}")
+        if self.power <= self.alpha_one_sided:  # then z_{1-alpha} + z_{power} <= 0
+            raise InvalidParameterError(
+                f"power must exceed alpha_one_sided, got power={self.power} and "
+                f"alpha_one_sided={self.alpha_one_sided}")
         if not 0.0 < self.event_fraction <= 1.0:
             raise InvalidParameterError(
                 f"event_fraction must be in (0, 1], got {self.event_fraction}")
@@ -46,7 +50,8 @@ def schoenfeld_events(inputs: DesignInputs) -> int:
         z_alpha = NormalDist().inv_cdf(1.0 - inputs.alpha_one_sided)
         z_power = NormalDist().inv_cdf(inputs.power)
         raw = (z_alpha + z_power) ** 2 / (a * (1.0 - a) * math.log(inputs.hr) ** 2)
-        return int(math.ceil(raw))
+        # the sum rounds to 0 only where power is within rounding of alpha
+        return max(1, int(math.ceil(raw)))
     except (StatisticsError, ZeroDivisionError, OverflowError):
         raise InvalidParameterError(
             f"the event target for hr={inputs.hr} is not finite (alpha_one_sided="

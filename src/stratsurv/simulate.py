@@ -12,15 +12,15 @@ those columns in replicate order.
 
 The worker count is a setting of the run, not of a study cell: each call
 resolves one width w for all its rows. At w = 1 every row runs in this
-process, and no pool module is imported. Otherwise a row of B batches is
-dealt into min(B, 4 w) chunks of whole batches, their counts differing by at
-most one, so at every width the pool runs the batches of a 1-worker run.
-Every row's chunks are queued on one process pool up front, heaviest first by
-length times N, equal ones in row and index order, and each row is collected
-in replicate order. A row whose chunk raises fails alone. A killed worker
-breaks the pool, whichever row's chunk it ran: the row being collected runs
-again alone on a fresh pool and fails only if that pool breaks too, and the
-rows after it run on a fresh pool.
+process, and no pool module is imported. Otherwise each chunk (pool task) is
+one batch of a 1-worker run, whatever w is; only a row of more than
+MAX_ROW_TASKS batches is dealt into that many chunks of whole batches, their
+counts within one. Every row's chunks are queued on one process pool up
+front, heaviest first by length times N, equal ones in row and index order,
+and each row is collected in replicate order. A row whose chunk raises fails
+alone. A killed worker breaks the pool, whichever row's chunk it ran: the row
+being collected runs again alone on a fresh pool and fails only if that pool
+breaks too, and the rows after it run on a fresh pool.
 
 A replicate range also times its STAGES, summed over its batches: the stream
 states, the uniform block, the trials' generation, ANALYSIS_STAGES, and the
@@ -66,9 +66,9 @@ STAGES = ("streams", "uniforms", "generation", *ANALYSIS_STAGES, "columns")
 #: study by 12%, against 4% for 2^15.
 BATCH_SUBJECT_ROWS = 2 ** 15
 
-#: Most chunks a row is cut into per pool worker, so that a row of millions
-#: of replicates does not queue a future per batch.
-CHUNKS_PER_WORKER = 4
+#: Most chunks a row is dealt into, lest a row of millions of replicates queue a
+#: future (about 2 KB) per batch: 352,256 replicates at N = 95, 61,440 at N = 543.
+MAX_ROW_TASKS = 1024
 
 #: Largest replicate count of a study row. A row's columns take 58 bytes per
 #: replicate, so this bounds them to about 0.6 GB, twice that while they are
@@ -324,7 +324,7 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    plan = [_chunks(config, w) for config in configs]
+    plan = [_chunks(config) for config in configs]
     # heaviest first (Graham's LPT rule), so the idle tail is the lightest
     # chunk's; the sort is stable, so equal chunks keep row and index order
     tasks = sorted(((row, lo, hi) for row, ranges in enumerate(plan) for lo, hi in ranges),
@@ -351,13 +351,13 @@ def _run_on_one_pool(configs: list[SimConfig], w: int,
         pool.shutdown(cancel_futures=True)
 
 
-def _chunks(config: SimConfig, w: int) -> list[tuple[int, int]]:
+def _chunks(config: SimConfig) -> list[tuple[int, int]]:
     """One row's pool chunks, as (lo, hi) replicate ranges in index order: its
-    batches dealt whole into min(batches, CHUNKS_PER_WORKER w) chunks."""
+    batches dealt whole into min(batches, MAX_ROW_TASKS) chunks, one batch each below it."""
     n = config.replicates
     size = _batch_replicates(config)
     batches = math.ceil(n / size)
-    k = min(batches, CHUNKS_PER_WORKER * w)
+    k = min(batches, MAX_ROW_TASKS)
     cuts = [min(j * batches // k * size, n) for j in range(k + 1)]
     return list(zip(cuts, cuts[1:]))
 

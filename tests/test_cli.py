@@ -153,6 +153,16 @@ class TestDesignCommand:
         proc = run_cli("design", "--hr", "0.5", *flags)
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--alpha", "0.9999999999999999"], "power=0.8 and alpha_one_sided=0.9999999999999999"),
+        (["--alpha", "0.3", "--power", "0.2"], "power=0.2 and alpha_one_sided=0.3"),
+        (["--alpha", "0.5", "--power", "0.5"], "power=0.5 and alpha_one_sided=0.5")],
+        ids=["alpha_near_1", "power_below_alpha", "power_equal_alpha"])
+    def test_power_not_above_alpha_is_validation_error(self, flags, message):
+        proc = run_cli("design", "--hr", "0.5", *flags)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: power must exceed alpha_one_sided, got {message}\n")
+
 
 class TestFitCommand:
     def test_cox_analytic_dataset(self, tmp_path):
@@ -412,6 +422,16 @@ events = 20
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {cfg}:{message}\n")
         assert not out.exists() and not (tmp_path / "results.csv.json").exists()
 
+    def test_auto_events_with_power_below_alpha_names_the_events_line(self, tmp_path):
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(CONFIG_TEXT.replace("events = 20", "events = auto\nalpha_one_sided = 0.9"))
+        out = tmp_path / "results.csv"
+        proc = run_cli("simulate", str(cfg), "-o", str(out))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"error: {cfg}:8: cannot derive events for true_hr=0.5: power must exceed "
+            "alpha_one_sided, got power=0.8 and alpha_one_sided=0.9\n")
+        assert not out.exists() and not (tmp_path / "results.csv.json").exists()
+
     def test_true_hr_out_of_range_names_its_line(self, tmp_path):
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20",
@@ -515,7 +535,7 @@ class TestInterrupt:
                              ids=["w1-process", "w2-process", "w2-group"])
     def test_one_line_no_output_no_process_left(self, tmp_path, workers, to_group):
         # 24 rows of 3,000 replicates run for seconds; at 2 workers each row of
-        # N = 86 is 8 chunks, its batches of 381 replicates
+        # N = 86 is 8 chunks, each one batch of at most 381 replicates
         rows = "true_hr = " + ", ".join(["0.6"] * 24) + "\nevents = " + ", ".join(["60"] * 24)
         cfg = tmp_path / "study.cfg"
         cfg.write_text(CONFIG_TEXT.replace("true_hr = 0.5\nevents = 20", rows)

@@ -1,6 +1,7 @@
 """Tests for configuration parsing and dataset / result file round trips."""
 
 import dataclasses
+import inspect
 import json
 import re
 from pathlib import Path
@@ -10,6 +11,7 @@ import pytest
 
 from stratsurv.config import StudyConfig, load_study_config, parse_study_config
 from stratsurv.datagen import RngStream, generate_trial
+from stratsurv.design import DesignInputs, sample_size
 from stratsurv.errors import ConfigError, DataFormatError, InvalidParameterError
 from stratsurv.inference import AnalysisSpec, Method, cox_fit, logrank
 from stratsurv.io import (
@@ -19,7 +21,7 @@ from stratsurv.io import (
     write_sidecar_json,
     write_subject_records,
 )
-from stratsurv.simulate import MAX_REPLICATES, run_study
+from stratsurv.simulate import MAX_REPLICATES, SimConfig, run_study
 from stratsurv.trial import ScenarioKind, ScenarioSpec, TrialDesign
 
 MINIMAL = """
@@ -263,6 +265,33 @@ class TestStudyConfigMapping:
             echo[section], what = value, rf"\[{section}\]"
         with pytest.raises(ConfigError, match=rf"{what} must be a JSON object"):
             StudyConfig.from_mapping(echo)
+
+
+def _defaults(cls):
+    return {field.name: field.default for field in dataclasses.fields(cls)
+            if field.default is not dataclasses.MISSING}
+
+
+class TestStudyDefaults:
+    """StudyConfig restates the defaults of the classes its fields reach; each
+    must equal the one it restates."""
+
+    @pytest.mark.parametrize("cls, renames", [
+        (TrialDesign, {}),
+        (DesignInputs, {"allocation": "randomization_prob"}),
+        (SimConfig, {"master_seed": "seed"}),
+        (AnalysisSpec, {}),
+    ], ids=["TrialDesign", "DesignInputs", "SimConfig", "AnalysisSpec"])
+    def test_each_default_equals_the_study_default(self, cls, renames):
+        theirs = {renames.get(name, name): value for name, value in _defaults(cls).items()}
+        study = _defaults(StudyConfig)
+        assert theirs and {name: study[name] for name in theirs} == theirs
+
+    @pytest.mark.parametrize("function", [sample_size, TrialDesign.from_event_target],
+                             ids=["sample_size", "from_event_target"])
+    def test_event_fraction_default(self, function):
+        default = inspect.signature(function).parameters["event_fraction"].default
+        assert default == _defaults(StudyConfig)["event_fraction"]
 
 
 class TestDatasetRoundTrip:

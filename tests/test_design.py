@@ -67,6 +67,19 @@ class TestSchoenfeldEvents:
         with pytest.raises(InvalidParameterError):
             DesignInputs(hr=-0.5)
 
+    @pytest.mark.parametrize("alpha,power", [(0.9999999999999999, 0.8), (0.3, 0.2), (0.5, 0.5)])
+    def test_power_not_above_alpha_refused(self, alpha, power):
+        # z_{1-alpha} + z_{power} <= 0: the formula would square a sum of the wrong sign
+        with pytest.raises(InvalidParameterError, match=(
+                f"power must exceed alpha_one_sided, got power={power} and "
+                f"alpha_one_sided={alpha}$")):
+            DesignInputs(hr=0.5, alpha_one_sided=alpha, power=power)
+
+    def test_power_one_ulp_above_alpha_needs_one_event(self):
+        # 1 - 0.3 rounds to 1 less 0.3's successor: the z sum is 0, and D rounds up to 1
+        power = math.nextafter(0.3, 1.0)
+        assert schoenfeld_events(DesignInputs(hr=0.5, alpha_one_sided=0.3, power=power)) == 1
+
     @pytest.mark.parametrize("inputs", [
         # a (1 - a) (log hr)^2 is subnormal (D overflows) or rounds to 0
         {"allocation": 1e-320}, {"allocation": 5e-324},

@@ -224,6 +224,34 @@ class TestStageTimes:
         assert ns.pop(stage) >= len(calls) * self.SLEEP_NS
         assert max(ns.values()) < self.SLEEP_NS, ns
 
+    @pytest.mark.parametrize("method, stage", [
+        (inference.Method.COX_MULTIVARIATE, "mult_cox"),
+        (inference.Method.COX_UNSTRATIFIED, "unstrat_cox"),
+        (inference.Method.COX_STRATIFIED, "strat_cox"),
+    ], ids=["mult_cox", "unstrat_cox", "strat_cox"])
+    def test_fit_time_lands_in_its_stage(self, three_batches, monkeypatch, method, stage):
+        # ANALYSIS_STAGES names the fits apart from the order analyze_trials
+        # runs them in; time slept in one fit's evaluate must carry its name
+        real, calls = inference._Trials.likelihood, []
+
+        def likelihood(trials, fitted, tie_method):
+            lik = real(trials, fitted, tie_method)
+            if fitted is method:
+                class Slow(type(lik)):
+                    def evaluate(self, beta):
+                        calls.append(beta)
+                        time.sleep(TestStageTimes.SLEEP_NS / 1e9)
+                        return super().evaluate(beta)
+
+                lik.__class__ = Slow
+            return lik
+
+        monkeypatch.setattr(inference._Trials, "likelihood", likelihood)
+        ns = dict(zip(sim.STAGES, sim._replicate_range(three_batches, 0, 11).ns))
+        assert len(calls) >= 3
+        assert ns.pop(stage) >= len(calls) * self.SLEEP_NS
+        assert max(ns.values()) < self.SLEEP_NS, ns
+
 
 def _rows(*replicates):
     return [_config(replicates=n, seed=555 + i) for i, n in enumerate(replicates)]
@@ -325,11 +353,12 @@ class TestFailedChunk:
     @pytest.mark.parametrize("error", [RuntimeError("boom"), KeyboardInterrupt()],
                              ids=["error", "interrupt"])
     def test_remaining_chunks_cancelled(self, monkeypatch, error):
-        # 40 replicates in 20 batches of 2 at 2 workers: the cap of 8 chunks
-        # binds, so the row is 8 chunks of 2 or 3 whole batches, of which
-        # chunk 0 fails and 7 are pending
+        # 40 replicates in 20 batches of 2 under a cap of 8 chunks: the row is
+        # 8 chunks of 2 or 3 whole batches, of which chunk 0 fails and 7 are
+        # pending
         cfg = _config(replicates=40)
         _batches_of(monkeypatch, 2, cfg)
+        monkeypatch.setattr(sim, "MAX_ROW_TASKS", 8)
         pool = _StubPool(error, failing_seed=555)
         _use_pools(monkeypatch, pool)
         with pytest.raises(type(error)):
@@ -414,18 +443,36 @@ class TestFailedChunk:
         assert [pool.submitted for pool in pools] == [[], ROW_555, ROW_556]
 
 
+def _cpus_and_batches(monkeypatch, w):
+    """Make w CPUs usable; returns the list that ``stream_states`` now records
+    each batch in, as (master_seed, lo, hi)."""
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(w)),
+                        raising=False)
+    real, batches = sim.stream_states, []
+
+    def recording(seed, lo, hi):
+        batches.append((seed, lo, hi))
+        return real(seed, lo, hi)
+
+    monkeypatch.setattr(sim, "stream_states", recording)
+    return batches
+
+
 class TestChunkPlan:
     """How a row is cut into pool chunks, and the order they are queued in."""
 
+    # caps of 8 and 16 chunks; each id is a quarter of its cap, which keeps the
+    # ids of the width-based cap of 4 chunks per worker at widths 2 and 4
     @pytest.mark.parametrize("replicates", [1, 2, 3, 7, 40, 41, 1000, sim.MAX_REPLICATES])
     @pytest.mark.parametrize("batch", [1, 3, 10, 64])
-    @pytest.mark.parametrize("w", [2, 4])
-    def test_chunks_cover_the_row(self, monkeypatch, replicates, batch, w):
+    @pytest.mark.parametrize("cap", [8, 16], ids=["2", "4"])
+    def test_chunks_cover_the_row(self, monkeypatch, replicates, batch, cap):
         cfg = _config(replicates=replicates)
         _batches_of(monkeypatch, batch, cfg)
-        chunks = sim._chunks(cfg, w)
+        monkeypatch.setattr(sim, "MAX_ROW_TASKS", cap)
+        chunks = sim._chunks(cfg)
         batches = math.ceil(replicates / batch)
-        assert len(chunks) == min(batches, 4 * w)
+        assert len(chunks) == min(batches, cap)
         # contiguous, in order, from 0 to n, none empty
         assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
         assert chunks[-1][1] == replicates
@@ -438,20 +485,12 @@ class TestChunkPlan:
 
     @pytest.mark.parametrize("w", [2, 4])
     def test_every_width_runs_the_serial_batches(self, monkeypatch, w):
-        # Batches of 2 replicates: a row of 7 is 4 batches, under the cap; a
-        # row of 40 is 20, capped to 4 w chunks; the rows of 1 and 3 have
-        # fewer replicates than w at w = 4, and the row of 1 at w = 2 too.
+        # Batches of 2 replicates: the rows of 7 and 40 are 4 and 20 batches;
+        # the rows of 1 and 3 have fewer replicates than w at w = 4, and the
+        # row of 1 at w = 2 too.
         configs = _rows(7, 40, 1, 3)
         _batches_of(monkeypatch, 2, configs[0])
-        monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: set(range(w)),
-                            raising=False)
-        real, batches = sim.stream_states, []
-
-        def recording(seed, lo, hi):
-            batches.append((seed, lo, hi))
-            return real(seed, lo, hi)
-
-        monkeypatch.setattr(sim, "stream_states", recording)
+        batches = _cpus_and_batches(monkeypatch, w)
         serial = sim._run_rows(configs, 1)
         serial_batches = sorted(batches)
         batches.clear()
@@ -461,6 +500,20 @@ class TestChunkPlan:
         assert sorted(batches) == serial_batches
         for row, reference in zip(pooled, serial):
             assert_same(row, reference)
+
+    @pytest.mark.parametrize("w", [2, 4])
+    def test_each_chunk_is_one_serial_batch(self, monkeypatch, w):
+        # a row of 20 equal batches, under the cap: the pool is handed the
+        # 1-worker batches themselves, in index order, at every width
+        [cfg] = _rows(40)
+        _batches_of(monkeypatch, 2, cfg)
+        batches = _cpus_and_batches(monkeypatch, w)
+        sim._run_rows([cfg], 1)
+        assert len(batches) == 20
+        pool = _StubPool()
+        _use_pools(monkeypatch, pool)
+        sim._run_rows([cfg], w)
+        assert pool.submitted == batches[:20]
 
     def test_queued_heaviest_first_ties_in_row_order(self, monkeypatch, two_cpus):
         # Batches of 258 subject rows: 6 replicates of N = 43, 3 of N = 86.
@@ -527,17 +580,18 @@ class TestOnePoolPerCall:
         assert all(row.error is None for row in rows)
 
     def test_reordered_and_capped_chunks_give_the_serial_columns(self, sizes, monkeypatch):
-        # Batches of 172 subject rows. Row 2 (40 replicates of N = 43 in 10
-        # batches of 4) hits the cap: 8 chunks of 1 or 2 batches, whose 2-batch
-        # chunks are queued before row 0's (9 replicates of N = 86: its 5
-        # batches of 2 and 1). Row 0's last and lightest chunk, (8, 9), goes
-        # behind row 2's 1-batch chunks. Row 1 has fewer replicates than
-        # workers.
+        # Batches of 172 subject rows, under a cap of 8 chunks. Row 2 (40
+        # replicates of N = 43 in 10 batches of 4) hits the cap: 8 chunks of 1
+        # or 2 batches, whose 2-batch chunks are queued before row 0's (9
+        # replicates of N = 86: its 5 batches of 2 and 1). Row 0's last and
+        # lightest chunk, (8, 9), goes behind row 2's 1-batch chunks. Row 1
+        # has fewer replicates than workers.
         monkeypatch.setattr(sim, "BATCH_SUBJECT_ROWS", 172)
+        monkeypatch.setattr(sim, "MAX_ROW_TASKS", 8)
         configs = [_config(hr=0.7, d=60, replicates=9, seed=7),
                    _config(hr=0.5, d=20, replicates=1, seed=8),
                    _config(hr=0.6, d=30, replicates=40, seed=9)]
-        assert [sim._chunks(config, 2) for config in configs] == [
+        assert [sim._chunks(config) for config in configs] == [
             [(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)], [(0, 1)],
             [(0, 4), (4, 8), (8, 12), (12, 20), (20, 24), (24, 28), (28, 32), (32, 40)]]
         pooled = sim._run_rows(configs, 2)
@@ -566,7 +620,7 @@ class TestOnePoolPerCall:
         monkeypatch.setattr(sim, "stream_states", waiting_or_fatal)
         configs = [_config(hr=0.5, d=20, replicates=8, seed=seed) for seed in (1, 2, 3)]
         _batches_of(monkeypatch, 4, configs[0])
-        assert [sim._chunks(config, 2) for config in configs] == [[(0, 4), (4, 8)]] * 3
+        assert [sim._chunks(config) for config in configs] == [[(0, 4), (4, 8)]] * 3
         rows = run_study(configs, workers=2)
         assert rows[1].error == ("BrokenProcessPool: a worker process was killed before "
                                  "its chunk finished, often for lack of memory")
